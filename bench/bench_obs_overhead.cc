@@ -83,7 +83,7 @@ int main() {
               span_ns, kSpanIters);
   report.Add("span_disabled")
       .Sample(span_total_ms)
-      .Extra("iterations", static_cast<double>(kSpanIters))
+      .Extra("span_iterations", static_cast<double>(kSpanIters))
       .Extra("ns_per_span", span_ns);
 
   // --- graph + query setup ---

@@ -221,9 +221,25 @@ Status FrontierEngine::Run(const CsrView& csr,
   bool frontier_is_bitmap = false;
   bool pull_mode = false;
 
+  // Early-exit targets not yet in the result; checked between levels, when
+  // no lane is writing the bitmaps.
+  std::vector<NodeId> pending;
+  if (options.stop_targets != nullptr) pending = *options.stop_targets;
+  const bool stop_armed = !pending.empty();
+  const VisitedBitmap& reached = track_member ? member_ : visited_;
+
   size_t depth = 0;
   while (frontier_count > 0 && depth < options.max_depth &&
          !shared.cancelled.load(std::memory_order_relaxed)) {
+    if (stop_armed) {
+      std::erase_if(pending, [&](NodeId t) {
+        return t < upper && reached.Test(t);
+      });
+      if (pending.empty()) {
+        if (metrics != nullptr) metrics->stopped_early = true;
+        break;
+      }
+    }
     // One span per BFS level, parented under the executor's span on this
     // (worker) thread: the per-level breakdown a retained trace shows.
     // Pool-lane work inside the level stays un-parented — lanes run on

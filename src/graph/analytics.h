@@ -143,6 +143,11 @@ struct Options {
   std::atomic<bool>* cancel = nullptr;
   // Pool to run on; null uses ThreadPool::Shared().
   ThreadPool* pool = nullptr;
+  // Target-aware early exit: when set and non-empty, the run stops at the
+  // end of the first level after which every listed node is in its result
+  // (a closure member for Closure, visited otherwise). The result is then
+  // partial but exact for the listed nodes; Metrics::stopped_early says so.
+  const std::vector<NodeId>* stop_targets = nullptr;
 
   // Direction policy. kAuto compares per-level cost estimates — push ~
   // frontier edge sum, pull ~ unvisited nodes x expected in-edge probes
@@ -181,6 +186,9 @@ struct Metrics {
   // the per-edge scan width (CsrView::kBytesPerEdgeScan). Feeds the
   // per-query scanned_bytes attribution in ExecStats.
   uint64_t scanned_bytes = 0;
+  // True when Options::stop_targets ended the run while its frontier was
+  // still non-empty and max_depth not yet reached.
+  bool stopped_early = false;
 };
 
 inline constexpr uint32_t kUnreachedDepth =

@@ -203,6 +203,25 @@ struct MatchStep {
   bool flipped;      // expansion runs against the pattern's direction
 };
 
+// A pattern predicate bound once per clause. For the reachability shape
+// (see CollectReachabilityPatterns) it also caches one closure: the kernel runs
+// from one endpoint, the anchor, and keeps only the latest anchor's member
+// set, so rows evaluated in anchor-grouped order pay one closure per
+// distinct anchor while memory stays O(nodes).
+struct PatternProbe {
+  BoundChain chain;
+  // Closures run from the pattern's target endpoint, against the arrow.
+  bool reversed = false;
+  // Per anchor, the sorted other endpoints its rows ask about: the
+  // kernel's early-exit targets. Filled by the WHERE pre-scan only.
+  std::unordered_map<NodeId, std::vector<NodeId>> wanted;
+  NodeId anchor = graph::kInvalidNode;  // whose closure `members` holds
+  // False when the closure stopped early: then only endpoints in its
+  // early-exit targets are known to be members.
+  bool complete = false;
+  std::vector<NodeId> members;  // sorted
+};
+
 class Engine {
  public:
   Engine(const Database& db, const Query& query, const ExecOptions& options)
@@ -243,6 +262,8 @@ class Engine {
           },
           clause);
       obs::Span clause_span(span_name);
+      // Bound patterns hold row slots, which a WITH renumbers.
+      pattern_probes_.clear();
       if (options_.progress != nullptr) {
         options_.progress->op.store(span_name, std::memory_order_relaxed);
         PublishProgress();
@@ -258,6 +279,7 @@ class Engine {
         fp_level_bitmap_.clear();
         fp_direction_switches_ = 0;
         fp_lanes_ = 0;
+        reach_op_ = {};
         clause_start = std::chrono::steady_clock::now();
       }
       Status status = std::visit(
@@ -295,6 +317,10 @@ class Engine {
         op.level_bitmap = fp_level_bitmap_;
         op.direction_switches = fp_direction_switches_;
         op.lanes = fp_lanes_;
+        op.reach_kernel = reach_op_.anchors > 0;
+        op.reach_from_target = reach_op_.from_target;
+        op.reach_anchors = reach_op_.anchors;
+        op.reach_early_exits = reach_op_.early_exits;
         out.stats.operators.push_back(std::move(op));
       }
     }
@@ -350,9 +376,7 @@ class Engine {
         return Status::Cancelled("query cancelled");
       }
       if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
-        return Status::DeadlineExceeded(
-            "query exceeded deadline of " +
-            std::to_string(options_.deadline_ms) + "ms");
+        return DeadlineError();
       }
       if (tracker_ != nullptr && tracker_->OverBudget()) {
         return Status::ResourceExhausted(
@@ -361,6 +385,12 @@ class Engine {
       }
     }
     return Status::OK();
+  }
+
+  Status DeadlineError() const {
+    return Status::DeadlineExceeded("query exceeded deadline of " +
+                                    std::to_string(options_.deadline_ms) +
+                                    "ms");
   }
 
   void PublishProgress() {
@@ -514,35 +544,10 @@ class Engine {
     filter.direction = reversed ? Flip(rel.direction) : rel.direction;
     if (!rel.any_type) filter.types = rel.types;
 
-    graph::analytics::Options opt;
-    opt.threads = options_.threads;
-    opt.cancel = options_.cancel;
-    if (rel.max_length != kUnboundedLength) opt.max_depth = rel.max_length;
-    // Hand the kernel the remaining budget so a breach surfaces with the
-    // same codes (and comparable timing) as the enumerating path.
-    if (options_.max_steps > 0) {
-      opt.max_steps =
-          options_.max_steps > steps_ ? options_.max_steps - steps_ : 1;
-    }
-    if (has_deadline_) {
-      int64_t remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline_ - std::chrono::steady_clock::now())
-              .count();
-      opt.deadline_ms = remaining_ms > 0 ? remaining_ms : 1;
-    }
-
-    const graph::CsrView& csr = db_.csr->Get(*db_.view);
     graph::analytics::Metrics metrics;
-    auto members = [&] {
-      FRAPPE_TRACE_SPAN("executor.csr_closure");
-      return graph::analytics::ParallelClosure(csr, {seed}, filter, opt,
-                                               &metrics);
-    }();
-    steps_ += metrics.steps;
-    hits_.edges += metrics.steps;  // each kernel step scans one edge
-    csr_edge_hits_ += metrics.steps;
-    csr_scanned_bytes_ += metrics.scanned_bytes;
+    FRAPPE_ASSIGN_OR_RETURN(
+        std::vector<NodeId> members,
+        CsrClosure(seed, filter, rel.max_length, nullptr, &metrics));
     fast_path_taken_ = true;
     fast_path_op_ = true;
     // Frontier trajectory of the widest run this clause dispatched (one
@@ -556,29 +561,6 @@ class Engine {
       fp_direction_switches_ = metrics.direction_switches;
     }
     fp_lanes_ = std::max(fp_lanes_, metrics.lanes_used);
-    if (!members.ok()) {
-      // Re-phrase kernel budget errors in the executor's vocabulary.
-      // Memory-budget breaches pass through untouched: their message
-      // already names the cap, and rewriting them as a step-budget error
-      // would misattribute the failure.
-      if (members.status().code() == StatusCode::kResourceExhausted) {
-        if (members.status().message().find("memory") != std::string::npos) {
-          return members.status();
-        }
-        return Status::ResourceExhausted(
-            "query exceeded step budget of " +
-            std::to_string(options_.max_steps));
-      }
-      if (members.status().code() == StatusCode::kDeadlineExceeded) {
-        return Status::DeadlineExceeded(
-            "query exceeded deadline of " +
-            std::to_string(options_.deadline_ms) + "ms");
-      }
-      if (members.status().code() == StatusCode::kCancelled) {
-        return Status::Cancelled("query cancelled");
-      }
-      return members.status();
-    }
 
     auto emit = [&](NodeId node) -> Status {
       if (!NodeSatisfies(target, node)) return Status::OK();
@@ -591,22 +573,161 @@ class Engine {
     // `*0..` includes the zero-length path unless the closure already
     // reached the seed through a cycle.
     if (rel.min_length == 0 &&
-        !std::binary_search(members->begin(), members->end(), seed)) {
+        !std::binary_search(members.begin(), members.end(), seed)) {
       FRAPPE_RETURN_IF_ERROR(emit(seed));
     }
-    for (NodeId node : *members) {
+    for (NodeId node : members) {
       FRAPPE_RETURN_IF_ERROR(emit(node));
     }
     return true;
   }
 
+  // Runs the CSR closure kernel from `seed` under what is left of the
+  // query's budgets: remaining steps, the deadline, the cancel token and
+  // the lane count go into the kernel, which also polls the memory budget
+  // of the query's resource tracker. Its edge scans are charged to steps,
+  // db_hits and scanned_bytes, and its budget errors come back in the
+  // executor's wording.
+  Result<std::vector<NodeId>> CsrClosure(
+      NodeId seed, const graph::EdgeFilter& filter, uint32_t max_length,
+      const std::vector<NodeId>* stop_targets,
+      graph::analytics::Metrics* metrics) {
+    graph::analytics::Options opt;
+    opt.threads = options_.threads;
+    opt.cancel = options_.cancel;
+    opt.stop_targets = stop_targets;
+    if (max_length != kUnboundedLength) opt.max_depth = max_length;
+    if (options_.max_steps > 0) {
+      opt.max_steps =
+          options_.max_steps > steps_ ? options_.max_steps - steps_ : 1;
+    }
+    if (has_deadline_) {
+      const auto now = std::chrono::steady_clock::now();
+      // A passed deadline fails here: a fresh minimum for every kernel call
+      // would let a run of short closures outlive it.
+      if (now > deadline_) return DeadlineError();
+      int64_t remaining_ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline_ -
+                                                                now)
+              .count();
+      opt.deadline_ms = std::max<int64_t>(remaining_ms, 1);
+    }
+
+    const graph::CsrView& csr = db_.csr->Get(*db_.view);
+    auto members = [&] {
+      FRAPPE_TRACE_SPAN("executor.csr_closure");
+      return graph::analytics::ParallelClosure(csr, {seed}, filter, opt,
+                                               metrics);
+    }();
+    steps_ += metrics->steps;
+    hits_.edges += metrics->steps;  // each kernel step scans one edge
+    csr_edge_hits_ += metrics->steps;
+    csr_scanned_bytes_ += metrics->scanned_bytes;
+    if (members.ok()) return members;
+    // Memory-budget breaches pass through untouched: their message already
+    // names the cap, and rewriting them as a step-budget error would
+    // misattribute the failure.
+    const Status& status = members.status();
+    if (status.code() == StatusCode::kResourceExhausted) {
+      if (status.message().find("memory") != std::string::npos) {
+        return status;
+      }
+      return Status::ResourceExhausted("query exceeded step budget of " +
+                                       std::to_string(options_.max_steps));
+    }
+    if (status.code() == StatusCode::kDeadlineExceeded) {
+      return DeadlineError();
+    }
+    if (status.code() == StatusCode::kCancelled) {
+      return Status::Cancelled("query cancelled");
+    }
+    return status;
+  }
+
   Status ExecWhere(const WhereClause& clause) {
+    // Reachability predicates on the CSR kernel evaluate rows grouped by
+    // anchor, so each anchor's closure runs once; rows keep their order.
+    // A predicate without one skips the pre-scan entirely.
+    std::vector<size_t> order;
+    if (UseReachKernel()) {
+      std::vector<const PatternChain*> patterns;
+      CollectReachabilityPatterns(*clause.predicate, &patterns);
+      if (!patterns.empty()) {
+        FRAPPE_RETURN_IF_ERROR(PlanReachProbes(patterns, &order));
+      }
+    }
+    std::vector<char> keep(rows_.size(), 0);
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      size_t row = order.empty() ? i : order[i];
+      FRAPPE_ASSIGN_OR_RETURN(bool pass,
+                              EvalPredicate(*clause.predicate, rows_[row]));
+      keep[row] = pass ? 1 : 0;
+    }
     std::vector<Row> next;
-    for (const Row& row : rows_) {
-      FRAPPE_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*clause.predicate, row));
-      if (keep) next.push_back(row);
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      if (keep[i] != 0) next.push_back(std::move(rows_[i]));
     }
     rows_ = std::move(next);
+    return Status::OK();
+  }
+
+  bool UseReachKernel() const {
+    return options_.use_csr_fast_path && db_.csr != nullptr;
+  }
+
+  // The WHERE pre-scan. For each reachability pattern, anchors on the
+  // endpoint with fewer distinct bound nodes across the rows and records,
+  // per anchor, the other endpoints its rows ask about. `order` receives
+  // the row indices grouped by the first pattern's anchor (rows it cannot
+  // answer last), stable within a group.
+  Status PlanReachProbes(const std::vector<const PatternChain*>& patterns,
+                         std::vector<size_t>* order) {
+    for (const PatternChain* chain : patterns) {
+      FRAPPE_ASSIGN_OR_RETURN(PatternProbe * probe, ProbeFor(*chain));
+      if (!IsReachKernelShape(probe->chain)) continue;
+      const int from_slot = probe->chain.nodes[0].slot;
+      const int to_slot = probe->chain.nodes[1].slot;
+      std::vector<std::pair<NodeId, NodeId>> pairs;  // (from, to) per row
+      pairs.reserve(rows_.size());
+      for (const Row& row : rows_) {
+        pairs.emplace_back(BoundNodeOf(row, from_slot),
+                           BoundNodeOf(row, to_slot));
+      }
+      auto distinct = [&](bool second) {
+        std::vector<NodeId> nodes;
+        for (const auto& [from, to] : pairs) {
+          if (from != graph::kInvalidNode && to != graph::kInvalidNode) {
+            nodes.push_back(second ? to : from);
+          }
+        }
+        std::sort(nodes.begin(), nodes.end());
+        return std::unique(nodes.begin(), nodes.end()) - nodes.begin();
+      };
+      probe->reversed = distinct(true) < distinct(false);
+      std::vector<NodeId> anchors;
+      anchors.reserve(pairs.size());
+      for (const auto& [from, to] : pairs) {
+        const bool both = from != graph::kInvalidNode &&
+                          to != graph::kInvalidNode;
+        NodeId anchor = both ? (probe->reversed ? to : from)
+                             : graph::kInvalidNode;
+        anchors.push_back(anchor);
+        if (both) probe->wanted[anchor].push_back(probe->reversed ? from : to);
+      }
+      for (auto& [anchor, others] : probe->wanted) {
+        std::sort(others.begin(), others.end());
+        others.erase(std::unique(others.begin(), others.end()),
+                     others.end());
+      }
+      if (order->empty()) {
+        order->resize(rows_.size());
+        for (size_t i = 0; i < order->size(); ++i) (*order)[i] = i;
+        std::stable_sort(order->begin(), order->end(),
+                         [&](size_t a, size_t b) {
+                           return anchors[a] < anchors[b];
+                         });
+      }
+    }
     return Status::OK();
   }
 
@@ -1333,52 +1454,54 @@ class Engine {
     return Status::InvalidArgument("expression is not a boolean predicate");
   }
 
+  // The clause's bound copy of `chain`, created on first use.
+  Result<PatternProbe*> ProbeFor(const PatternChain& chain) {
+    auto it = pattern_probes_.find(&chain);
+    if (it == pattern_probes_.end()) {
+      FRAPPE_ASSIGN_OR_RETURN(BoundChain bound, BindChain(chain));
+      it = pattern_probes_.emplace(&chain, PatternProbe{}).first;
+      it->second.chain = std::move(bound);
+    }
+    return &it->second;
+  }
+
+  // Bound form of the CollectReachabilityPatterns shape: a pattern that
+  // asks only "is there a path" once both endpoints are bound. (Any BFS
+  // path is also edge-distinct, so reachability is sound under
+  // relationship-isomorphism semantics.)
+  static bool IsReachKernelShape(const BoundChain& chain) {
+    if (chain.rels.size() != 1) return false;
+    const BoundRelPattern& rel = chain.rels[0];
+    return rel.var_length && rel.slot < 0 && rel.props.empty() &&
+           !rel.impossible && rel.min_length <= 1;
+  }
+
+  static NodeId BoundNodeOf(const Row& row, int slot) {
+    if (slot >= 0 && slot < static_cast<int>(row.size()) &&
+        row[slot].kind == ResultValue::Kind::kNode) {
+      return row[slot].node;
+    }
+    return graph::kInvalidNode;
+  }
+
   Result<bool> EvalPatternExists(const PatternChain& chain, const Row& row) {
-    FRAPPE_ASSIGN_OR_RETURN(BoundChain bound, BindChain(chain));
-    Row scratch = row;
-    scratch.resize(width_);
-    // Reachability short-circuit: a predicate of the shape
-    // `bound -[:t*]-> bound` with no relationship variable or property map
-    // asks only "is there a path" — answer it with a visited-set BFS
-    // instead of path enumeration. (Any BFS path is also edge-distinct, so
-    // this is sound under relationship-isomorphism semantics.)
-    if (bound.rels.size() == 1 && bound.rels[0].var_length &&
-        bound.rels[0].slot < 0 && bound.rels[0].props.empty() &&
-        !bound.rels[0].impossible && bound.rels[0].min_length <= 1) {
+    FRAPPE_ASSIGN_OR_RETURN(PatternProbe * probe, ProbeFor(chain));
+    const BoundChain& bound = probe->chain;
+    // Reachability short-circuit: answer `bound -[:t*]-> bound` without
+    // path enumeration.
+    if (IsReachKernelShape(bound)) {
       const BoundNodePattern& a = bound.nodes[0];
       const BoundNodePattern& b = bound.nodes[1];
-      auto bound_node = [&](const BoundNodePattern& p) -> NodeId {
-        if (p.slot >= 0 && p.slot < static_cast<int>(scratch.size()) &&
-            scratch[p.slot].kind == ResultValue::Kind::kNode) {
-          return scratch[p.slot].node;
-        }
-        return graph::kInvalidNode;
-      };
-      NodeId from = bound_node(a);
-      NodeId to = bound_node(b);
+      NodeId from = BoundNodeOf(row, a.slot);
+      NodeId to = BoundNodeOf(row, b.slot);
       if (from != graph::kInvalidNode && to != graph::kInvalidNode &&
           NodeSatisfies(a, from) && NodeSatisfies(b, to)) {
-        graph::EdgeFilter filter;
-        filter.direction = bound.rels[0].direction;
-        if (!bound.rels[0].any_type) filter.types = bound.rels[0].types;
-        // min_length >= 1: `from == to` requires a cycle, which
-        // TransitiveClosure handles; otherwise plain reachability.
-        bool reachable;
-        if (from == to && bound.rels[0].min_length >= 1) {
-          auto closure = graph::TransitiveClosure(
-              *db_.view, from, filter, bound.rels[0].max_length);
-          reachable = std::binary_search(closure.begin(), closure.end(), to);
-        } else {
-          reachable = graph::IsReachable(*db_.view, from, to, filter,
-                                         bound.rels[0].max_length);
-          if (bound.rels[0].min_length >= 1 && from == to) {
-            reachable = false;  // unreachable fallthrough guard
-          }
-        }
-        steps_ += 1;
-        return reachable;
+        if (UseReachKernel()) return ProbeReach(probe, from, to);
+        return ProbeReachPerRow(bound.rels[0], from, to);
       }
     }
+    Row scratch = row;
+    scratch.resize(width_);
     std::unordered_set<EdgeId> used;
     bool found = false;
     Status status = MatchChain(bound, &scratch, &used, [&](Row*) {
@@ -1391,6 +1514,63 @@ class Engine {
       return status;
     }
     return found;
+  }
+
+  // Is there a path of the probe's relationship from `from` to `to`,
+  // answered from the cached closure of the anchor endpoint when it can be.
+  // Reachability over >= 1 edges decides, except that `*0..` also accepts
+  // `from == to`; with min length 1, `from == to` needs a cycle.
+  Result<bool> ProbeReach(PatternProbe* probe, NodeId from, NodeId to) {
+    const BoundRelPattern& rel = probe->chain.rels[0];
+    if (from == to && rel.min_length == 0) return db_.view->NodeExists(from);
+    const NodeId anchor = probe->reversed ? to : from;
+    const NodeId other = probe->reversed ? from : to;
+    auto member = [&] {
+      return std::binary_search(probe->members.begin(), probe->members.end(),
+                                other);
+    };
+    if (probe->anchor == anchor && (probe->complete || member())) {
+      return member();
+    }
+    // Stop as soon as every endpoint this anchor's rows want is reached;
+    // outside a WHERE pre-scan that is just this row's.
+    std::vector<NodeId> single{other};
+    const std::vector<NodeId>* targets = &single;
+    auto it = probe->wanted.find(anchor);
+    if (it != probe->wanted.end() &&
+        std::binary_search(it->second.begin(), it->second.end(), other)) {
+      targets = &it->second;
+    }
+    graph::EdgeFilter filter;
+    filter.direction =
+        probe->reversed ? Flip(rel.direction) : rel.direction;
+    if (!rel.any_type) filter.types = rel.types;
+    graph::analytics::Metrics metrics;
+    probe->anchor = graph::kInvalidNode;  // stale until the kernel succeeds
+    FRAPPE_ASSIGN_OR_RETURN(
+        probe->members,
+        CsrClosure(anchor, filter, rel.max_length, targets, &metrics));
+    probe->anchor = anchor;
+    probe->complete = !metrics.stopped_early;
+    reach_op_.from_target = probe->reversed;
+    ++reach_op_.anchors;
+    if (metrics.stopped_early) ++reach_op_.early_exits;
+    return member();
+  }
+
+  // The store-walking answer to ProbeReach, one BFS per row: used when the
+  // CSR fast path is off or the database has no CSR.
+  bool ProbeReachPerRow(const BoundRelPattern& rel, NodeId from, NodeId to) {
+    graph::EdgeFilter filter;
+    filter.direction = rel.direction;
+    if (!rel.any_type) filter.types = rel.types;
+    steps_ += 1;
+    if (from == to && rel.min_length >= 1) {
+      auto closure =
+          graph::TransitiveClosure(*db_.view, from, filter, rel.max_length);
+      return std::binary_search(closure.begin(), closure.end(), to);
+    }
+    return graph::IsReachable(*db_.view, from, to, filter, rel.max_length);
   }
 
   Result<ResultValue> Eval(const Expr& expr, const Row& row) {
@@ -1591,6 +1771,14 @@ class Engine {
   std::vector<uint8_t> fp_level_bitmap_;
   size_t fp_direction_switches_ = 0;
   size_t fp_lanes_ = 0;
+  // The current clause's bound pattern predicates, keyed by AST node.
+  std::unordered_map<const PatternChain*, PatternProbe> pattern_probes_;
+  // Reachability-kernel detail of the current clause (PROFILE).
+  struct {
+    bool from_target = false;
+    uint64_t anchors = 0;
+    uint64_t early_exits = 0;
+  } reach_op_;
 };
 
 }  // namespace

@@ -82,6 +82,15 @@ struct OperatorStats {
   std::vector<uint8_t> level_bitmap;
   size_t direction_switches = 0;
   size_t lanes = 0;
+  // Reachability-predicate detail (a WHERE `a -[:t*]-> b` answered by the
+  // CSR closure kernel): whether the closures ran from the pattern's target
+  // endpoint (against the arrow) or its source, how many closures ran (one
+  // per distinct anchor node), and how many stopped early once every
+  // endpoint their rows asked about was reached.
+  bool reach_kernel = false;
+  bool reach_from_target = false;
+  uint64_t reach_anchors = 0;
+  uint64_t reach_early_exits = 0;
 };
 
 // Per-query latency attribution: microseconds spent in each stage of the

@@ -296,7 +296,16 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
         }
       }
     } else if (const auto* where = std::get_if<WhereClause>(&clause)) {
-      line("Filter " + DescribeExpr(*where->predicate));
+      // Mirror the executor: a reachability pattern over two bound
+      // endpoints runs on the closure kernel, one closure per anchor.
+      std::vector<const PatternChain*> reach;
+      CollectReachabilityPatterns(*where->predicate, &reach);
+      bool reach_kernel =
+          std::any_of(reach.begin(), reach.end(), [&](const PatternChain* c) {
+            return bound.count(c->nodes[0].var) && bound.count(c->nodes[1].var);
+          });
+      line("Filter " + DescribeExpr(*where->predicate) +
+           (reach_kernel ? " [reachability kernel]" : ""));
     } else if (const auto* with = std::get_if<WithClause>(&clause)) {
       std::string items;
       bound.clear();
@@ -421,6 +430,13 @@ std::string RenderPlan(const std::vector<PlanStep>& steps,
           }
           out += "] switches=" + std::to_string(op->direction_switches);
           out += " lanes=" + std::to_string(op->lanes);
+        }
+        if (op->reach_kernel) {
+          out += std::string(" [reachability kernel: side=") +
+                 (op->reach_from_target ? "target" : "source") +
+                 " anchors=" + std::to_string(op->reach_anchors) +
+                 " early_exits=" + std::to_string(op->reach_early_exits) +
+                 "]";
         }
       }
     }

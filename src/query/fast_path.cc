@@ -52,6 +52,14 @@ ProjectionKind ClassifyProjection(const std::vector<ProjectionItem>& items,
                              : ProjectionKind::kObserving;
 }
 
+bool IsReachabilityPattern(const PatternChain& chain) {
+  if (chain.nodes.size() != 2 || chain.rels.size() != 1) return false;
+  const RelPattern& rel = chain.rels[0];
+  return rel.var_length && rel.var.empty() && rel.props.empty() &&
+         rel.min_length <= 1 && !chain.nodes[0].var.empty() &&
+         !chain.nodes[1].var.empty();
+}
+
 }  // namespace
 
 FastPathDecision ChainEligibleForCsrClosure(const Query& query,
@@ -108,6 +116,18 @@ FastPathDecision ChainEligibleForCsrClosure(const Query& query,
     }
   }
   return No("no collapsing projection downstream");
+}
+
+void CollectReachabilityPatterns(const Expr& predicate,
+                                 std::vector<const PatternChain*>* out) {
+  if (const auto* pattern = std::get_if<PatternExpr>(&predicate.node)) {
+    if (IsReachabilityPattern(pattern->chain)) out->push_back(&pattern->chain);
+  } else if (const auto* boolean = std::get_if<BoolExpr>(&predicate.node)) {
+    CollectReachabilityPatterns(*boolean->left, out);
+    CollectReachabilityPatterns(*boolean->right, out);
+  } else if (const auto* negation = std::get_if<NotExpr>(&predicate.node)) {
+    CollectReachabilityPatterns(*negation->inner, out);
+  }
 }
 
 }  // namespace frappe::query

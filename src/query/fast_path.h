@@ -2,6 +2,7 @@
 #define FRAPPE_QUERY_FAST_PATH_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "query/ast.h"
 
@@ -48,6 +49,16 @@ struct FastPathDecision {
 FastPathDecision ChainEligibleForCsrClosure(const Query& query,
                                             size_t clause_index,
                                             const PatternChain& chain);
+
+// Appends the patterns of a WHERE predicate the executor answers as pure
+// reachability questions (`WHERE a -[:t*]-> b`), in evaluation order,
+// looking through AND / OR / NOT only (the operators EvalPredicate itself
+// walks). The shape: one variable-length relationship with no variable or
+// property map, min length <= 1, and both endpoints named. When both
+// endpoints are bound to nodes at run time, the CSR closure kernel answers
+// it, one closure per distinct anchor node.
+void CollectReachabilityPatterns(const Expr& predicate,
+                                 std::vector<const PatternChain*>* out);
 
 }  // namespace frappe::query
 

@@ -332,6 +332,47 @@ TEST(FrontierEngineTest, SeedInClosureOnlyViaCycle) {
   EXPECT_EQ(*from_b, (std::vector<NodeId>{b, c}));  // b re-reached via c
 }
 
+TEST(FrontierEngineTest, StopTargetsEndTheRunAfterTheirLevel) {
+  // Chain a -> b -> c -> d: stopping on {b} ends after level 1, with b (and
+  // only what level 1 reached) in the partial closure.
+  GraphStore store;
+  TypeId nt = store.InternNodeType("n");
+  TypeId et = store.InternEdgeType("e");
+  NodeId a = store.AddNode(nt), b = store.AddNode(nt),
+         c = store.AddNode(nt), d = store.AddNode(nt);
+  store.AddEdge(a, b, et);
+  store.AddEdge(b, c, et);
+  store.AddEdge(c, d, et);
+  CsrView csr = CsrView::Build(store);
+  FrontierEngine engine;
+  const EdgeFilter filter = EdgeFilter::Of({et});
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    Options options;
+    options.threads = threads;
+    std::vector<NodeId> targets{b};
+    options.stop_targets = &targets;
+    Metrics metrics;
+    auto partial = engine.Closure(csr, {a}, filter, options, &metrics);
+    ASSERT_TRUE(partial.ok());
+    EXPECT_EQ(*partial, (std::vector<NodeId>{b})) << threads;
+    EXPECT_TRUE(metrics.stopped_early);
+    EXPECT_EQ(metrics.levels, 1u);
+
+    // A target the run never reaches leaves the closure complete.
+    targets = {b, a};
+    auto full = engine.Closure(csr, {a}, filter, options, &metrics);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(*full, (std::vector<NodeId>{b, c, d})) << threads;
+    EXPECT_FALSE(metrics.stopped_early);
+
+    // A target on the deepest level still yields the whole closure.
+    targets = {d};
+    full = engine.Closure(csr, {a}, filter, options, &metrics);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(*full, (std::vector<NodeId>{b, c, d})) << threads;
+  }
+}
+
 TEST(FrontierEngineTest, ScratchReuseAcrossCalls) {
   RandomGraph g = MakeRandomGraph(5, 100, 3);
   CsrView csr = CsrView::Build(g.store);

@@ -271,5 +271,28 @@ TEST(ResourceQueryTest, MemoryBudgetReachesAnalyticsKernels) {
       << result.status().ToString();
 }
 
+// ...and the reachability predicate's kernel closures inside a Filter.
+TEST(ResourceQueryTest, MemoryBudgetReachesReachabilityFilter) {
+  model::CodeGraph graph;
+  extractor::GraphScale scale;
+  scale.factor = 0.02;
+  extractor::GenerateKernelGraph(scale, &graph);
+  query::Session session(graph);
+
+  ::setenv("FRAPPE_QUERY_MEM_BYTES", "1", 1);
+  query::ExecOptions options;
+  options.deadline_ms = 60000;  // a broken budget fails, not hangs
+  auto result = session.Run(query::testing::ReachabilityFilterQuery(graph),
+                            options);
+  ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("memory budget"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 }  // namespace
 }  // namespace frappe::obs

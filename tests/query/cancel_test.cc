@@ -191,6 +191,56 @@ TEST(CancelTest, CancelledAndDeadlineStatusesReachTheQueryLog) {
   std::remove(path.c_str());
 }
 
+// The reachability predicate's kernel closures obey every budget: the
+// Filter of testing::ReachabilityFilterQuery is the only place one can trip.
+TEST(CancelTest, StepBudgetTripsInsideReachabilityFilter) {
+  Session session(KernelGraph());
+  const std::string query = testing::ReachabilityFilterQuery(KernelGraph());
+  auto profiled = session.Run("PROFILE " + query);
+  ASSERT_TRUE(profiled.ok()) << profiled.status();
+  ASSERT_EQ(profiled->stats.operators.size(), 3u);
+  const OperatorStats& filter = profiled->stats.operators[1];
+  ASSERT_TRUE(filter.reach_kernel) << profiled->plan;
+  // Real work: the closures scan far more edges than the budget below.
+  ASSERT_GT(filter.steps, 10000u) << profiled->plan;
+
+  ExecOptions options;
+  options.max_steps = 5000;
+  auto result = session.Run(query, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("step budget"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+}
+
+TEST(CancelTest, DeadlineTripsInsideReachabilityFilter) {
+  Session session(KernelGraph());
+  ExecOptions options;
+  options.deadline_ms = 1;
+  auto result =
+      session.Run(testing::ReachabilityFilterQuery(KernelGraph()), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+}
+
+TEST(CancelTest, PreTrippedTokenCancelsReachabilityFilter) {
+  Session session(KernelGraph());
+  std::atomic<bool> cancel{true};
+  ExecOptions options;
+  options.cancel = &cancel;
+  options.deadline_ms = 60000;  // backstop: broken cancel still ends
+  auto result =
+      session.Run(testing::ReachabilityFilterQuery(KernelGraph()), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+  EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+}
+
 TEST(CancelTest, ConcurrentRunsLeaveNoRegistryEntriesBehind) {
   testing::PaperFixture fixture;
   constexpr int kThreads = 4;

@@ -101,6 +101,21 @@ TEST_F(ExplainTest, PatternPredicateRendered) {
   std::string plan = Plan(
       "START w=node(0) MATCH (n:function) WHERE n -[:calls*]-> w RETURN n");
   EXPECT_NE(plan.find("Filter exists("), std::string::npos);
+  // Both endpoints are bound: the reachability kernel answers it.
+  EXPECT_NE(plan.find("[reachability kernel]"), std::string::npos) << plan;
+}
+
+TEST_F(ExplainTest, ReachabilityKernelNeedsAReachabilityPattern) {
+  // Figure 4's single-hop property pattern enumerates.
+  std::string plan = Plan(
+      "START n=node(0) WHERE (n) <-[{NAME_START_LINE: 104}]- () RETURN n");
+  EXPECT_NE(plan.find("Filter exists("), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("[reachability kernel]"), std::string::npos) << plan;
+  // min length 2 distinguishes paths reachability cannot.
+  plan = Plan(
+      "START w=node(0) MATCH (n:function) WHERE n -[:calls*2..]-> w "
+      "RETURN n");
+  EXPECT_EQ(plan.find("[reachability kernel]"), std::string::npos) << plan;
 }
 
 TEST_F(ExplainTest, ParseErrorsPropagate) {

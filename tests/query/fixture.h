@@ -1,6 +1,9 @@
 #ifndef FRAPPE_TESTS_QUERY_FIXTURE_H_
 #define FRAPPE_TESTS_QUERY_FIXTURE_H_
 
+#include <set>
+#include <string>
+
 #include "model/code_graph.h"
 
 namespace frappe::query::testing {
@@ -111,6 +114,30 @@ struct PaperFixture {
     return *result;
   }
 };
+
+// `START a=node(...) WHERE a -[:calls*]-> a RETURN a` over up to
+// `max_rows` distinct callers of `graph`: one reachability-kernel closure
+// per row, each walking the caller's call closure until a cycle leads back
+// to it. With fewer rows than the executor's 1024-step poll cadence, START
+// never polls a budget, so a step, deadline, cancel or memory budget can
+// only trip inside the Filter.
+inline std::string ReachabilityFilterQuery(const model::CodeGraph& graph,
+                                           size_t max_rows = 150) {
+  const graph::GraphView& view = graph.view();
+  const graph::TypeId calls = graph.type_id(model::EdgeKind::kCalls);
+  std::set<graph::NodeId> callers;
+  for (graph::EdgeId e = 0;
+       e < view.EdgeIdUpperBound() && callers.size() < max_rows; ++e) {
+    if (view.EdgeExists(e) && view.GetEdge(e).type == calls) {
+      callers.insert(view.GetEdge(e).src);
+    }
+  }
+  std::string ids;
+  for (graph::NodeId id : callers) {
+    ids += (ids.empty() ? "" : ", ") + std::to_string(id);
+  }
+  return "START a=node(" + ids + ") WHERE a -[:calls*]-> a RETURN a";
+}
 
 }  // namespace frappe::query::testing
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/analytics.h"
 #include "query/executor.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
@@ -278,6 +279,108 @@ TEST_F(ProfileTest, Figure6FastPathReportsFrontiersAndLanes) {
   QueryResult slow = Run("PROFILE " + fig6, options);
   EXPECT_FALSE(slow.stats.fast_path_taken);
   EXPECT_EQ(RowDigest(slow), RowDigest(r));
+}
+
+// Fig. 5's `direct -[:calls*]-> writer` runs on the closure kernel, one
+// closure per distinct anchor: the Filter is annotated, and its steps are
+// the kernel's edge scans (each also an edge db-hit), not a probe count.
+TEST_F(ProfileTest, Figure5FilterRunsOnReachabilityKernel) {
+  const std::string fig5 = PaperQueries(fixture_)[2];
+  QueryResult r = Run("PROFILE " + fig5);
+  const OperatorStats* filter = nullptr;
+  for (const OperatorStats& op : r.stats.operators) {
+    if (op.reach_kernel) filter = &op;
+  }
+  ASSERT_NE(filter, nullptr) << r.plan;
+  EXPECT_GE(filter->reach_anchors, 1u);
+  EXPECT_GT(filter->steps, 0u);
+  EXPECT_EQ(filter->steps, filter->db_hits.edges);
+  EXPECT_NE(r.plan.find("[reachability kernel: side="), std::string::npos)
+      << r.plan;
+  EXPECT_NE(r.plan.find(" early_exits="), std::string::npos) << r.plan;
+  QueryResult explained = Run("EXPLAIN " + fig5);
+  EXPECT_NE(explained.plan.find("[reachability kernel]"), std::string::npos)
+      << explained.plan;
+
+  // The fast path off answers with the per-row store walk, unannotated.
+  ExecOptions options;
+  options.use_csr_fast_path = false;
+  QueryResult slow = Run("PROFILE " + fig5, options);
+  EXPECT_EQ(RowDigest(slow), RowDigest(r));
+  for (const OperatorStats& op : slow.stats.operators) {
+    EXPECT_FALSE(op.reach_kernel);
+  }
+  EXPECT_EQ(slow.plan.find("[reachability kernel:"), std::string::npos);
+
+  // A step budget below the Filter's edge scans now trips inside it.
+  uint64_t before_filter = 0;
+  for (const OperatorStats& op : r.stats.operators) {
+    if (op.clause_index < filter->clause_index) before_filter += op.steps;
+  }
+  ExecOptions budget;
+  budget.max_steps = before_filter + filter->steps - 1;
+  auto tripped = session_.Run(fig5, budget);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(tripped.status().message().find("step budget"),
+            std::string::npos)
+      << tripped.status().ToString();
+}
+
+// A miss walks its anchor's whole closure: the Filter charges exactly the
+// edge scans of that closure run directly on the CSR.
+TEST_F(ProfileTest, ReachabilityFilterStepsEqualKernelEdgeScans) {
+  QueryResult r = Run(
+      "PROFILE START a=node(" + std::to_string(fixture_.sr_media_change) +
+      "), b=node(" + std::to_string(fixture_.stale_writer) +
+      ") WHERE a -[:calls*]-> b RETURN a");
+  EXPECT_TRUE(r.rows.empty());
+  ASSERT_EQ(r.stats.operators.size(), 3u);
+  const OperatorStats& filter = r.stats.operators[1];
+  ASSERT_TRUE(filter.reach_kernel) << r.plan;
+  EXPECT_FALSE(filter.reach_from_target);  // one node each side: source
+  EXPECT_EQ(filter.reach_anchors, 1u);
+  EXPECT_EQ(filter.reach_early_exits, 0u);
+
+  const graph::CsrView& csr =
+      session_.database().csr->Get(*session_.database().view);
+  graph::analytics::Metrics metrics;
+  auto closure = graph::analytics::ParallelClosure(
+      csr, {fixture_.sr_media_change},
+      graph::EdgeFilter::Of(
+          {fixture_.graph.type_id(model::EdgeKind::kCalls)}),
+      {}, &metrics);
+  ASSERT_TRUE(closure.ok());
+  EXPECT_GT(metrics.steps, 1u);
+  EXPECT_EQ(filter.steps, metrics.steps);
+}
+
+// The closure anchors on the endpoint with fewer distinct nodes, and stops
+// once every endpoint its rows ask about is reached.
+TEST_F(ProfileTest, ReachabilityKernelSideChoiceAndEarlyExit) {
+  QueryResult callers = Run(
+      "PROFILE START b=node(" + std::to_string(fixture_.sr_do_ioctl) +
+      ") MATCH (a:function) WHERE a -[:calls*]-> b RETURN a");
+  std::set<NodeId> got;
+  for (const auto& row : callers.rows) got.insert(row[0].node);
+  EXPECT_EQ(got, (std::set<NodeId>{fixture_.sr_media_change,
+                                   fixture_.helper_a, fixture_.helper_b}));
+  ASSERT_EQ(callers.stats.operators.size(), 4u);
+  const OperatorStats& filter = callers.stats.operators[2];
+  EXPECT_TRUE(filter.reach_from_target);
+  EXPECT_EQ(filter.reach_anchors, 1u);
+  EXPECT_NE(callers.plan.find("[reachability kernel: side=target anchors=1 "
+                              "early_exits=0]"),
+            std::string::npos)
+      << callers.plan;
+
+  QueryResult hit = Run(
+      "PROFILE START a=node(" + std::to_string(fixture_.helper_a) +
+      "), b=node(" + std::to_string(fixture_.sr_do_ioctl) +
+      ") WHERE a -[:calls*]-> b RETURN a");
+  ASSERT_EQ(hit.rows.size(), 1u);
+  ASSERT_EQ(hit.stats.operators.size(), 3u);
+  EXPECT_EQ(hit.stats.operators[1].reach_early_exits, 1u) << hit.plan;
 }
 
 TEST_F(ProfileTest, ExecStatsAlwaysPopulated) {

@@ -47,6 +47,17 @@ DIRECTIONS_RE = re.compile(
 KERNEL_ENGINES = {"push-only", "pull-only", "parallel"}
 
 
+def reject_duplicate_keys(pairs):
+    """object_pairs_hook for json.load: a repeated key in one object is an
+    error, not a silent last-wins overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        out[key] = value
+    return out
+
+
 def fail(message):
     print(f"bench_check: FAIL: {message}", file=sys.stderr)
     return 1
@@ -63,8 +74,8 @@ def is_num(v):
 def check(path, min_closure_speedup):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            doc = json.load(f, object_pairs_hook=reject_duplicate_keys)
+    except (OSError, ValueError) as e:
         return fail(f"cannot load {path}: {e}")
 
     if not isinstance(doc, dict):

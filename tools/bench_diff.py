@@ -23,13 +23,24 @@ import json
 import sys
 
 
+def reject_duplicate_keys(pairs):
+    """object_pairs_hook for json.load: a repeated key in one object is an
+    error, not a silent last-wins overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        out[key] = value
+    return out
+
+
 def fail(message):
     print(f"bench_diff: FAIL: {message}", file=sys.stderr)
 
 
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        doc = json.load(f, object_pairs_hook=reject_duplicate_keys)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError(f"{path}: not a bench_json envelope")
     return doc

@@ -3,8 +3,8 @@
 
 // Machine-readable companion output for the reproduction benches. Each
 // bench_* binary accumulates one entry per measured configuration and
-// writes BENCH_<name>.json (label, min/avg/max ms, result counts, thread
-// count) next to the human-readable table, so the perf trajectory is
+// writes BENCH_<name>.json (label, min/avg/max ms, result counts) next to
+// the human-readable table, so the perf trajectory is
 // trackable across PRs without scraping stdout.
 //
 // Output location: $FRAPPE_BENCH_JSON_DIR (default: current directory).
@@ -26,7 +26,6 @@ struct JsonEntry {
   std::string label;
   std::vector<double> samples_ms;  // min/avg/max derived at write time
   int64_t results = -1;            // result/row/node count; -1 = omit
-  int threads = -1;                // lane count; -1 = omit
   std::string note;                // e.g. "ABORTED: ..."; empty = omit
   // Extra numeric facts (counts, sizes, ratios) specific to one bench.
   std::vector<std::pair<std::string, double>> extra;
@@ -43,10 +42,6 @@ struct JsonEntry {
   }
   JsonEntry& Results(int64_t count) {
     results = count;
-    return *this;
-  }
-  JsonEntry& Threads(int count) {
-    threads = count;
     return *this;
   }
   JsonEntry& Note(std::string text) {
@@ -129,7 +124,6 @@ class JsonReport {
         std::fprintf(f, ", \"results\": %lld",
                      static_cast<long long>(e.results));
       }
-      if (e.threads >= 0) std::fprintf(f, ", \"threads\": %d", e.threads);
       for (const auto& [key, value] : e.extra) {
         std::fprintf(f, ", %s: %s", Quoted(key).c_str(), Num(value).c_str());
       }

@@ -1,4 +1,4 @@
-// Parallel frontier engine vs the sequential visited-set traversal on the
+// Frontier engine vs the sequential visited-set traversal on the
 // kernel-scale synthetic graph. Two workloads:
 //
 //   calls closure     multi-source transitive closure over `calls` edges
@@ -9,18 +9,17 @@
 //
 // Each workload runs on: the old sequential engine over the GraphStore,
 // the old sequential engine over the CsrView, push-only and pull-only
-// single-lane kernels, and the direction-optimizing (hybrid) kernel at
-// 1/2/4/8 lanes. Result sets must be identical everywhere; timings +
-// speedups are printed and written to BENCH_parallel_traversal.json.
+// kernels, and the direction-optimizing (hybrid) kernel. Result sets must
+// be identical everywhere; timings + speedups are printed and written to
+// BENCH_parallel_traversal.json.
 //
-// The push-only single-lane run reproduces the pre-direction-optimizing
-// kernel, so `speedup_vs_seed` (push_only_ms / hybrid_ms, same binary,
+// The push-only run reproduces the pre-direction-optimizing kernel, so
+// `speedup_vs_seed` (push_only_ms / hybrid_ms, same binary,
 // same machine) tracks what the Beamer switch buys independent of host
 // speed. Target (ISSUE 6): >= 2x on both workloads. Hybrid entries also
 // record the per-level `directions` decisions and `direction_switches`.
 //
-// Env knobs: FRAPPE_SCALE, FRAPPE_BENCH_ITERS (5), FRAPPE_THREADS (lane
-// sweep upper bound when set).
+// Env knobs: FRAPPE_SCALE, FRAPPE_BENCH_ITERS (5).
 
 #include <algorithm>
 #include <cmath>
@@ -32,7 +31,6 @@
 
 #include "bench/bench_json.h"
 #include "bench/kernel_common.h"
-#include "common/thread_pool.h"
 #include "graph/analytics.h"
 #include "graph/csr_view.h"
 #include "graph/traversal.h"
@@ -63,7 +61,7 @@ Timed Measure(int iters, Fn&& fn) {
 
 int main() {
   bench::PrintHeader(
-      "Parallel frontier traversal vs sequential visited-set engine");
+      "Frontier traversal vs sequential visited-set engine");
   double factor = bench::ScaleFromEnv();
   int iters = 5;
   if (const char* env = std::getenv("FRAPPE_BENCH_ITERS")) {
@@ -95,7 +93,6 @@ int main() {
   });
 
   bench::JsonReport json("parallel_traversal");
-  const std::vector<size_t> lane_counts = {1, 2, 4, 8};
 
   struct Workload {
     const char* name;
@@ -112,8 +109,8 @@ int main() {
   };
 
   bool all_identical = true;
-  // Worst threads=1 / sequential-CSR time ratio across workloads: > 1.10
-  // would mean the frontier engine regressed the single-threaded case.
+  // Worst push-only / sequential-CSR time ratio across workloads: > 1.10
+  // would mean the frontier engine regressed the sequential engine.
   double t1_ratio_worst = 0;
 
   for (const Workload& w : workloads) {
@@ -147,23 +144,19 @@ int main() {
     std::string prefix = std::string(w.name) + " / ";
     json.Add(prefix + "sequential store")
         .Samples(store_t.samples_ms)
-        .Results(static_cast<int64_t>(store_t.result_count))
-        .Threads(1);
+        .Results(static_cast<int64_t>(store_t.result_count));
     json.Add(prefix + "sequential csr")
         .Samples(csr_seq_t.samples_ms)
-        .Results(static_cast<int64_t>(csr_seq_t.result_count))
-        .Threads(1);
+        .Results(static_cast<int64_t>(csr_seq_t.result_count));
 
     // Runs one kernel configuration and reports / records it. Returns
     // best-of ms so callers can form ratios.
     graph::analytics::Metrics metrics;
     auto run_kernel = [&](const char* label, const std::string& json_label,
-                          size_t lanes,
                           graph::analytics::DirectionMode mode,
                           double baseline_ms, const char* baseline_key) {
       std::vector<graph::NodeId> last;
       graph::analytics::Options options;
-      options.threads = lanes;
       options.mode = mode;
       Timed t = Measure(iters, [&] {
         auto result = w.closure
@@ -199,7 +192,6 @@ int main() {
       json.Add(json_label)
           .Samples(t.samples_ms)
           .Results(static_cast<int64_t>(t.result_count))
-          .Threads(static_cast<int>(lanes))
           .Extra(baseline_key, speedup)
           .Extra("direction_switches",
                  static_cast<double>(metrics.direction_switches))
@@ -208,27 +200,21 @@ int main() {
       return t.best_ms;
     };
 
-    // Single-lane direction ablation. push-only == the PR5 seed kernel,
-    // the baseline `speedup_vs_seed` is measured against.
+    // Direction ablation. push-only == the seed kernel, the baseline
+    // `speedup_vs_seed` is measured against.
     double push_only_ms =
-        run_kernel("push-only, 1 lane", prefix + "push-only", 1,
+        run_kernel("push-only", prefix + "push-only",
                    graph::analytics::DirectionMode::kPushOnly, 0,
                    "speedup_vs_seed");
     t1_ratio_worst = std::max(
         t1_ratio_worst, push_only_ms / std::max(csr_seq_t.best_ms, 0.001));
-    run_kernel("pull-only, 1 lane", prefix + "pull-only", 1,
+    run_kernel("pull-only", prefix + "pull-only",
                graph::analytics::DirectionMode::kPullOnly, push_only_ms,
                "speedup_vs_seed");
-
-    // Hybrid (direction-optimizing) lane sweep — the production path.
-    for (size_t lanes : lane_counts) {
-      char label[48];
-      std::snprintf(label, sizeof(label), "hybrid frontier, %zu lane%s",
-                    lanes, lanes == 1 ? "" : "s");
-      run_kernel(label, prefix + "parallel", lanes,
-                 graph::analytics::DirectionMode::kAuto, push_only_ms,
-                 "speedup_vs_seed");
-    }
+    // Hybrid (direction-optimizing) kernel — the production path.
+    run_kernel("hybrid frontier", prefix + "parallel",
+               graph::analytics::DirectionMode::kAuto, push_only_ms,
+               "speedup_vs_seed");
     std::printf("\n");
   }
 
@@ -237,14 +223,12 @@ int main() {
       .Extra("scale", factor)
       .Extra("all_results_identical", all_identical ? 1 : 0);
 
-  std::printf("result agreement across engines, direction modes and lane"
-              " counts: %s\n", all_identical ? "identical" : "MISMATCH!");
-  std::printf("push-only 1 lane vs old sequential CSR engine: %.2fx time"
+  std::printf("result agreement across engines and direction modes: %s\n",
+              all_identical ? "identical" : "MISMATCH!");
+  std::printf("push-only vs old sequential CSR engine: %.2fx time"
               " ratio (%s; target: <= 1.10x)\n", t1_ratio_worst,
-              t1_ratio_worst <= 1.10 ? "no single-thread regression"
-                                     : "SINGLE-THREAD REGRESSION");
-  std::printf("(speedup column: vs the push-only 1-lane seed kernel;"
-              " ISSUE 6 target >= 2x single-thread; %u hardware"
-              " threads)\n", cores);
+              t1_ratio_worst <= 1.10 ? "no regression" : "REGRESSION");
+  std::printf("(speedup column: vs the push-only seed kernel; target"
+              " >= 2x)\n");
   return all_identical ? 0 : 1;
 }

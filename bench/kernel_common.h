@@ -9,9 +9,6 @@
 // Environment knobs:
 //   FRAPPE_SCALE           graph scale factor (default 1.0 = paper scale)
 //   FRAPPE_CACHE_DIR       where kernel snapshots are cached (default /tmp)
-//   FRAPPE_THREADS         default lane count for the parallel analytics
-//                          kernels (0/unset = hardware concurrency); see
-//                          ThreadPool::ResolveThreads
 //   FRAPPE_BENCH_JSON_DIR  where BENCH_<name>.json files are written
 //                          (default: current directory; see bench_json.h)
 

@@ -303,7 +303,7 @@ int RunLoadMode(const std::vector<obs::QueryLogRecord>& records,
     if (lane.row_mismatches > 0 || lane.errors > 0) failed = true;
     report.Add("clients=" + std::to_string(clients))
         .Samples(lane.ok_ms)
-        .Threads(clients)
+        .Extra("clients", clients)
         .Results(static_cast<int64_t>(lane.ok))
         .Extra("p50_ms", p50)
         .Extra("p95_ms", p95)
@@ -352,7 +352,7 @@ int RunLoadMode(const std::vector<obs::QueryLogRecord>& records,
     if (lane.row_mismatches > 0) failed = true;
     report.Add("writer_isolation")
         .Samples(lane.ok_ms)
-        .Threads(16)
+        .Extra("clients", 16)
         .Results(static_cast<int64_t>(lane.ok))
         .Extra("epochs_published", static_cast<double>(published))
         .Extra("row_mismatches", static_cast<double>(lane.row_mismatches))

@@ -23,10 +23,8 @@ EdgeFilter CallFilter(const model::Schema& schema, Direction dir) {
 // fail, so an empty set stands in for the unreachable error arm.
 std::vector<NodeId> RunClosure(const graph::CsrView& csr,
                                const std::vector<NodeId>& seeds,
-                               EdgeFilter filter, size_t threads,
-                               size_t max_depth) {
+                               EdgeFilter filter, size_t max_depth) {
   graph::analytics::Options options;
-  options.threads = threads;
   options.max_depth = max_depth;
   return graph::analytics::ParallelClosure(csr, seeds, filter, options)
       .value_or({});
@@ -102,31 +100,33 @@ std::vector<NodeId> IncludeImpact(const graph::GraphView& view,
 
 std::vector<NodeId> ParallelBackwardSlice(const graph::CsrView& csr,
                                           const model::Schema& schema,
-                                          NodeId function, size_t threads,
+                                          NodeId function,
+                                          size_t /*threads*/,
                                           size_t max_depth) {
   return RunClosure(csr, {function}, CallFilter(schema, Direction::kOut),
-                    threads, max_depth);
+                    max_depth);
 }
 
 std::vector<NodeId> ParallelForwardSlice(const graph::CsrView& csr,
                                          const model::Schema& schema,
-                                         NodeId function, size_t threads,
+                                         NodeId function,
+                                         size_t /*threads*/,
                                          size_t max_depth) {
   return RunClosure(csr, {function}, CallFilter(schema, Direction::kIn),
-                    threads, max_depth);
+                    max_depth);
 }
 
 std::vector<NodeId> ParallelImpactSet(const graph::CsrView& csr,
                                       const model::Schema& schema,
                                       const std::vector<NodeId>& seeds,
                                       const std::vector<EdgeKind>& kinds,
-                                      Direction direction, size_t threads,
-                                      size_t max_depth) {
+                                      Direction direction,
+                                      size_t /*threads*/, size_t max_depth) {
   std::vector<graph::TypeId> types;
   types.reserve(kinds.size());
   for (EdgeKind kind : kinds) types.push_back(schema.edge_type(kind));
   return RunClosure(csr, seeds, EdgeFilter::Of(std::move(types), direction),
-                    threads, max_depth);
+                    max_depth);
 }
 
 }  // namespace frappe::analysis

@@ -50,11 +50,10 @@ std::vector<graph::NodeId> IncludeImpact(const graph::GraphView& view,
                                          const model::Schema& schema,
                                          graph::NodeId header);
 
-// Parallel counterparts running the level-synchronous frontier kernel over
-// a prebuilt CSR snapshot. Results are identical to the sequential
-// functions above for every thread count; `threads = 0` resolves
-// FRAPPE_THREADS / hardware concurrency, `threads = 1` runs the kernel
-// inline on the caller.
+// Counterparts running the level-synchronous frontier kernel over a
+// prebuilt CSR snapshot. Results are identical to the store-walking
+// functions above. `threads` is ignored; it stays so that positional calls
+// such as `(csr, schema, fn, 0)` in perfbench/ do not bind to max_depth.
 std::vector<graph::NodeId> ParallelBackwardSlice(
     const graph::CsrView& csr, const model::Schema& schema,
     graph::NodeId function, size_t threads,

@@ -15,13 +15,11 @@ void VisitedBitmap::Reset(size_t universe) {
   size_t words = (universe + kBitsPerWord - 1) / kBitsPerWord;
   if (words > capacity_words_) {
     // Value-initialization zeroes the words; tag 0 is never a live epoch.
-    words_ = std::make_unique<std::atomic<uint64_t>[]>(words);
+    words_ = std::make_unique<uint64_t[]>(words);
     capacity_words_ = words;
     epoch_ = 1;
   } else if (epoch_ == std::numeric_limits<uint16_t>::max()) {
-    for (size_t i = 0; i < capacity_words_; ++i) {
-      words_[i].store(0, std::memory_order_relaxed);
-    }
+    std::fill_n(words_.get(), capacity_words_, uint64_t{0});
     epoch_ = 1;
   } else {
     ++epoch_;
@@ -33,7 +31,7 @@ void VisitedBitmap::AppendSetBits(std::vector<NodeId>* out) const {
   constexpr uint64_t kPayloadMask = (uint64_t{1} << kBitsPerWord) - 1;
   size_t words = (size_ + kBitsPerWord - 1) / kBitsPerWord;
   for (size_t w = 0; w < words; ++w) {
-    uint64_t cur = words_[w].load(std::memory_order_relaxed);
+    uint64_t cur = words_[w];
     if ((cur >> kBitsPerWord) != epoch_) continue;
     uint64_t payload = cur & kPayloadMask;
     while (payload != 0) {
@@ -49,24 +47,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Flush/poll interval for the per-lane step counters. Small enough that a
-// deadline or step-budget breach is noticed promptly, large enough that the
-// shared atomic stays out of the hot loop.
-constexpr uint64_t kFlushInterval = 4096;
+// Edges between budget polls. Small enough that a deadline or step-budget
+// breach is noticed promptly, large enough to keep the clock read and the
+// tracker load out of the hot loop.
+constexpr uint64_t kPollInterval = 4096;
 
 enum CancelReason : int { kNone = 0, kSteps = 1, kDeadline = 2,
                           kExternal = 3, kMemory = 4 };
-
-struct SharedState {
-  std::atomic<uint64_t> steps{0};
-  std::atomic<bool> cancelled{false};
-  std::atomic<int> reason{kNone};
-
-  void Cancel(int why) {
-    reason.store(why, std::memory_order_relaxed);
-    cancelled.store(true, std::memory_order_relaxed);
-  }
-};
 
 Status StatusFor(int reason, const Options& options,
                  const obs::ResourceTracker* tracker) {
@@ -83,7 +70,7 @@ Status StatusFor(int reason, const Options& options,
       return Status::Cancelled("traversal cancelled");
     case kMemory:
       // "memory" in the message keeps the executor from re-phrasing this
-      // as a step-budget failure (see TryCsrClosure).
+      // as a step-budget failure (see Executor::CsrClosure).
       return Status::ResourceExhausted(
           "traversal exceeded memory budget of " +
           std::to_string(tracker != nullptr ? tracker->budget_bytes() : 0) +
@@ -93,40 +80,41 @@ Status StatusFor(int reason, const Options& options,
   }
 }
 
-// Per-lane budget bookkeeping shared by the push and pull loops: counts
-// edge scans locally and flushes them (with the cancel-token, step-budget
-// and deadline polls) every kFlushInterval edges.
-struct LaneBudget {
-  SharedState* shared;
-  const Options* options;
-  const Clock::time_point* deadline;           // null when no deadline
-  const obs::ResourceTracker* tracker = nullptr;  // null when untracked
-  uint64_t local_steps = 0;
+// Budget bookkeeping shared by the push and pull loops: counts edge scans
+// and polls the cancel token, step budget, deadline and memory budget every
+// kPollInterval edges. `reason` stays kNone until one of them trips.
+struct Budget {
+  Budget(const Options& options, const obs::ResourceTracker* tracker)
+      : options(options), tracker(tracker) {
+    if (options.deadline_ms > 0) {
+      deadline = Clock::now() + std::chrono::milliseconds(options.deadline_ms);
+    }
+  }
 
-  void Flush() {
-    uint64_t total = shared->steps.fetch_add(local_steps,
-                                             std::memory_order_relaxed) +
-                     local_steps;
-    local_steps = 0;
-    if (options->cancel != nullptr &&
-        options->cancel->load(std::memory_order_relaxed)) {
-      shared->Cancel(kExternal);
-    } else if (options->max_steps > 0 && total > options->max_steps) {
-      shared->Cancel(kSteps);
-    } else if (deadline != nullptr && Clock::now() > *deadline) {
-      shared->Cancel(kDeadline);
+  void Poll() {
+    if (options.cancel != nullptr &&
+        options.cancel->load(std::memory_order_relaxed)) {
+      reason = kExternal;
+    } else if (options.max_steps > 0 && steps > options.max_steps) {
+      reason = kSteps;
+    } else if (options.deadline_ms > 0 && Clock::now() > deadline) {
+      reason = kDeadline;
     } else if (tracker != nullptr && tracker->OverBudget()) {
-      shared->Cancel(kMemory);
+      reason = kMemory;
     }
   }
-  // Returns true when the traversal was cancelled and the lane must stop.
+  // Counts one edge scan; true when the traversal must stop.
   bool Step() {
-    if (++local_steps >= kFlushInterval) {
-      Flush();
-      return shared->cancelled.load(std::memory_order_relaxed);
-    }
-    return false;
+    if (++steps % kPollInterval == 0) Poll();
+    return stopped();
   }
+  bool stopped() const { return reason != kNone; }
+
+  const Options& options;
+  const obs::ResourceTracker* tracker;  // null when untracked
+  Clock::time_point deadline;
+  uint64_t steps = 0;
+  int reason = kNone;
 };
 
 }  // namespace
@@ -137,14 +125,9 @@ Status FrontierEngine::Run(const CsrView& csr,
                            bool track_member, std::vector<uint32_t>* depths,
                            Metrics* metrics) {
   FRAPPE_TRACE_SPAN("analytics.run");
-  // The coordinating thread's tracker (if a query installed one): pool
-  // lanes attach to it below so their CPU time and allocations land on the
-  // query that dispatched them, and every lane polls its memory budget.
-  obs::ResourceTracker* tracker = obs::ResourceTracker::Current();
+  // The query's tracker (if one is installed), polled for its memory budget.
+  const obs::ResourceTracker* tracker = obs::ResourceTracker::Current();
   size_t upper = csr.NodeIdUpperBound();
-  size_t threads = ThreadPool::ResolveThreads(options.threads);
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : ThreadPool::Shared();
 
   // Metrics structs are reusable across runs: every field resets here so
   // nothing (frontier_sizes in particular) accumulates stale entries.
@@ -174,14 +157,14 @@ Status FrontierEngine::Run(const CsrView& csr,
   uint64_t frontier_deg = 0;
   for (NodeId seed : seeds) {
     if (!csr.NodeExists(seed)) continue;
-    if (visited_.TestAndSetSeq(seed)) {
+    if (visited_.TestAndSet(seed)) {
       frontier_.push_back(seed);
       frontier_deg += scan_degree(seed);
       if (depths != nullptr) (*depths)[seed] = 0;
     }
   }
 
-  SharedState shared;
+  Budget budget(options, tracker);
   const bool typed = !filter.types.empty();
   // The overwhelmingly common filter is a single edge type (calls,
   // includes); hoist it so the inner loops compare one register.
@@ -190,13 +173,6 @@ Status FrontierEngine::Run(const CsrView& csr,
   auto type_allowed = [&](TypeId t) {
     return filter.types.size() == 1 ? t == single_type : filter.Allows(t);
   };
-
-  Clock::time_point deadline;
-  const Clock::time_point* deadline_ptr = nullptr;
-  if (options.deadline_ms > 0) {
-    deadline = Clock::now() + std::chrono::milliseconds(options.deadline_ms);
-    deadline_ptr = &deadline;
-  }
 
   // Inputs for the per-level push/pull cost model (see the direction
   // decision below). `scannable` is the total edge count a direction scan
@@ -221,16 +197,17 @@ Status FrontierEngine::Run(const CsrView& csr,
   bool frontier_is_bitmap = false;
   bool pull_mode = false;
 
-  // Early-exit targets not yet in the result; checked between levels, when
-  // no lane is writing the bitmaps.
+  // Early-exit targets not yet in the result; checked between levels.
   std::vector<NodeId> pending;
   if (options.stop_targets != nullptr) pending = *options.stop_targets;
   const bool stop_armed = !pending.empty();
   const VisitedBitmap& reached = track_member ? member_ : visited_;
 
+  // A pre-tripped cancel token expands nothing.
+  if (frontier_count > 0) budget.Poll();
   size_t depth = 0;
   while (frontier_count > 0 && depth < options.max_depth &&
-         !shared.cancelled.load(std::memory_order_relaxed)) {
+         !budget.stopped()) {
     if (stop_armed) {
       std::erase_if(pending, [&](NodeId t) {
         return t < upper && reached.Test(t);
@@ -240,18 +217,9 @@ Status FrontierEngine::Run(const CsrView& csr,
         break;
       }
     }
-    // One span per BFS level, parented under the executor's span on this
-    // (worker) thread: the per-level breakdown a retained trace shows.
-    // Pool-lane work inside the level stays un-parented — lanes run on
-    // their own threads without the request context.
+    // One span per BFS level, parented under the executor's span: the
+    // per-level breakdown a retained trace shows.
     FRAPPE_TRACE_SPAN("analytics.level");
-    // Poll the external token once per level as well: small frontiers may
-    // run many levels between step-counter flushes.
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      shared.Cancel(kExternal);
-      break;
-    }
 
     // --- direction decision ---
     // Beamer-style switching, but via an explicit cost model rather than
@@ -306,7 +274,7 @@ Status FrontierEngine::Run(const CsrView& csr,
     // --- frontier representation conversion ---
     if (pull_mode && !frontier_is_bitmap) {
       frontier_bits_.Reset(upper);
-      for (NodeId id : frontier_) frontier_bits_.SetSeq(id);
+      for (NodeId id : frontier_) frontier_bits_.Set(id);
       frontier_is_bitmap = true;
     } else if (!pull_mode && frontier_is_bitmap) {
       frontier_.clear();
@@ -320,6 +288,7 @@ Status FrontierEngine::Run(const CsrView& csr,
       metrics->frontier_sizes.push_back(frontier_count);
       metrics->level_pull.push_back(pull_mode ? 1 : 0);
       metrics->level_bitmap.push_back(frontier_is_bitmap ? 1 : 0);
+      metrics->lanes_used = 1;
     }
 
     obs::Span level_span(pull_mode ? "analytics.level.pull"
@@ -329,177 +298,81 @@ Status FrontierEngine::Run(const CsrView& csr,
     uint64_t next_deg = 0;
 
     if (!pull_mode) {
-      // ---- push (top-down): lanes split the frontier array ----
-      size_t lanes = std::min(threads, frontier_count);
-      if (metrics != nullptr) {
-        metrics->lanes_used = std::max(metrics->lanes_used, lanes);
-      }
-      size_t chunk = (frontier_count + lanes - 1) / lanes;
-      lane_next_.resize(std::max(lane_next_.size(), lanes));
-      std::vector<uint64_t> lane_deg(lanes, 0);
-      const bool seq = lanes <= 1;
-
-      auto expand_lane = [&](size_t lane) {
-        obs::ResourceLaneScope lane_scope(tracker);
-        std::vector<NodeId>& next = lane_next_[lane];
-        next.clear();
-        uint64_t deg = 0;
-        LaneBudget budget{&shared, &options, deadline_ptr, tracker};
-        size_t begin = lane * chunk;
-        size_t end = std::min(begin + chunk, frontier_count);
-        for (size_t i = begin; i < end; ++i) {
-          if (shared.cancelled.load(std::memory_order_relaxed)) break;
-          NodeId node = frontier_[i];
-          auto scan = [&](CsrView::Neighbors nbrs) {
-            for (size_t j = 0; j < nbrs.count; ++j) {
-              if (budget.Step()) return;
-              if (typed && !type_allowed(nbrs.begin_types[j])) continue;
-              NodeId neighbor = nbrs.begin_nodes[j];
-              if (track_member) {
-                // Test-before-set keeps the common already-a-member case
-                // to a plain load (no lock-prefixed RMW).
-                if (seq) {
-                  member_.SetSeq(neighbor);
-                } else if (!member_.Test(neighbor)) {
-                  member_.Set(neighbor);
-                }
-              }
-              bool first = seq ? visited_.TestAndSetSeq(neighbor)
-                               : visited_.TestAndSet(neighbor);
-              if (first) {
-                // Sole winner of the bit: no write race on depths.
-                if (depths != nullptr) (*depths)[neighbor] = next_depth;
-                deg += scan_degree(neighbor);
-                next.push_back(neighbor);
-              }
+      // ---- push (top-down): scan each frontier node's edges ----
+      next_.clear();
+      for (size_t i = 0; i < frontier_count && !budget.stopped(); ++i) {
+        NodeId node = frontier_[i];
+        auto scan = [&](CsrView::Neighbors nbrs) {
+          for (size_t j = 0; j < nbrs.count; ++j) {
+            if (budget.Step()) return;
+            if (typed && !type_allowed(nbrs.begin_types[j])) continue;
+            NodeId neighbor = nbrs.begin_nodes[j];
+            if (track_member) member_.Set(neighbor);
+            if (visited_.TestAndSet(neighbor)) {
+              if (depths != nullptr) (*depths)[neighbor] = next_depth;
+              next_deg += scan_degree(neighbor);
+              next_.push_back(neighbor);
             }
-          };
-          if (scan_out) scan(csr.Out(node));
-          if (scan_in) scan(csr.In(node));
-        }
-        budget.Flush();
-        lane_deg[lane] = deg;
-      };
-
-      if (seq) {
-        expand_lane(0);
-      } else {
-        FRAPPE_TRACE_SPAN("analytics.run_lanes");
-        pool.RunLanes(lanes, expand_lane);
+          }
+        };
+        if (scan_out) scan(csr.Out(node));
+        if (scan_in) scan(csr.In(node));
       }
-
-      // Barrier passed: merge per-lane discoveries into the next frontier.
-      // Lane order keeps the merge deterministic for a given thread count;
-      // the *set* per level is thread-count independent.
-      frontier_.clear();
-      for (size_t lane = 0; lane < lanes; ++lane) {
-        frontier_.insert(frontier_.end(), lane_next_[lane].begin(),
-                         lane_next_[lane].end());
-        next_deg += lane_deg[lane];
-      }
+      frontier_.swap(next_);
       next_count = frontier_.size();
       frontier_is_bitmap = false;
     } else {
-      // ---- pull (bottom-up): lanes split the node id space ----
-      // Each lane owns a contiguous id range, so depth writes and the
-      // visited/member updates of a node have exactly one writer; only
-      // the 48-bit words straddling a chunk boundary are shared, which the
-      // atomic bitmap ops handle. The frontier bitmap is read-only here.
-      size_t lanes = std::max<size_t>(1, std::min(threads, upper));
-      if (metrics != nullptr) {
-        metrics->lanes_used = std::max(metrics->lanes_used, lanes);
-      }
-      size_t chunk = (upper + lanes - 1) / lanes;
+      // ---- pull (bottom-up): every unvisited node looks for a parent ----
+      // The frontier bitmap is read-only here; discoveries go to next_bits_.
       next_bits_.Reset(upper);
-      std::vector<uint64_t> lane_new(lanes, 0);
-      std::vector<uint64_t> lane_deg(lanes, 0);
-      const bool seq = lanes <= 1;
       constexpr uint64_t kFullWord =
           (uint64_t{1} << VisitedBitmap::kBitsPerWord) - 1;
-
-      auto pull_lane = [&](size_t lane) {
-        obs::ResourceLaneScope lane_scope(tracker);
-        uint64_t found = 0;
-        uint64_t deg = 0;
-        LaneBudget budget{&shared, &options, deadline_ptr, tracker};
-        NodeId begin = static_cast<NodeId>(lane * chunk);
-        NodeId end = static_cast<NodeId>(
-            std::min<size_t>(begin + chunk, upper));
-        NodeId v = begin;
-        while (v < end) {
-          if ((v % VisitedBitmap::kBitsPerWord) == 0 &&
-              v + VisitedBitmap::kBitsPerWord <= end) {
-            // Whole-word skip: 48 ids at a time where every node is
-            // already visited (and, for closures, already a member).
-            uint64_t done = visited_.WordPayload(v);
-            if (track_member) done &= member_.WordPayload(v);
-            if (done == kFullWord) {
-              v += VisitedBitmap::kBitsPerWord;
-              if (shared.cancelled.load(std::memory_order_relaxed)) return;
-              continue;
-            }
-          }
-          bool vis = visited_.Test(v);
-          bool memb = track_member && member_.Test(v);
-          if (vis && (!track_member || memb)) {
-            ++v;
+      NodeId v = 0;
+      while (v < upper && !budget.stopped()) {
+        if ((v % VisitedBitmap::kBitsPerWord) == 0 &&
+            v + VisitedBitmap::kBitsPerWord <= upper) {
+          // Whole-word skip: 48 ids at a time where every node is already
+          // visited (and, for closures, already a member).
+          uint64_t done = visited_.WordPayload(v);
+          if (track_member) done &= member_.WordPayload(v);
+          if (done == kFullWord) {
+            v += VisitedBitmap::kBitsPerWord;
             continue;
           }
-          // Scan v's reverse-direction adjacency for a frontier parent.
-          bool hit = false;
-          auto probe = [&](CsrView::Neighbors nbrs) {
-            for (size_t j = 0; j < nbrs.count; ++j) {
-              if (budget.Step()) return;
-              if (typed && !type_allowed(nbrs.begin_types[j])) continue;
-              if (frontier_bits_.Test(nbrs.begin_nodes[j])) {
-                hit = true;
-                return;
-              }
-            }
-          };
-          // A traversal that follows out-edges discovers v from its
-          // in-neighbors, and vice versa.
-          if (scan_out) probe(csr.In(v));
-          if (scan_in && !hit) probe(csr.Out(v));
-          if (shared.cancelled.load(std::memory_order_relaxed)) return;
-          if (hit) {
-            if (track_member && !memb) {
-              if (seq) {
-                member_.SetSeq(v);
-              } else {
-                member_.Set(v);
-              }
-            }
-            if (!vis) {
-              if (seq) {
-                visited_.SetSeq(v);
-                next_bits_.SetSeq(v);
-              } else {
-                visited_.Set(v);
-                next_bits_.Set(v);
-              }
-              if (depths != nullptr) (*depths)[v] = next_depth;
-              ++found;
-              deg += scan_degree(v);
+        }
+        bool vis = visited_.Test(v);
+        bool memb = track_member && member_.Test(v);
+        if (vis && (!track_member || memb)) {
+          ++v;
+          continue;
+        }
+        // Scan v's reverse-direction adjacency for a frontier parent.
+        bool hit = false;
+        auto probe = [&](CsrView::Neighbors nbrs) {
+          for (size_t j = 0; j < nbrs.count; ++j) {
+            if (budget.Step()) return;
+            if (typed && !type_allowed(nbrs.begin_types[j])) continue;
+            if (frontier_bits_.Test(nbrs.begin_nodes[j])) {
+              hit = true;
+              return;
             }
           }
-          ++v;
+        };
+        // A traversal that follows out-edges discovers v from its
+        // in-neighbors, and vice versa.
+        if (scan_out) probe(csr.In(v));
+        if (scan_in && !hit) probe(csr.Out(v));
+        if (hit) {
+          if (track_member) member_.Set(v);
+          if (!vis) {
+            visited_.Set(v);
+            next_bits_.Set(v);
+            if (depths != nullptr) (*depths)[v] = next_depth;
+            ++next_count;
+            next_deg += scan_degree(v);
+          }
         }
-        budget.Flush();
-        lane_new[lane] = found;
-        lane_deg[lane] = deg;
-      };
-
-      if (seq) {
-        pull_lane(0);
-      } else {
-        FRAPPE_TRACE_SPAN("analytics.run_lanes");
-        pool.RunLanes(lanes, pull_lane);
-      }
-
-      for (size_t lane = 0; lane < lanes; ++lane) {
-        next_count += lane_new[lane];
-        next_deg += lane_deg[lane];
+        ++v;
       }
       std::swap(frontier_bits_, next_bits_);
       frontier_is_bitmap = true;
@@ -510,10 +383,11 @@ Status FrontierEngine::Run(const CsrView& csr,
     visited_total += next_count;
     ++depth;
     if (metrics != nullptr) metrics->levels = depth;
+    budget.Poll();
   }
 
   if (metrics != nullptr) {
-    metrics->steps = shared.steps.load(std::memory_order_relaxed);
+    metrics->steps = budget.steps;
     metrics->scanned_bytes = metrics->steps * CsrView::kBytesPerEdgeScan;
   }
   static obs::Counter& runs_counter =
@@ -523,10 +397,9 @@ Status FrontierEngine::Run(const CsrView& csr,
   static obs::Histogram& levels_hist =
       obs::Registry::Global().GetHistogram("analytics.levels");
   runs_counter.Add();
-  steps_counter.Add(shared.steps.load(std::memory_order_relaxed));
+  steps_counter.Add(budget.steps);
   levels_hist.Record(depth);
-  return StatusFor(shared.reason.load(std::memory_order_relaxed), options,
-                   tracker);
+  return StatusFor(budget.reason, options, tracker);
 }
 
 Result<std::vector<NodeId>> FrontierEngine::Closure(

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "graph/csr_view.h"
 #include "graph/traversal.h"
 
@@ -17,35 +16,30 @@ namespace frappe::graph::analytics {
 // Direction-optimizing frontier analytics over the packed CsrView arrays —
 // the PGX/LLAMA-style fast path the paper points at in Section 7, with the
 // Beamer-style push/pull switch layered on top. The kernels are
-// level-synchronous; each level runs in one of two directions:
+// level-synchronous and run on the calling thread; each level runs in one
+// of two directions:
 //
-//   push (top-down)   the frontier is a flat NodeId array; lanes claim
-//                     chunks of it and scan each frontier node's edges,
-//                     marking discoveries through the atomic VisitedBitmap.
-//                     Cheap while the frontier is sparse.
+//   push (top-down)   the frontier is a flat NodeId array; each frontier
+//                     node's edges are scanned and discoveries marked in
+//                     the VisitedBitmap. Cheap while the frontier is sparse.
 //
-//   pull (bottom-up)  the frontier is a bitmap; lanes claim chunks of the
-//                     *node id space* and scan each still-unvisited node's
-//                     reverse edges (the lazily-built transpose CSR),
-//                     stopping at the first parent found in the frontier.
-//                     Wins on dense levels, where push would re-scan a
-//                     majority of already-visited targets and the early
-//                     exit skips most of each in-edge bucket.
+//   pull (bottom-up)  the frontier is a bitmap; every still-unvisited node
+//                     scans its reverse edges (the lazily-built transpose
+//                     CSR), stopping at the first parent found in the
+//                     frontier. Wins on dense levels, where push would
+//                     re-scan a majority of already-visited targets and the
+//                     early exit skips most of each in-edge bucket.
 //
 // The per-level choice is heuristic (see Options::alpha / beta) and is
 // recorded in Metrics for PROFILE / bench output. Results are identical
-// for every direction policy and thread count: the newly-visited set of a
-// level is frontier-neighbors minus already-visited, independent of both
-// lane interleaving and scan direction. `threads=1` runs the same loops
-// inline on the caller with no pool involvement and non-atomic bitmap
-// writes.
+// for every direction policy: the newly-visited set of a level is
+// frontier-neighbors minus already-visited, independent of scan direction.
 
 // Reusable visited set: one bit per NodeId, cleared in O(1) by bumping an
 // epoch. Each 64-bit word packs 48 payload bits with a 16-bit epoch tag, so
-// a word whose tag is stale reads as all-zeros and is refreshed atomically
-// (CAS) by the first writer — no O(n) clear between queries, and no
-// clear/set race between lanes. Safe for concurrent TestAndSet; the *Seq
-// variants elide the atomic read-modify-writes for single-lane runs.
+// a word whose tag is stale reads as all-zeros and is refreshed by the
+// first write — no O(n) clear between queries. Single-writer: one thread
+// may use a bitmap at a time.
 class VisitedBitmap {
  public:
   static constexpr uint32_t kBitsPerWord = 48;
@@ -55,48 +49,22 @@ class VisitedBitmap {
   // when needed.
   void Reset(size_t universe);
 
-  // Atomically sets the bit; returns true when this call set it first.
+  // Sets the bit; returns true when it was not set before.
   bool TestAndSet(NodeId id) {
-    std::atomic<uint64_t>& word = words_[id / kBitsPerWord];
+    uint64_t& word = words_[id / kBitsPerWord];
     uint64_t bit = uint64_t{1} << (id % kBitsPerWord);
-    uint64_t fresh = uint64_t{epoch_} << kBitsPerWord;
-    uint64_t cur = word.load(std::memory_order_relaxed);
-    for (;;) {
-      if ((cur >> kBitsPerWord) == epoch_) {
-        uint64_t prev = word.fetch_or(bit, std::memory_order_relaxed);
-        return (prev & bit) == 0;
-      }
-      // Stale word: atomically install {current epoch, just this bit}.
-      if (word.compare_exchange_weak(cur, fresh | bit,
-                                     std::memory_order_relaxed)) {
-        return true;
-      }
+    if ((word >> kBitsPerWord) != epoch_) {
+      word = (uint64_t{epoch_} << kBitsPerWord) | bit;
+      return true;
     }
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
   }
   void Set(NodeId id) { TestAndSet(id); }
 
-  // Single-writer variants: plain load/store instead of lock-prefixed
-  // read-modify-writes (~an order of magnitude cheaper per call on x86).
-  // Only safe when no other thread writes the bitmap concurrently.
-  bool TestAndSetSeq(NodeId id) {
-    std::atomic<uint64_t>& word = words_[id / kBitsPerWord];
-    uint64_t bit = uint64_t{1} << (id % kBitsPerWord);
-    uint64_t cur = word.load(std::memory_order_relaxed);
-    if ((cur >> kBitsPerWord) != epoch_) {
-      word.store((uint64_t{epoch_} << kBitsPerWord) | bit,
-                 std::memory_order_relaxed);
-      return true;
-    }
-    if ((cur & bit) != 0) return false;
-    word.store(cur | bit, std::memory_order_relaxed);
-    return true;
-  }
-  void SetSeq(NodeId id) { TestAndSetSeq(id); }
-
   bool Test(NodeId id) const {
-    uint64_t cur = words_[id / kBitsPerWord].load(std::memory_order_relaxed);
-    if ((cur >> kBitsPerWord) != epoch_) return false;
-    return (cur & (uint64_t{1} << (id % kBitsPerWord))) != 0;
+    return (WordPayload(id) & (uint64_t{1} << (id % kBitsPerWord))) != 0;
   }
 
   size_t universe() const { return size_; }
@@ -104,7 +72,7 @@ class VisitedBitmap {
   // Payload bits of the word containing `id` (0 when the word's epoch is
   // stale). Lets dense scans skip 48 ids at a time when all are set.
   uint64_t WordPayload(NodeId id) const {
-    uint64_t cur = words_[id / kBitsPerWord].load(std::memory_order_relaxed);
+    uint64_t cur = words_[id / kBitsPerWord];
     if ((cur >> kBitsPerWord) != epoch_) return 0;
     return cur & ((uint64_t{1} << kBitsPerWord) - 1);
   }
@@ -113,7 +81,7 @@ class VisitedBitmap {
   void AppendSetBits(std::vector<NodeId>* out) const;
 
  private:
-  std::unique_ptr<std::atomic<uint64_t>[]> words_;
+  std::unique_ptr<uint64_t[]> words_;
   size_t capacity_words_ = 0;
   size_t size_ = 0;
   uint16_t epoch_ = 0;
@@ -127,22 +95,20 @@ enum class DirectionMode : uint8_t {
 };
 
 struct Options {
-  // Lane count. 1 = sequential (inline, no pool). 0 = resolve from the
-  // FRAPPE_THREADS environment variable / hardware concurrency.
+  // Ignored: the kernel runs on the calling thread. Kept because the
+  // benchmark under perfbench/ still sets it.
   size_t threads = 1;
   size_t max_depth = std::numeric_limits<size_t>::max();
   // Budget over edge expansions, mirroring query::ExecOptions: on breach
-  // the kernel returns ResourceExhausted / DeadlineExceeded. Parallel runs
-  // count steps in per-lane counters flushed to a shared atomic every few
-  // thousand edges, so a breach is detected within one flush interval.
+  // the kernel returns ResourceExhausted / DeadlineExceeded. Budgets are
+  // polled every few thousand edges, so a breach is detected within one
+  // poll interval.
   uint64_t max_steps = 0;   // 0 = unlimited
   int64_t deadline_ms = 0;  // 0 = none
-  // External cancel token, polled on the same flush cadence as the budgets
-  // (in both directions); reading true aborts the traversal with
-  // Status::Cancelled. The kernel never writes the token.
+  // External cancel token, polled on the same cadence as the budgets (in
+  // both directions) and once per level; reading true aborts the traversal
+  // with Status::Cancelled. The kernel never writes the token.
   std::atomic<bool>* cancel = nullptr;
-  // Pool to run on; null uses ThreadPool::Shared().
-  ThreadPool* pool = nullptr;
   // Target-aware early exit: when set and non-empty, the run stops at the
   // end of the first level after which every listed node is in its result
   // (a closure member for Closure, visited otherwise). The result is then
@@ -168,11 +134,9 @@ struct Metrics {
   size_t levels = 0;    // BFS levels expanded
   size_t frontier_peak = 0;
   // Observability detail (PROFILE): frontier size at the start of each
-  // expanded level, and the widest lane fan-out any level ran with. The
-  // sizes are thread-count and direction independent (same per-level
-  // sets); lanes_used is a property of this run only. All fields are
-  // cleared at traversal entry, so a Metrics struct can be reused across
-  // runs without stale accumulation.
+  // expanded level (direction independent). All fields are cleared at
+  // traversal entry, so a Metrics struct can be reused across runs without
+  // stale accumulation.
   std::vector<uint64_t> frontier_sizes;
   // Parallel to frontier_sizes: 1 when the level ran bottom-up (pull over
   // the reverse CSR), 0 top-down; and 1 when the level consumed a bitmap
@@ -181,6 +145,8 @@ struct Metrics {
   std::vector<uint8_t> level_bitmap;
   // Number of push<->pull transitions across the run.
   size_t direction_switches = 0;
+  // 1 once a level is expanded, else 0. Kept for the benchmark's
+  // graph.analytics.lanes_used metric.
   size_t lanes_used = 0;
   // Bytes of packed CSR adjacency the run read: steps (edge scans) times
   // the per-edge scan width (CsrView::kBytesPerEdgeScan). Feeds the
@@ -196,8 +162,7 @@ inline constexpr uint32_t kUnreachedDepth =
 
 // Scratch-owning engine: the bitmaps and frontier buffers persist across
 // calls, so repeated queries pay no per-query allocation beyond frontier
-// growth. One engine must not be used from two threads at once (the
-// kernels parallelize internally).
+// growth. One engine must not be used from two threads at once.
 class FrontierEngine {
  public:
   // Multi-source transitive closure: every node reached over >= 1 matching
@@ -237,7 +202,7 @@ class FrontierEngine {
   std::vector<NodeId> frontier_;
   VisitedBitmap frontier_bits_;
   VisitedBitmap next_bits_;
-  std::vector<std::vector<NodeId>> lane_next_;
+  std::vector<NodeId> next_;
 };
 
 // Convenience wrappers over a thread-local FrontierEngine (scratch reuse

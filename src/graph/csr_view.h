@@ -175,7 +175,7 @@ class CsrView final : public GraphView {
 
 // Thread-safe lazy CsrView cache: builds the packed adjacency on first use
 // and hands out the same view afterwards, so repeated analytics queries
-// (the executor's closure fast path, parallel slices) amortize the one-off
+// (the executor's closure fast path, kernel slices) amortize the one-off
 // build. Invalidate() after mutating the base graph; Get() with a
 // different base also rebuilds.
 class CsrCache {

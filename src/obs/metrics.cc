@@ -13,7 +13,7 @@ namespace frappe::obs {
 
 size_t ShardIndex() {
   // Sequential thread numbering beats std::hash<thread::id>: consecutive
-  // pool lanes land in distinct shards instead of colliding by chance.
+  // worker threads land in distinct shards instead of colliding by chance.
   static std::atomic<size_t> next{0};
   thread_local size_t index =
       next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;

@@ -18,10 +18,10 @@ namespace frappe::obs {
 // kinds — Counter, Gauge, Histogram — live in a named Registry and can be
 // dumped as text or JSON.
 //
-// Design constraints (mirroring the analytics engine's TSan-clean rules):
+// Design constraints (TSan-clean):
 //  * Recording must be lock-free and cheap enough for hot loops: counters
 //    and histograms are sharded across kShards cache-line-separated slots,
-//    a lane picks its shard by thread-id hash, and shards are merged only
+//    a thread picks its shard by thread-id hash, and shards are merged only
 //    on read. No mutex is ever taken on the write path.
 //  * Reads (Value/Snapshot/Dump*) may race with writers; they observe a
 //    consistent-enough snapshot built from relaxed atomic loads — exact

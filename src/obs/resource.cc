@@ -15,8 +15,8 @@ namespace internal {
 //
 // The allocation hook buffers into the plain counters here and only
 // touches the tracker's shared atomics when the live-byte delta crosses
-// `flush_at` (or the owning scope closes): per-event atomics made every
-// analytics lane of a tracked query hammer one cache line.
+// `flush_at` (or the owning scope closes), keeping per-event atomics off
+// the allocation path.
 struct TlsAccounting {
   ResourceTracker* tracker;
   uint64_t alloc_count;
@@ -115,24 +115,6 @@ ResourceScope::~ResourceScope() {
   SyncCpu();
   InstallTracker(prev_);
   active_ = false;
-}
-
-ResourceLaneScope::ResourceLaneScope(ResourceTracker* tracker) {
-  if (tracker == nullptr || !ResourceTracker::Enabled()) return;
-  if (tls_acct.tracker == tracker) return;  // lane 0 runs on the coordinator
-  tracker_ = tracker;
-  prev_ = tls_acct.tracker;
-  InstallTracker(tracker);
-  cpu_base_ns_ = ThreadCpuNs();
-  active_ = true;
-}
-
-ResourceLaneScope::~ResourceLaneScope() {
-  if (!active_) return;
-  FlushTls();
-  uint64_t now = ThreadCpuNs();
-  if (now > cpu_base_ns_) tracker_->AddCpuNs(now - cpu_base_ns_);
-  InstallTracker(prev_);
 }
 
 }  // namespace obs

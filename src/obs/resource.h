@@ -1,6 +1,5 @@
 // Per-query resource attribution: thread-CPU time, allocation count/bytes,
-// live/peak heap bytes, and bytes scanned, aggregated across every thread a
-// query touches (the session thread plus analytics pool lanes).
+// live/peak heap bytes, and bytes scanned, for one query.
 //
 // Model (mirrors trace.h): a query installs a ResourceScope around its whole
 // lifetime, which publishes a ResourceTracker through a thread-local slot.
@@ -9,11 +8,9 @@
 // tracked. When one is, the hook accumulates into plain (non-atomic)
 // thread-local delta counters and only folds them into the tracker's atomics
 // when the thread's live-byte delta crosses a flush threshold or its scope
-// closes — per-event atomics on a shared tracker made multi-lane queries pay
-// cache-line ping-pong on every allocation. The threshold shrinks to
-// budget/4 when a memory budget is set, so enforcement stays timely. Pool
-// lanes attach to the coordinator's tracker with a ResourceLaneScope so
-// their CPU time and allocations land on the same query.
+// closes, which keeps per-allocation atomics off the hot path. The
+// threshold shrinks to budget/4 when a memory budget is set, so
+// enforcement stays timely.
 //
 // The tracker also carries the per-query memory budget (FRAPPE_QUERY_MEM_BYTES):
 // the executor polls OverBudget() on its 1024-step cadence and fails the
@@ -158,25 +155,6 @@ class ResourceScope {
   // re-bases the clock so the remainder is not double counted at close.
   void SyncCpu();
   bool active() const { return active_; }
-
- private:
-  ResourceTracker* tracker_ = nullptr;
-  ResourceTracker* prev_ = nullptr;
-  uint64_t cpu_base_ns_ = 0;
-  bool active_ = false;
-};
-
-// Attaches a pool lane (worker thread) to the coordinating query's tracker:
-// installs it in the lane thread's TLS slot and contributes the lane's
-// thread-CPU delta at close. A no-op when tracker is null or the lane runs
-// inline on the coordinating thread (RunLanes executes lane 0 on the caller,
-// which already holds the tracker — attaching again would double count).
-class ResourceLaneScope {
- public:
-  explicit ResourceLaneScope(ResourceTracker* tracker);
-  ~ResourceLaneScope();
-  ResourceLaneScope(const ResourceLaneScope&) = delete;
-  ResourceLaneScope& operator=(const ResourceLaneScope&) = delete;
 
  private:
   ResourceTracker* tracker_ = nullptr;

@@ -10,6 +10,7 @@
 
 #include "common/string_util.h"
 #include "obs/fingerprint.h"
+#include "obs/knobs.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -68,13 +69,10 @@ std::string QueryCatalogJson() {
 }
 
 // FRAPPE_MISESTIMATE_QERROR rendered as a JSON value ("null" when unset
-// or unparsable). Read per call, like the slow-query threshold.
+// or unparsable).
 std::string MisestimateThresholdJson() {
-  const char* env = std::getenv("FRAPPE_MISESTIMATE_QERROR");
-  if (env == nullptr || *env == '\0') return "null";
-  char* end = nullptr;
-  double v = std::strtod(env, &end);
-  if (end == env || v <= 0.0) return "null";
+  double v = MisestimateQErrorThreshold();
+  if (v < 0.0) return "null";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
@@ -167,17 +165,6 @@ uint64_t PeakRssBytes() {
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
-}
-
-// The per-query memory budget in force (FRAPPE_QUERY_MEM_BYTES, read per
-// call like every other env knob; 0 = unlimited). The query layer reads
-// the same variable when installing a query's ResourceTracker.
-uint64_t QueryMemBudgetBytes() {
-  const char* env = std::getenv("FRAPPE_QUERY_MEM_BYTES");
-  if (env == nullptr || *env == '\0') return 0;
-  int64_t v = 0;
-  if (!ParseInt64(env, &v) || v < 0) return 0;
-  return static_cast<uint64_t>(v);
 }
 
 }  // namespace

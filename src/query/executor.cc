@@ -278,7 +278,6 @@ class Engine {
         fp_level_pull_.clear();
         fp_level_bitmap_.clear();
         fp_direction_switches_ = 0;
-        fp_lanes_ = 0;
         reach_op_ = {};
         clause_start = std::chrono::steady_clock::now();
       }
@@ -316,7 +315,6 @@ class Engine {
         op.level_pull = fp_level_pull_;
         op.level_bitmap = fp_level_bitmap_;
         op.direction_switches = fp_direction_switches_;
-        op.lanes = fp_lanes_;
         op.reach_kernel = reach_op_.anchors > 0;
         op.reach_from_target = reach_op_.from_target;
         op.reach_anchors = reach_op_.anchors;
@@ -470,8 +468,8 @@ class Engine {
     }
     // CSR closure fast path: a lone deep variable-length hop whose path
     // multiplicity is collapsed downstream can be answered with the
-    // parallel frontier kernel instead of enumerating every path. Only for
-    // a single-chain MATCH — multiple chains share edge-distinctness via
+    // frontier kernel instead of enumerating every path. Only for a
+    // single-chain MATCH — multiple chains share edge-distinctness via
     // `used`, which the closure does not model.
     bool try_fast_path =
         options_.use_csr_fast_path && db_.csr != nullptr &&
@@ -497,7 +495,7 @@ class Engine {
   }
 
   // Attempts to answer an eligible variable-length chain for one row with
-  // the parallel CSR closure kernel. Returns true when the row was handled
+  // the CSR closure kernel. Returns true when the row was handled
   // (its result rows, possibly none, were appended to `out`); false falls
   // back to path enumeration — used whenever the runtime binding shape is
   // not the "exactly one endpoint bound, target unbound and named" form
@@ -560,7 +558,6 @@ class Engine {
       fp_level_bitmap_ = metrics.level_bitmap;
       fp_direction_switches_ = metrics.direction_switches;
     }
-    fp_lanes_ = std::max(fp_lanes_, metrics.lanes_used);
 
     auto emit = [&](NodeId node) -> Status {
       if (!NodeSatisfies(target, node)) return Status::OK();
@@ -583,17 +580,16 @@ class Engine {
   }
 
   // Runs the CSR closure kernel from `seed` under what is left of the
-  // query's budgets: remaining steps, the deadline, the cancel token and
-  // the lane count go into the kernel, which also polls the memory budget
-  // of the query's resource tracker. Its edge scans are charged to steps,
-  // db_hits and scanned_bytes, and its budget errors come back in the
-  // executor's wording.
+  // query's budgets: remaining steps, the deadline and the cancel token
+  // go into the kernel, which also polls the memory budget of the query's
+  // resource tracker. Its edge scans are charged to steps, db_hits and
+  // scanned_bytes, and its budget errors come back in the executor's
+  // wording.
   Result<std::vector<NodeId>> CsrClosure(
       NodeId seed, const graph::EdgeFilter& filter, uint32_t max_length,
       const std::vector<NodeId>* stop_targets,
       graph::analytics::Metrics* metrics) {
     graph::analytics::Options opt;
-    opt.threads = options_.threads;
     opt.cancel = options_.cancel;
     opt.stop_targets = stop_targets;
     if (max_length != kUnboundedLength) opt.max_depth = max_length;
@@ -1770,7 +1766,6 @@ class Engine {
   std::vector<uint8_t> fp_level_pull_;
   std::vector<uint8_t> fp_level_bitmap_;
   size_t fp_direction_switches_ = 0;
-  size_t fp_lanes_ = 0;
   // The current clause's bound pattern predicates, keyed by AST node.
   std::unordered_map<const PatternChain*, PatternProbe> pattern_probes_;
   // Reachability-kernel detail of the current clause (PROFILE).

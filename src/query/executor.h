@@ -23,15 +23,11 @@ namespace frappe::query {
 struct ExecOptions {
   uint64_t max_steps = 0;      // 0 = unlimited; counts expansions/candidates
   int64_t deadline_ms = 0;     // 0 = none; wall-clock budget
-  // Lane count for the parallel analytics kernels the executor may dispatch
-  // to (the CSR closure fast path). 0 resolves FRAPPE_THREADS / hardware
-  // concurrency; 1 forces the sequential inline loop.
-  size_t threads = 0;
   // When a variable-length MATCH only feeds multiplicity-insensitive
   // clauses (RETURN DISTINCT, count(DISTINCT ...)), answer it with the
-  // parallel CSR transitive-closure kernel instead of enumerating every
-  // edge-distinct path — the difference between Figure 6 aborting and
-  // finishing. Off = always enumerate (the paper's measured behaviour).
+  // CSR transitive-closure kernel instead of enumerating every edge-distinct
+  // path — the difference between Figure 6 aborting and finishing. Off =
+  // always enumerate (the paper's measured behaviour).
   bool use_csr_fast_path = true;
   // Collect per-operator runtime stats (rows, db-hits, steps, wall time)
   // into QueryResult::stats.operators. Set by `PROFILE <query>`; adds two
@@ -72,16 +68,15 @@ struct OperatorStats {
   DbHits db_hits;        // storage accesses attributable to the clause
   uint64_t steps = 0;    // step-budget units the clause consumed
   double time_ms = 0.0;  // wall time inside the clause
-  // CSR fast-path detail (variable-length MATCH answered by the parallel
-  // closure kernel): frontier size per BFS level, the direction-optimizing
+  // CSR fast-path detail (variable-length MATCH answered by the closure
+  // kernel): frontier size per BFS level, the direction-optimizing
   // kernel's per-level choices (parallel to frontier_sizes: pull vs push,
-  // bitmap vs array frontier), switch count, and lanes used.
+  // bitmap vs array frontier), and the switch count.
   bool fast_path = false;
   std::vector<uint64_t> frontier_sizes;
   std::vector<uint8_t> level_pull;
   std::vector<uint8_t> level_bitmap;
   size_t direction_switches = 0;
-  size_t lanes = 0;
   // Reachability-predicate detail (a WHERE `a -[:t*]-> b` answered by the
   // CSR closure kernel): whether the closures ran from the pattern's target
   // endpoint (against the arrow) or its source, how many closures ran (one

@@ -260,8 +260,8 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
             anchor_desc = "anchored by " + AnchorEstimate(db, anchor);
           }
           // Mirror the executor's runtime dispatch: an eligible chain whose
-          // anchor is the one bound endpoint runs on the parallel closure
-          // kernel instead of enumerating paths.
+          // anchor is the one bound endpoint runs on the closure kernel
+          // instead of enumerating paths.
           bool csr_fast_path =
               match->chains.size() == 1 && chain.nodes.size() == 2 &&
               best == 0 &&
@@ -272,7 +272,7 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
           std::string expansion;
           const char* var_length_note =
               csr_fast_path
-                  ? " [CSR closure fast path: parallel frontier traversal]"
+                  ? " [CSR closure fast path: frontier traversal]"
                   : " [path enumeration]";
           for (size_t i = pivot; i + 1 < chain.nodes.size(); ++i) {
             expansion += " Expand" + DescribeRelPattern(chain.rels[i]);
@@ -429,7 +429,6 @@ std::string RenderPlan(const std::vector<PlanStep>& steps,
             out += op->level_bitmap[i] != 0 ? ":bitmap" : ":array";
           }
           out += "] switches=" + std::to_string(op->direction_switches);
-          out += " lanes=" + std::to_string(op->lanes);
         }
         if (op->reach_kernel) {
           out += std::string(" [reachability kernel: side=") +

@@ -16,7 +16,7 @@ namespace frappe::query {
 inline constexpr uint32_t kCsrClosureDepthThreshold = 8;
 
 // Outcome of the static eligibility check for answering a variable-length
-// MATCH chain with the parallel CSR transitive-closure kernel instead of
+// MATCH chain with the CSR transitive-closure kernel instead of
 // edge-distinct path enumeration.
 struct FastPathDecision {
   bool eligible = false;

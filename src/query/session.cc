@@ -7,6 +7,7 @@
 #include "common/string_util.h"
 #include "graph/stats_catalog.h"
 #include "obs/fingerprint.h"
+#include "obs/knobs.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -27,17 +28,6 @@ std::function<void(const std::string&)>& SlowQuerySink() {
   return *sink;
 }
 
-// Threshold in ms, or -1 when unset/invalid. Read per call so tests (and
-// operators) can flip it at runtime via setenv.
-int64_t SlowQueryThresholdMs() {
-  const char* env = std::getenv("FRAPPE_SLOW_QUERY_MS");
-  if (env == nullptr || *env == '\0') return -1;
-  char* end = nullptr;
-  long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) return -1;
-  return static_cast<int64_t>(value);
-}
-
 void EmitSlowQueryLog(const std::string& message) {
   if (SlowQuerySink()) {
     SlowQuerySink()(message);
@@ -52,28 +42,6 @@ void EmitSlowQueryLog(const std::string& message) {
 bool EstimatorDisabled() {
   const char* env = std::getenv("FRAPPE_ESTIMATOR");
   return env != nullptr && std::string_view(env) == "off";
-}
-
-// Misestimate q-error threshold, or -1 when unset/invalid. A query whose
-// q-error meets it is pushed onto the MisestimateRing and warn-logged.
-double MisestimateQErrorThreshold() {
-  const char* env = std::getenv("FRAPPE_MISESTIMATE_QERROR");
-  if (env == nullptr || *env == '\0') return -1.0;
-  char* end = nullptr;
-  double value = std::strtod(env, &end);
-  if (end == env || value <= 0.0) return -1.0;
-  return value;
-}
-
-// Per-query memory budget in bytes, or 0 (unlimited) when unset/invalid.
-// Read per call so operators and tests can flip it at runtime via setenv.
-uint64_t QueryMemBudgetBytes() {
-  const char* env = std::getenv("FRAPPE_QUERY_MEM_BYTES");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  long long value = std::strtoll(env, &end, 10);
-  if (end == env || value <= 0) return 0;
-  return static_cast<uint64_t>(value);
 }
 
 int64_t NowUnixMicros() {
@@ -255,10 +223,10 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
 
   // Resource attribution for the whole call: the scope publishes the
   // tracker through TLS, so the allocation seam, the executor's budget
-  // poll, and the analytics lanes all charge this query. The budget itself
+  // poll, and the analytics kernel all charge this query. The budget itself
   // comes from FRAPPE_QUERY_MEM_BYTES (0 = unlimited).
   obs::ResourceTracker resources;
-  resources.set_budget_bytes(QueryMemBudgetBytes());
+  resources.set_budget_bytes(obs::QueryMemBudgetBytes());
   obs::ResourceScope resource_scope(&resources);
 
   // The workload identity of this query: literals stripped, case folded,
@@ -404,8 +372,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   if (result.ok()) result->stats.timeline = timeline;
 
   // Flush this thread's CPU delta so the totals below include the parse,
-  // plan, and execute work just done (lane CPU already landed via
-  // ResourceLaneScope).
+  // plan, and execute work just done.
   resource_scope.SyncCpu();
   if (result.ok()) {
     result->stats.cpu_us = resources.cpu_us();
@@ -438,7 +405,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
     obs::QueryStats::Global()
         .GetOrCreate(normalized.fingerprint, normalized.text)
         .RecordQError(q_x100);
-    double qerror_threshold = MisestimateQErrorThreshold();
+    double qerror_threshold = obs::MisestimateQErrorThreshold();
     if (qerror_threshold > 0.0 && q >= qerror_threshold) {
       static obs::Counter& misestimates =
           obs::Registry::Global().GetCounter("plan.misestimates");
@@ -466,7 +433,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   // Identified by fingerprint + normalized text (not the raw query):
   // that's the key the /stats fingerprint table and the query log use, so
   // the three views join on `fp` — and literals stay out of the log.
-  int64_t threshold_ms = SlowQueryThresholdMs();
+  int64_t threshold_ms = obs::SlowQueryThresholdMs();
   if (threshold_ms >= 0 && elapsed_ms >= static_cast<double>(threshold_ms)) {
     slow_queries.Add();
     std::string message = "[frappe] slow query (" +

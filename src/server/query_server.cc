@@ -10,6 +10,7 @@
 #include "common/fault_injector.h"
 #include "common/string_util.h"
 #include "obs/fingerprint.h"
+#include "obs/knobs.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -86,18 +87,6 @@ uint64_t NowUnixMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-}
-
-// Slow-query threshold in ms (-1 = unset) — the same knob the session's
-// slow-query log reads, reused here as the trace-retention bar so "it was
-// logged slow" and "its trace was retained" agree.
-int64_t SlowTraceThresholdMs() {
-  const char* env = std::getenv("FRAPPE_SLOW_QUERY_MS");
-  if (env == nullptr || *env == '\0') return -1;
-  char* end = nullptr;
-  long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) return -1;
-  return static_cast<int64_t>(value);
 }
 
 // HTTP status for a failed query. 499 is the nginx convention for
@@ -510,7 +499,9 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
     reason = result.status().code() == StatusCode::kCancelled ? "cancelled"
                                                               : "error";
   } else {
-    int64_t slow_ms = SlowTraceThresholdMs();
+    // The session's slow-query threshold doubles as the retention bar, so
+    // "it was logged slow" and "its trace was retained" agree.
+    int64_t slow_ms = obs::SlowQueryThresholdMs();
     if (slow_ms >= 0 && latency_ms >= static_cast<double>(slow_ms)) {
       reason = "slow";
     } else if (item.trace_requested) {

@@ -13,7 +13,7 @@ using model::NodeKind;
 
 Result<ImpactReport> ChangeImpact(const VersionStore& store,
                                   const model::Schema& schema, Version from,
-                                  Version to, size_t threads) {
+                                  Version to) {
   FRAPPE_ASSIGN_OR_RETURN(VersionStore::Diff diff,
                           store.ComputeDiff(from, to));
   FRAPPE_ASSIGN_OR_RETURN(std::unique_ptr<VersionView> view,
@@ -72,11 +72,11 @@ Result<ImpactReport> ChangeImpact(const VersionStore& store,
     if (view->NodeExists(id)) live_seeds.push_back(id);
   }
   // The direction-optimizing CSR kernel beats the sequential visited-set
-  // walk even single-threaded, so every lane count goes through it.
+  // walk.
   graph::CsrView csr = graph::CsrView::Build(*view);
   report.impacted_functions = analysis::ParallelImpactSet(
       csr, schema, live_seeds, {model::EdgeKind::kCalls},
-      graph::Direction::kIn, threads);
+      graph::Direction::kIn, /*threads=*/1);
   return report;
 }
 

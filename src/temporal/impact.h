@@ -19,13 +19,11 @@ struct ImpactReport {
   std::vector<graph::NodeId> impacted_functions;
 };
 
-// `threads = 1` (default) runs the sequential slice; any other value
-// builds a CSR snapshot of the `to` view and runs the parallel frontier
-// kernel on that many lanes (0 = FRAPPE_THREADS / hardware concurrency).
-// The report is identical either way.
+// The impact slice runs the frontier kernel over a CSR snapshot of the
+// `to` view.
 Result<ImpactReport> ChangeImpact(const VersionStore& store,
                                   const model::Schema& schema, Version from,
-                                  Version to, size_t threads = 1);
+                                  Version to);
 
 }  // namespace frappe::temporal
 

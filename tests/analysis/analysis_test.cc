@@ -11,6 +11,8 @@
 #include "analysis/navigation.h"
 #include "analysis/search.h"
 #include "analysis/slicing.h"
+#include "extractor/synthetic.h"
+#include "graph/csr_view.h"
 #include "tests/query/fixture.h"
 
 namespace frappe::analysis {
@@ -185,6 +187,58 @@ TEST_F(AnalysisTest, SuspectWritesBoundExcludesLateCalls) {
                                      fixture_.get_sectorsize,
                                      fixture_.cmd_field, 236);
   ASSERT_EQ(all_calls.size(), 1u);
+}
+
+// --- Kernel slices (the CSR counterparts of the slices above) ---
+
+// On a generated kernel graph every kernel slice equals its store-walking
+// counterpart. The calls pass a `threads` argument positionally, as the
+// benchmark does, so a 0 there must never bind to max_depth.
+TEST(ParallelSliceTest, MatchStoreWalkingSlices) {
+  model::CodeGraph kernel;
+  extractor::GraphScale scale;
+  scale.factor = 0.01;
+  extractor::GenerateKernelGraph(scale, &kernel);
+  const graph::GraphView& view = kernel.view();
+  const model::Schema& schema = kernel.schema();
+  graph::CsrView csr = graph::CsrView::Build(view);
+
+  std::vector<NodeId> functions;
+  graph::TypeId fn_type = schema.node_type(NodeKind::kFunction);
+  for (NodeId id = 0; id < view.NodeIdUpperBound(); id += 7) {
+    if (view.NodeExists(id) && view.NodeType(id) == fn_type) {
+      functions.push_back(id);
+    }
+  }
+  ASSERT_GE(functions.size(), 20u);
+  functions.resize(20);
+
+  size_t nonempty = 0;
+  for (NodeId fn : functions) {
+    std::vector<NodeId> backward = BackwardSlice(view, schema, fn);
+    nonempty += backward.empty() ? 0 : 1;
+    EXPECT_EQ(ParallelBackwardSlice(csr, schema, fn, 0), backward) << fn;
+    EXPECT_EQ(ParallelForwardSlice(csr, schema, fn, 0),
+              ForwardSlice(view, schema, fn))
+        << fn;
+    EXPECT_EQ(ParallelBackwardSlice(csr, schema, fn, 0, 2),
+              BackwardSlice(view, schema, fn, 2))
+        << fn;
+    EXPECT_EQ(ParallelForwardSlice(csr, schema, fn, 0, 1),
+              ForwardSlice(view, schema, fn, 1))
+        << fn;
+  }
+  EXPECT_GT(nonempty, 0u);
+
+  const std::vector<model::EdgeKind> kinds = {model::EdgeKind::kCalls,
+                                              model::EdgeKind::kReadsMember};
+  for (graph::Direction dir : {graph::Direction::kIn, graph::Direction::kOut,
+                               graph::Direction::kBoth}) {
+    EXPECT_EQ(ParallelImpactSet(csr, schema, functions, kinds, dir, 0),
+              ImpactSet(view, schema, functions, kinds, dir));
+    EXPECT_EQ(ParallelImpactSet(csr, schema, functions, kinds, dir, 0, 2),
+              ImpactSet(view, schema, functions, kinds, dir, 2));
+  }
 }
 
 }  // namespace

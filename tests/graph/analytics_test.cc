@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/graph_store.h"
 #include "graph/traversal.h"
 
@@ -86,8 +85,8 @@ TEST(VisitedBitmapTest, TestAndSetStaysExactAcrossEpochWraparound) {
     if (round % 9973 != 0 && round < 65540) continue;  // keep the loop fast
     EXPECT_TRUE(bitmap.TestAndSet(3)) << "round " << round;
     EXPECT_FALSE(bitmap.TestAndSet(3)) << "round " << round;
-    EXPECT_TRUE(bitmap.TestAndSetSeq(90)) << "round " << round;
-    EXPECT_FALSE(bitmap.TestAndSetSeq(90)) << "round " << round;
+    EXPECT_TRUE(bitmap.TestAndSet(90)) << "round " << round;
+    EXPECT_FALSE(bitmap.TestAndSet(90)) << "round " << round;
     EXPECT_FALSE(bitmap.Test(4)) << "round " << round;
   }
 }
@@ -117,23 +116,20 @@ TEST(VisitedBitmapTest, WordPackingBoundaries) {
   EXPECT_EQ(out, (std::vector<NodeId>{95}));
 }
 
-TEST(VisitedBitmapTest, SeqVariantsMatchAtomicSemantics) {
+TEST(VisitedBitmapTest, StaleAndFreshWordPaths) {
   VisitedBitmap bitmap;
   bitmap.Reset(100);
-  EXPECT_TRUE(bitmap.TestAndSetSeq(0));   // stale-word refresh path
-  EXPECT_FALSE(bitmap.TestAndSetSeq(0));  // already set
-  EXPECT_TRUE(bitmap.TestAndSetSeq(1));   // fresh-word set path
-  bitmap.SetSeq(2);
+  EXPECT_TRUE(bitmap.TestAndSet(0));   // stale-word refresh path
+  EXPECT_FALSE(bitmap.TestAndSet(0));  // already set
+  EXPECT_TRUE(bitmap.TestAndSet(1));   // fresh-word set path
+  bitmap.Set(2);
   EXPECT_TRUE(bitmap.Test(0));
   EXPECT_TRUE(bitmap.Test(1));
   EXPECT_TRUE(bitmap.Test(2));
-  // Seq and atomic writes interoperate on the same words.
   EXPECT_FALSE(bitmap.TestAndSet(2));
-  EXPECT_TRUE(bitmap.TestAndSet(3));
-  EXPECT_FALSE(bitmap.TestAndSetSeq(3));
   bitmap.Reset(100);
   EXPECT_FALSE(bitmap.Test(0));
-  EXPECT_TRUE(bitmap.TestAndSetSeq(0));
+  EXPECT_TRUE(bitmap.TestAndSet(0));
 }
 
 TEST(VisitedBitmapTest, WordPayloadReflectsEpochAndBits) {
@@ -150,37 +146,8 @@ TEST(VisitedBitmapTest, WordPayloadReflectsEpochAndBits) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunLanesRunsEveryLane) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(16);
-  pool.RunLanes(16, [&](size_t lane) {
-    hits[lane].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "lane " << i;
-  }
-}
-
-TEST(ThreadPoolTest, MoreLanesThanWorkersCannotDeadlock) {
-  // A pool with zero workers must still complete: the caller help-drains
-  // the queue (this is the 1-core-machine configuration).
-  ThreadPool pool(0);
-  std::atomic<int> count{0};
-  pool.RunLanes(8, [&](size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ThreadPoolTest, ResolveThreads) {
-  EXPECT_EQ(ThreadPool::ResolveThreads(4), 4u);
-  EXPECT_GE(ThreadPool::ResolveThreads(0), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Determinism: parallel kernels agree with the sequential traversals on
-// random graphs, for every thread count.
+// Determinism: the kernels agree with the store-walking traversals on
+// random graphs.
 // ---------------------------------------------------------------------------
 
 struct RandomGraph {
@@ -209,12 +176,10 @@ RandomGraph MakeRandomGraph(uint64_t seed, size_t node_count,
 
 class DeterminismTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(DeterminismTest, ClosureMatchesSequentialForEveryThreadCount) {
+TEST_P(DeterminismTest, ClosureMatchesSequential) {
   RandomGraph g = MakeRandomGraph(GetParam(), /*node_count=*/300,
                                   /*edges_per_node=*/4);
   CsrView csr = CsrView::Build(g.store);
-  // A real multi-worker pool so lanes genuinely interleave.
-  ThreadPool pool(7);
   frappe::Rng rng(GetParam() ^ 0x5eed);
   for (Direction dir : {Direction::kOut, Direction::kIn, Direction::kBoth}) {
     EdgeFilter filter = EdgeFilter::Of({g.edge_a}, dir);
@@ -222,43 +187,30 @@ TEST_P(DeterminismTest, ClosureMatchesSequentialForEveryThreadCount) {
                               g.nodes[rng.Uniform(g.nodes.size())]};
     std::vector<NodeId> expected =
         TransitiveClosure(g.store, seeds, filter);
-    for (size_t threads : {1u, 2u, 8u}) {
-      Options options;
-      options.threads = threads;
-      options.pool = &pool;
-      auto got = ParallelClosure(csr, seeds, filter, options);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(*got, expected)
-          << "dir=" << static_cast<int>(dir) << " threads=" << threads;
-    }
+    auto got = ParallelClosure(csr, seeds, filter);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected) << "dir=" << static_cast<int>(dir);
   }
 }
 
 TEST_P(DeterminismTest, DepthLimitedClosureMatchesSequential) {
   RandomGraph g = MakeRandomGraph(GetParam() + 17, 200, 3);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
   EdgeFilter filter = EdgeFilter::Any();
   for (size_t max_depth : {1u, 2u, 5u}) {
     std::vector<NodeId> expected =
         TransitiveClosure(g.store, g.nodes[0], filter, max_depth);
-    for (size_t threads : {1u, 2u, 8u}) {
-      Options options;
-      options.threads = threads;
-      options.pool = &pool;
-      options.max_depth = max_depth;
-      auto got = ParallelClosure(csr, {g.nodes[0]}, filter, options);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(*got, expected)
-          << "depth=" << max_depth << " threads=" << threads;
-    }
+    Options options;
+    options.max_depth = max_depth;
+    auto got = ParallelClosure(csr, {g.nodes[0]}, filter, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected) << "depth=" << max_depth;
   }
 }
 
 TEST_P(DeterminismTest, BfsDepthsMatchSequentialBfs) {
   RandomGraph g = MakeRandomGraph(GetParam() + 31, 250, 3);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
   EdgeFilter filter = EdgeFilter::Of({g.edge_a, g.edge_b});
   std::vector<NodeId> seeds{g.nodes[1]};
   std::map<NodeId, size_t> expected;
@@ -266,19 +218,14 @@ TEST_P(DeterminismTest, BfsDepthsMatchSequentialBfs) {
     expected[id] = depth;
     return true;
   });
-  for (size_t threads : {1u, 2u, 8u}) {
-    Options options;
-    options.threads = threads;
-    options.pool = &pool;
-    auto got = ParallelBfsDepths(csr, seeds, filter, options);
-    ASSERT_TRUE(got.ok()) << got.status();
-    for (NodeId id = 0; id < got->size(); ++id) {
-      auto it = expected.find(id);
-      if (it == expected.end()) {
-        EXPECT_EQ((*got)[id], kUnreachedDepth) << "node " << id;
-      } else {
-        EXPECT_EQ((*got)[id], it->second) << "node " << id;
-      }
+  auto got = ParallelBfsDepths(csr, seeds, filter);
+  ASSERT_TRUE(got.ok()) << got.status();
+  for (NodeId id = 0; id < got->size(); ++id) {
+    auto it = expected.find(id);
+    if (it == expected.end()) {
+      EXPECT_EQ((*got)[id], kUnreachedDepth) << "node " << id;
+    } else {
+      EXPECT_EQ((*got)[id], it->second) << "node " << id;
     }
   }
 }
@@ -286,7 +233,6 @@ TEST_P(DeterminismTest, BfsDepthsMatchSequentialBfs) {
 TEST_P(DeterminismTest, ReachableMatchesSequentialBfsSet) {
   RandomGraph g = MakeRandomGraph(GetParam() + 77, 250, 3);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
   EdgeFilter filter = EdgeFilter::Of({g.edge_a});
   std::vector<NodeId> seeds{g.nodes[2], g.nodes[3]};
   std::vector<NodeId> expected;
@@ -295,14 +241,9 @@ TEST_P(DeterminismTest, ReachableMatchesSequentialBfsSet) {
     return true;
   });
   std::sort(expected.begin(), expected.end());
-  for (size_t threads : {1u, 2u, 8u}) {
-    Options options;
-    options.threads = threads;
-    options.pool = &pool;
-    auto got = ParallelReachable(csr, seeds, filter, options);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(*got, expected) << "threads=" << threads;
-  }
+  auto got = ParallelReachable(csr, seeds, filter);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
@@ -346,31 +287,28 @@ TEST(FrontierEngineTest, StopTargetsEndTheRunAfterTheirLevel) {
   CsrView csr = CsrView::Build(store);
   FrontierEngine engine;
   const EdgeFilter filter = EdgeFilter::Of({et});
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    Options options;
-    options.threads = threads;
-    std::vector<NodeId> targets{b};
-    options.stop_targets = &targets;
-    Metrics metrics;
-    auto partial = engine.Closure(csr, {a}, filter, options, &metrics);
-    ASSERT_TRUE(partial.ok());
-    EXPECT_EQ(*partial, (std::vector<NodeId>{b})) << threads;
-    EXPECT_TRUE(metrics.stopped_early);
-    EXPECT_EQ(metrics.levels, 1u);
+  Options options;
+  std::vector<NodeId> targets{b};
+  options.stop_targets = &targets;
+  Metrics metrics;
+  auto partial = engine.Closure(csr, {a}, filter, options, &metrics);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(*partial, (std::vector<NodeId>{b}));
+  EXPECT_TRUE(metrics.stopped_early);
+  EXPECT_EQ(metrics.levels, 1u);
 
-    // A target the run never reaches leaves the closure complete.
-    targets = {b, a};
-    auto full = engine.Closure(csr, {a}, filter, options, &metrics);
-    ASSERT_TRUE(full.ok());
-    EXPECT_EQ(*full, (std::vector<NodeId>{b, c, d})) << threads;
-    EXPECT_FALSE(metrics.stopped_early);
+  // A target the run never reaches leaves the closure complete.
+  targets = {b, a};
+  auto full = engine.Closure(csr, {a}, filter, options, &metrics);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(*full, (std::vector<NodeId>{b, c, d}));
+  EXPECT_FALSE(metrics.stopped_early);
 
-    // A target on the deepest level still yields the whole closure.
-    targets = {d};
-    full = engine.Closure(csr, {a}, filter, options, &metrics);
-    ASSERT_TRUE(full.ok());
-    EXPECT_EQ(*full, (std::vector<NodeId>{b, c, d})) << threads;
-  }
+  // A target on the deepest level still yields the whole closure.
+  targets = {d};
+  full = engine.Closure(csr, {a}, filter, options, &metrics);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(*full, (std::vector<NodeId>{b, c, d}));
 }
 
 TEST(FrontierEngineTest, ScratchReuseAcrossCalls) {
@@ -402,7 +340,7 @@ TEST(FrontierEngineTest, MetricsReportWork) {
 }
 
 TEST(FrontierEngineTest, MetricsFullyResetBetweenRuns) {
-  // Regression: frontier_sizes (and the parallel direction vectors) were
+  // Regression: frontier_sizes (and the per-level direction vectors) were
   // appended to across runs when the caller reused one Metrics struct, so a
   // second traversal reported the concatenation of both frontier
   // trajectories. Every field must describe the latest run only.
@@ -444,24 +382,19 @@ TEST(FrontierEngineTest, MetricsFullyResetBetweenRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Cancellation under parallel execution
+// Cancellation
 // ---------------------------------------------------------------------------
 
 TEST(CancellationTest, StepBudgetBreachReturnsResourceExhausted) {
   RandomGraph g = MakeRandomGraph(21, 400, 5);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
-  for (size_t threads : {1u, 2u, 8u}) {
-    Options options;
-    options.threads = threads;
-    options.pool = &pool;
-    options.max_steps = 1;  // any expansion of the first level breaches
-    FrontierEngine engine;
-    auto got = engine.Closure(csr, {g.nodes[0]}, EdgeFilter::Any(), options);
-    ASSERT_FALSE(got.ok()) << "threads=" << threads;
-    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_NE(got.status().message().find("step budget"), std::string::npos);
-  }
+  Options options;
+  options.max_steps = 1;  // any expansion of the first level breaches
+  FrontierEngine engine;
+  auto got = engine.Closure(csr, {g.nodes[0]}, EdgeFilter::Any(), options);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(got.status().message().find("step budget"), std::string::npos);
 }
 
 TEST(CancellationTest, DeadlineBreachReturnsDeadlineExceeded) {
@@ -479,18 +412,13 @@ TEST(CancellationTest, DeadlineBreachReturnsDeadlineExceeded) {
     prev = cur;
   }
   CsrView csr = CsrView::Build(store);
-  ThreadPool pool(7);
-  for (size_t threads : {1u, 8u}) {
-    Options options;
-    options.threads = threads;
-    options.pool = &pool;
-    options.deadline_ms = 1;
-    FrontierEngine engine;
-    auto got = engine.Closure(csr, {first}, EdgeFilter::Of({et}), options);
-    ASSERT_FALSE(got.ok()) << "threads=" << threads;
-    EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
-    EXPECT_NE(got.status().message().find("deadline"), std::string::npos);
-  }
+  Options options;
+  options.deadline_ms = 1;
+  FrontierEngine engine;
+  auto got = engine.Closure(csr, {first}, EdgeFilter::Of({et}), options);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(got.status().message().find("deadline"), std::string::npos);
 }
 
 TEST(CancellationTest, UnbudgetedRunNeverFails) {

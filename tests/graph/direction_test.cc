@@ -1,9 +1,9 @@
 // Property-style equivalence suite for the direction-optimizing kernels:
 // push-only, pull-only and the auto (hybrid) policy must produce identical
-// visited sets and depths on the same graph, for every thread count and
-// depth cutoff. The push kernel is the pre-direction-optimizing baseline,
-// so these tests pin the bottom-up scan and the heuristic switching to the
-// established semantics. Runs under the `parallel` ctest label (TSan lane).
+// visited sets and depths on the same graph, for every depth cutoff. The
+// push kernel is the pre-direction-optimizing baseline, so these tests pin
+// the bottom-up scan and the heuristic switching to the established
+// semantics.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "graph/analytics.h"
 #include "graph/csr_view.h"
 #include "graph/graph_store.h"
@@ -63,11 +62,10 @@ RandomGraph MakeRandomGraph(uint64_t seed, size_t node_count,
 
 class DirectionEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(DirectionEquivalenceTest, ClosureIdenticalAcrossModesAndThreads) {
+TEST_P(DirectionEquivalenceTest, ClosureIdenticalAcrossModes) {
   RandomGraph g = MakeRandomGraph(GetParam(), /*node_count=*/300,
                                   /*edges_per_node=*/5);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
   frappe::Rng rng(GetParam() ^ 0xd1c);
   for (Direction dir : {Direction::kOut, Direction::kIn, Direction::kBoth}) {
     for (const EdgeFilter& filter :
@@ -76,22 +74,20 @@ TEST_P(DirectionEquivalenceTest, ClosureIdenticalAcrossModesAndThreads) {
                                 g.nodes[rng.Uniform(g.nodes.size())]};
       std::vector<NodeId> expected = TransitiveClosure(g.store, seeds, filter);
       for (DirectionMode mode : kModes) {
-        for (size_t threads : {1u, 2u, 4u}) {
-          Options options;
-          options.mode = mode;
-          options.threads = threads;
-          options.pool = &pool;
-          FrontierEngine engine;
-          Metrics metrics;
-          auto got = engine.Closure(csr, seeds, filter, options, &metrics);
-          ASSERT_TRUE(got.ok()) << got.status();
-          EXPECT_EQ(*got, expected)
-              << "mode=" << ModeName(mode) << " threads=" << threads
-              << " dir=" << static_cast<int>(dir);
-          // The forced modes must actually run in their direction.
-          for (uint8_t pulled : metrics.level_pull) {
-            if (mode == DirectionMode::kPushOnly) EXPECT_EQ(pulled, 0);
-            if (mode == DirectionMode::kPullOnly) EXPECT_EQ(pulled, 1);
+        Options options;
+        options.mode = mode;
+        FrontierEngine engine;
+        Metrics metrics;
+        auto got = engine.Closure(csr, seeds, filter, options, &metrics);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(*got, expected) << "mode=" << ModeName(mode)
+                                  << " dir=" << static_cast<int>(dir);
+        // The forced modes must actually run in their direction.
+        for (uint8_t pulled : metrics.level_pull) {
+          if (mode == DirectionMode::kPushOnly) {
+            EXPECT_EQ(pulled, 0);
+          } else if (mode == DirectionMode::kPullOnly) {
+            EXPECT_EQ(pulled, 1);
           }
         }
       }
@@ -102,24 +98,18 @@ TEST_P(DirectionEquivalenceTest, ClosureIdenticalAcrossModesAndThreads) {
 TEST_P(DirectionEquivalenceTest, DepthCutoffIdenticalAcrossModes) {
   RandomGraph g = MakeRandomGraph(GetParam() + 101, 250, 4);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
   EdgeFilter filter = EdgeFilter::Any();
   for (size_t max_depth : {1u, 2u, 4u}) {
     std::vector<NodeId> expected =
         TransitiveClosure(g.store, g.nodes[0], filter, max_depth);
     for (DirectionMode mode : kModes) {
-      for (size_t threads : {1u, 2u, 4u}) {
-        Options options;
-        options.mode = mode;
-        options.threads = threads;
-        options.pool = &pool;
-        options.max_depth = max_depth;
-        auto got = ParallelClosure(csr, {g.nodes[0]}, filter, options);
-        ASSERT_TRUE(got.ok()) << got.status();
-        EXPECT_EQ(*got, expected) << "mode=" << ModeName(mode)
-                                  << " depth=" << max_depth
-                                  << " threads=" << threads;
-      }
+      Options options;
+      options.mode = mode;
+      options.max_depth = max_depth;
+      auto got = ParallelClosure(csr, {g.nodes[0]}, filter, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, expected) << "mode=" << ModeName(mode)
+                                << " depth=" << max_depth;
     }
   }
 }
@@ -127,7 +117,6 @@ TEST_P(DirectionEquivalenceTest, DepthCutoffIdenticalAcrossModes) {
 TEST_P(DirectionEquivalenceTest, BfsDepthsIdenticalAcrossModes) {
   RandomGraph g = MakeRandomGraph(GetParam() + 211, 250, 4);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
   EdgeFilter filter = EdgeFilter::Of({g.edge_a, g.edge_b});
   std::vector<NodeId> seeds{g.nodes[1], g.nodes[2]};
   Options push;
@@ -135,23 +124,17 @@ TEST_P(DirectionEquivalenceTest, BfsDepthsIdenticalAcrossModes) {
   auto baseline = ParallelBfsDepths(csr, seeds, filter, push);
   ASSERT_TRUE(baseline.ok());
   for (DirectionMode mode : {DirectionMode::kPullOnly, DirectionMode::kAuto}) {
-    for (size_t threads : {1u, 2u, 4u}) {
-      Options options;
-      options.mode = mode;
-      options.threads = threads;
-      options.pool = &pool;
-      auto got = ParallelBfsDepths(csr, seeds, filter, options);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(*got, *baseline)
-          << "mode=" << ModeName(mode) << " threads=" << threads;
-    }
+    Options options;
+    options.mode = mode;
+    auto got = ParallelBfsDepths(csr, seeds, filter, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, *baseline) << "mode=" << ModeName(mode);
   }
 }
 
 TEST_P(DirectionEquivalenceTest, ReachableIdenticalAcrossModes) {
   RandomGraph g = MakeRandomGraph(GetParam() + 307, 220, 4);
   CsrView csr = CsrView::Build(g.store);
-  ThreadPool pool(7);
   EdgeFilter filter = EdgeFilter::Of({g.edge_b}, Direction::kIn);
   std::vector<NodeId> seeds{g.nodes[3]};
   Options push;
@@ -159,16 +142,11 @@ TEST_P(DirectionEquivalenceTest, ReachableIdenticalAcrossModes) {
   auto baseline = ParallelReachable(csr, seeds, filter, push);
   ASSERT_TRUE(baseline.ok());
   for (DirectionMode mode : {DirectionMode::kPullOnly, DirectionMode::kAuto}) {
-    for (size_t threads : {1u, 2u, 4u}) {
-      Options options;
-      options.mode = mode;
-      options.threads = threads;
-      options.pool = &pool;
-      auto got = ParallelReachable(csr, seeds, filter, options);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(*got, *baseline)
-          << "mode=" << ModeName(mode) << " threads=" << threads;
-    }
+    Options options;
+    options.mode = mode;
+    auto got = ParallelReachable(csr, seeds, filter, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, *baseline) << "mode=" << ModeName(mode);
   }
 }
 

@@ -242,18 +242,16 @@ TEST_F(ProfilezEndpointTest, ProfilezAndMemzUnderClosureLoad) {
                 {"properties", m.properties}};
       });
 
-  // Two load threads running single-lane closures: the sequential fast
-  // path keeps FrontierEngine/CSR frames on the query threads, which are
-  // the only CPU consumers SIGPROF can land on.
+  // Two load threads running closures: the fast path keeps
+  // FrontierEngine/CSR frames on the query threads, which are the only CPU
+  // consumers SIGPROF can land on.
   std::atomic<bool> stop{false};
   std::vector<std::thread> load;
   for (int t = 0; t < 2; ++t) {
     load.emplace_back([&graph, &query, &stop] {
       query::Session session(graph);
-      query::ExecOptions options;
-      options.threads = 1;
       while (!stop.load(std::memory_order_relaxed)) {
-        auto result = session.Run(query, options);
+        auto result = session.Run(query);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
       }
     });

@@ -180,7 +180,7 @@ std::vector<std::string> OrderedRows(const QueryResult& result,
 // The reachability predicate grouped onto the CSR closure kernel (one
 // closure per distinct anchor, rows evaluated in anchor order) against the
 // per-row store-walking BFS of the fast path off: identical rows in
-// identical order, at one lane and at four.
+// identical order.
 TEST_P(CrossValidationTest, ReachabilityPredicateKernelMatchesPerRowPath) {
   RandomGraph rg(GetParam(), 20, 30);
   Session session(rg.graph);
@@ -226,15 +226,10 @@ TEST_P(CrossValidationTest, ReachabilityPredicateKernelMatchesPerRowPath) {
     SCOPED_TRACE(query);
     auto expected = session.Run(query, per_row);
     ASSERT_TRUE(expected.ok()) << expected.status();
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ExecOptions kernel;
-      kernel.threads = threads;
-      auto got = session.Run(query, kernel);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(OrderedRows(*got, session.database()),
-                OrderedRows(*expected, session.database()))
-          << "threads=" << threads;
-    }
+    auto got = session.Run(query);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(OrderedRows(*got, session.database()),
+              OrderedRows(*expected, session.database()));
   }
 }
 

@@ -40,19 +40,12 @@ class FastPathTest : public ::testing::Test {
     return rows;
   }
 
-  // Asserts the query produces identical rows with the fast path on (at
-  // several thread counts) and off.
+  // Asserts the query produces identical rows with the fast path on and
+  // off.
   void ExpectFastPathTransparent(std::string_view text) {
     ExecOptions off;
     off.use_csr_fast_path = false;
-    std::vector<std::string> expected = Rows(text, off);
-    for (size_t threads : {1u, 2u, 8u}) {
-      ExecOptions on;
-      on.use_csr_fast_path = true;
-      on.threads = threads;
-      EXPECT_EQ(Rows(text, on), expected)
-          << text << " threads=" << threads;
-    }
+    EXPECT_EQ(Rows(text, {}), Rows(text, off)) << text;
   }
 
   PaperFixture fixture_;

@@ -13,19 +13,17 @@ Checks, in order:
   4. Direction sanity: push-only entries never report a pull level,
      pull-only entries never report a push level, and only hybrid
      (parallel) entries may report direction switches.
-  5. The meta entry reports all_results_identical == 1 (every engine,
-     direction mode and lane count returned the same node set).
-  6. Perf floor: the closure workload's single-thread hybrid lane must
-     show speedup_vs_seed >= --min-closure-speedup (default 0.9) against
+  5. The meta entry reports all_results_identical == 1 (every engine and
+     direction mode returned the same node set).
+  6. Perf floor: the closure workload's hybrid entry must show
+     speedup_vs_seed >= --min-closure-speedup (default 0.9) against
      the push-only seed kernel measured in the same run — i.e. the
-     direction-optimizing kernel never regresses the Fig. 6 lanes.
-     threads > 1 lanes are exempt: on a host with fewer cores than lanes
-     they legitimately trail the 1-lane baseline. The default is 0.9, not
-     1.0: on all-push workloads (typed closures) the hybrid runs the
-     identical levels as the seed plus only per-level cost bookkeeping, so
-     honest runs measure parity with best-of noise on either side of 1.0,
-     while a genuinely mis-switched pull level measures 0.3-0.6x — which
-     the 0.9 floor still fails hard.
+     direction-optimizing kernel never regresses the Fig. 6 lanes. The
+     default is 0.9, not 1.0: on all-push workloads (typed closures) the
+     hybrid runs the identical levels as the seed plus only per-level cost
+     bookkeeping, so honest runs measure parity with best-of noise on
+     either side of 1.0, while a genuinely mis-switched pull level
+     measures 0.3-0.6x — which the 0.9 floor still fails hard.
 
 Exit code 0 when valid, 1 with a diagnostic otherwise.
 
@@ -131,8 +129,6 @@ def check(path, min_closure_speedup):
             continue
         kernel_entries += 1
 
-        if not is_int(e.get("threads")) or e["threads"] < 1:
-            return fail(f"{path}: {where}.threads is not an int >= 1")
         if not is_num(e.get("speedup_vs_seed")) or e["speedup_vs_seed"] <= 0:
             return fail(f"{path}: {where}.speedup_vs_seed is not a"
                         " positive number")
@@ -162,8 +158,7 @@ def check(path, min_closure_speedup):
                 return fail(f"{path}: {where} pull-only run reports"
                             " direction switches")
 
-        if engine == "parallel" and "closure" in label \
-                and e["threads"] == 1:
+        if engine == "parallel" and "closure" in label:
             closure_hybrid_lanes += 1
             if e["speedup_vs_seed"] < min_closure_speedup:
                 return fail(
@@ -177,8 +172,7 @@ def check(path, min_closure_speedup):
         return fail(f"{path}: no kernel entries"
                     f" (push-only/pull-only/parallel)")
     if closure_hybrid_lanes == 0:
-        return fail(f"{path}: no single-thread closure-workload hybrid"
-                    " lane to check")
+        return fail(f"{path}: no closure-workload hybrid lane to check")
     if meta is None:
         return fail(f"{path}: no meta entry")
     if meta.get("all_results_identical") != 1:

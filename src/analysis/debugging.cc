@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "graph/traversal.h"
+#include "analysis/slicing.h"
 
 namespace frappe::analysis {
 
@@ -53,8 +53,8 @@ std::vector<SuspectWrite> FindSuspectWrites(const graph::GraphView& view,
 
   // Everything reachable from those call sites (including the callees
   // themselves).
-  std::vector<NodeId> reachable = graph::TransitiveClosure(
-      view, early_callees, graph::EdgeFilter::Of({calls}));
+  std::vector<NodeId> reachable = ImpactSet(
+      view, schema, early_callees, {EdgeKind::kCalls}, Direction::kOut);
   std::unordered_set<NodeId> reachable_set(reachable.begin(),
                                            reachable.end());
   reachable_set.insert(early_callees.begin(), early_callees.end());

@@ -3,26 +3,24 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "analysis/slicing.h"
 #include "common/string_util.h"
-#include "graph/traversal.h"
 
 namespace frappe::analysis {
 
-using graph::EdgeFilter;
 using graph::NodeId;
 using model::EdgeKind;
 using model::NodeKind;
 
-std::vector<NodeId> ModuleFiles(const graph::GraphView& view,
-                                const model::Schema& schema,
-                                NodeId module) {
-  EdgeFilter filter = EdgeFilter::Of({
-      schema.edge_type(EdgeKind::kCompiledFrom),
-      schema.edge_type(EdgeKind::kLinkedFrom),
-      schema.edge_type(EdgeKind::kLinkedFromLib),
-  });
+namespace {
+
+// Files among the nodes reachable from `root` over `kinds` edges.
+std::vector<NodeId> FilesUnder(const graph::GraphView& view,
+                               const model::Schema& schema, NodeId root,
+                               const std::vector<EdgeKind>& kinds) {
   std::vector<NodeId> files;
-  for (NodeId node : graph::TransitiveClosure(view, module, filter)) {
+  for (NodeId node :
+       ImpactSet(view, schema, {root}, kinds, graph::Direction::kOut)) {
     if (schema.node_kind(view.NodeType(node)) == NodeKind::kFile) {
       files.push_back(node);
     }
@@ -30,18 +28,20 @@ std::vector<NodeId> ModuleFiles(const graph::GraphView& view,
   return files;
 }
 
+}  // namespace
+
+std::vector<NodeId> ModuleFiles(const graph::GraphView& view,
+                                const model::Schema& schema,
+                                NodeId module) {
+  return FilesUnder(view, schema, module,
+                    {EdgeKind::kCompiledFrom, EdgeKind::kLinkedFrom,
+                     EdgeKind::kLinkedFromLib});
+}
+
 std::vector<NodeId> DirectoryFiles(const graph::GraphView& view,
                                    const model::Schema& schema,
                                    NodeId directory) {
-  EdgeFilter filter =
-      EdgeFilter::Of({schema.edge_type(EdgeKind::kDirContains)});
-  std::vector<NodeId> files;
-  for (NodeId node : graph::TransitiveClosure(view, directory, filter)) {
-    if (schema.node_kind(view.NodeType(node)) == NodeKind::kFile) {
-      files.push_back(node);
-    }
-  }
-  return files;
+  return FilesUnder(view, schema, directory, {EdgeKind::kDirContains});
 }
 
 std::vector<SearchResult> CodeSearch(const graph::GraphView& view,

@@ -1,32 +1,36 @@
 #include "analysis/slicing.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <iterator>
 
 #include "graph/analytics.h"
-#include "graph/traversal.h"
 
 namespace frappe::analysis {
 
 using graph::Direction;
-using graph::EdgeFilter;
 using graph::NodeId;
 using model::EdgeKind;
 
 namespace {
 
-EdgeFilter CallFilter(const model::Schema& schema, Direction dir) {
-  return EdgeFilter::Of({schema.edge_type(EdgeKind::kCalls)}, dir);
-}
+constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
 
-// Unbudgeted kernel run: without max_steps/deadline the closure cannot
-// fail, so an empty set stands in for the unreachable error arm.
+// The one body behind every slice: an unbudgeted frontier-kernel closure
+// over `kinds` edges. Without max_steps/deadline the closure cannot fail,
+// so an empty set stands in for the unreachable error arm.
 std::vector<NodeId> RunClosure(const graph::CsrView& csr,
+                               const model::Schema& schema,
                                const std::vector<NodeId>& seeds,
-                               EdgeFilter filter, size_t max_depth) {
+                               const std::vector<EdgeKind>& kinds,
+                               Direction direction, size_t max_depth) {
+  std::vector<graph::TypeId> types;
+  types.reserve(kinds.size());
+  for (EdgeKind kind : kinds) types.push_back(schema.edge_type(kind));
   graph::analytics::Options options;
   options.max_depth = max_depth;
-  return graph::analytics::ParallelClosure(csr, seeds, filter, options)
+  return graph::analytics::ParallelClosure(
+             csr, seeds, graph::EdgeFilter::Of(std::move(types), direction),
+             options)
       .value_or({});
 }
 
@@ -35,17 +39,15 @@ std::vector<NodeId> RunClosure(const graph::CsrView& csr,
 std::vector<NodeId> BackwardSlice(const graph::GraphView& view,
                                   const model::Schema& schema,
                                   NodeId function, size_t max_depth) {
-  return graph::TransitiveClosure(view, function,
-                                  CallFilter(schema, Direction::kOut),
-                                  max_depth);
+  return ParallelBackwardSlice(view.Packed(), schema, function, 0,
+                               max_depth);
 }
 
 std::vector<NodeId> ForwardSlice(const graph::GraphView& view,
                                  const model::Schema& schema,
                                  NodeId function, size_t max_depth) {
-  return graph::TransitiveClosure(view, function,
-                                  CallFilter(schema, Direction::kIn),
-                                  max_depth);
+  return ParallelForwardSlice(view.Packed(), schema, function, 0,
+                              max_depth);
 }
 
 std::vector<NodeId> ImpactSet(const graph::GraphView& view,
@@ -53,49 +55,33 @@ std::vector<NodeId> ImpactSet(const graph::GraphView& view,
                               const std::vector<NodeId>& seeds,
                               const std::vector<EdgeKind>& kinds,
                               Direction direction, size_t max_depth) {
-  std::vector<graph::TypeId> types;
-  types.reserve(kinds.size());
-  for (EdgeKind kind : kinds) types.push_back(schema.edge_type(kind));
-  return graph::TransitiveClosure(
-      view, seeds, EdgeFilter::Of(std::move(types), direction), max_depth);
+  return RunClosure(view.Packed(), schema, seeds, kinds, direction,
+                    max_depth);
 }
 
 std::vector<NodeId> MacroImpact(const graph::GraphView& view,
                                 const model::Schema& schema,
                                 NodeId macro) {
-  // Direct users: sources of expands_macro / interrogates_macro edges.
-  graph::TypeId expands = schema.edge_type(EdgeKind::kExpandsMacro);
-  graph::TypeId interrogates =
-      schema.edge_type(EdgeKind::kInterrogatesMacro);
-  std::unordered_set<NodeId> impacted;
-  std::vector<NodeId> users;
-  view.ForEachEdge(macro, Direction::kIn,
-                   [&](graph::EdgeId e, NodeId from) {
-                     graph::TypeId type = view.GetEdge(e).type;
-                     if (type == expands || type == interrogates) {
-                       if (impacted.insert(from).second) {
-                         users.push_back(from);
-                       }
-                     }
-                     return true;
-                   });
-  // Widen through the forward call slice of each user.
-  for (NodeId user : ImpactSet(view, schema, users, {EdgeKind::kCalls},
-                               Direction::kIn)) {
-    impacted.insert(user);
-  }
-  std::vector<NodeId> out(impacted.begin(), impacted.end());
-  std::sort(out.begin(), out.end());
+  const graph::CsrView& csr = view.Packed();
+  // Direct users: sources of expands_macro / interrogates_macro edges,
+  // widened through the forward call slice of each.
+  std::vector<NodeId> users = RunClosure(
+      csr, schema, {macro},
+      {EdgeKind::kExpandsMacro, EdgeKind::kInterrogatesMacro},
+      Direction::kIn, 1);
+  std::vector<NodeId> callers = RunClosure(
+      csr, schema, users, {EdgeKind::kCalls}, Direction::kIn, kNoLimit);
+  std::vector<NodeId> out;
+  std::set_union(users.begin(), users.end(), callers.begin(), callers.end(),
+                 std::back_inserter(out));
   return out;
 }
 
 std::vector<NodeId> IncludeImpact(const graph::GraphView& view,
                                   const model::Schema& schema,
                                   NodeId header) {
-  return graph::TransitiveClosure(
-      view, header,
-      EdgeFilter::Of({schema.edge_type(EdgeKind::kIncludes)},
-                     Direction::kIn));
+  return RunClosure(view.Packed(), schema, {header}, {EdgeKind::kIncludes},
+                    Direction::kIn, kNoLimit);
 }
 
 std::vector<NodeId> ParallelBackwardSlice(const graph::CsrView& csr,
@@ -103,8 +89,8 @@ std::vector<NodeId> ParallelBackwardSlice(const graph::CsrView& csr,
                                           NodeId function,
                                           size_t /*threads*/,
                                           size_t max_depth) {
-  return RunClosure(csr, {function}, CallFilter(schema, Direction::kOut),
-                    max_depth);
+  return RunClosure(csr, schema, {function}, {EdgeKind::kCalls},
+                    Direction::kOut, max_depth);
 }
 
 std::vector<NodeId> ParallelForwardSlice(const graph::CsrView& csr,
@@ -112,8 +98,8 @@ std::vector<NodeId> ParallelForwardSlice(const graph::CsrView& csr,
                                          NodeId function,
                                          size_t /*threads*/,
                                          size_t max_depth) {
-  return RunClosure(csr, {function}, CallFilter(schema, Direction::kIn),
-                    max_depth);
+  return RunClosure(csr, schema, {function}, {EdgeKind::kCalls},
+                    Direction::kIn, max_depth);
 }
 
 std::vector<NodeId> ParallelImpactSet(const graph::CsrView& csr,
@@ -122,11 +108,7 @@ std::vector<NodeId> ParallelImpactSet(const graph::CsrView& csr,
                                       const std::vector<EdgeKind>& kinds,
                                       Direction direction,
                                       size_t /*threads*/, size_t max_depth) {
-  std::vector<graph::TypeId> types;
-  types.reserve(kinds.size());
-  for (EdgeKind kind : kinds) types.push_back(schema.edge_type(kind));
-  return RunClosure(csr, seeds, EdgeFilter::Of(std::move(types), direction),
-                    max_depth);
+  return RunClosure(csr, schema, seeds, kinds, direction, max_depth);
 }
 
 }  // namespace frappe::analysis

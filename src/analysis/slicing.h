@@ -12,10 +12,13 @@ namespace frappe::analysis {
 
 // Program-slicing approximations over the dependency graph (paper Section
 // 4.4): the transitive closure of the call graph, the paper's simplest
-// slice, plus generalizations over other edge kinds. These are the direct
-// traversal implementations the paper fell back to when Cypher's
-// transitive closure "does not terminate within 15 minutes" — they run in
-// milliseconds (Section 6.1 footnote).
+// slice, plus generalizations over other edge kinds. This is the embedded
+// API the paper fell back to when Cypher's transitive closure "does not
+// terminate within 15 minutes" (Section 6.1 footnote). Every function here
+// is one frontier-kernel closure over the view's packed adjacency
+// (GraphView::Packed()), the same CSR the query executor's fast paths
+// read. Results equal graph::TransitiveClosure on the view, which stays
+// the store-walking reference.
 
 // Backward slice of `function`: everything it transitively calls — all
 // functions that, if modified, could alter its behaviour.
@@ -50,10 +53,10 @@ std::vector<graph::NodeId> IncludeImpact(const graph::GraphView& view,
                                          const model::Schema& schema,
                                          graph::NodeId header);
 
-// Counterparts running the level-synchronous frontier kernel over a
-// prebuilt CSR snapshot. Results are identical to the store-walking
-// functions above. `threads` is ignored; it stays so that positional calls
-// such as `(csr, schema, fn, 0)` in perfbench/ do not bind to max_depth.
+// The same slices over a caller-supplied CSR; the view overloads above
+// call these with view.Packed(). `threads` is ignored; it stays so that
+// positional calls such as `(csr, schema, fn, 0)` in perfbench/ do not
+// bind to max_depth.
 std::vector<graph::NodeId> ParallelBackwardSlice(
     const graph::CsrView& csr, const model::Schema& schema,
     graph::NodeId function, size_t threads,

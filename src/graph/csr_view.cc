@@ -127,10 +127,12 @@ uint64_t CsrView::ReverseByteSize() const {
 }
 
 const CsrView& CsrCache::Get(const GraphView& base) {
+  if (&base != owner_) return base.Packed();
   std::lock_guard<std::mutex> lock(mu_);
-  if (view_ == nullptr || base_ != &base) {
+  uint64_t version = base.TopologyVersion();
+  if (view_ == nullptr || version_ != version) {
     view_ = std::make_unique<CsrView>(CsrView::Build(base));
-    base_ = &base;
+    version_ = version;
   }
   return *view_;
 }
@@ -138,7 +140,6 @@ const CsrView& CsrCache::Get(const GraphView& base) {
 void CsrCache::Invalidate() {
   std::lock_guard<std::mutex> lock(mu_);
   view_.reset();
-  base_ = nullptr;
 }
 
 CsrCache::Stats CsrCache::GetStats() const {
@@ -151,5 +152,19 @@ CsrCache::Stats CsrCache::GetStats() const {
   }
   return stats;
 }
+
+GraphView::GraphView() : packed_(std::make_shared<CsrCache>(this)) {}
+
+GraphView::GraphView(const GraphView& /*other*/)
+    : packed_(std::make_shared<CsrCache>(this)) {}
+
+GraphView& GraphView::operator=(const GraphView& /*other*/) {
+  packed_->Invalidate();
+  return *this;
+}
+
+GraphView::~GraphView() = default;
+
+const CsrView& GraphView::Packed() const { return packed_->Get(*this); }
 
 }  // namespace frappe::graph

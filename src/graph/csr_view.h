@@ -32,8 +32,8 @@ namespace frappe::graph {
 //     its cost/bytes are queryable for /debug/storagez.
 //
 // The view borrows the base view for types, properties and strings;
-// topology reads (ForEachEdge, degrees) hit the packed arrays. Build once
-// after loading, then run closures/slices against it.
+// topology reads (ForEachEdge, degrees) hit the packed arrays. Each view's
+// own copy is GraphView::Packed(); Build() makes a free-standing one.
 class CsrView final : public GraphView {
  public:
   // Materializes the forward adjacency of `base`. The base must outlive
@@ -173,13 +173,17 @@ class CsrView final : public GraphView {
   std::unique_ptr<ReverseCsr> reverse_;
 };
 
-// Thread-safe lazy CsrView cache: builds the packed adjacency on first use
-// and hands out the same view afterwards, so repeated analytics queries
-// (the executor's closure fast path, kernel slices) amortize the one-off
-// build. Invalidate() after mutating the base graph; Get() with a
-// different base also rebuilds.
+// Thread-safe lazy CsrView cache: the one packed adjacency of its owner
+// view, behind GraphView::Packed() and shared as query::Database::csr, so
+// the executor's fast paths, the analysis API and the benchmarks read the
+// same copy. Builds on first use and rebuilds when the owner's
+// TopologyVersion() has moved since the build. Get() with any other base
+// returns that base's own Packed() and leaves this cache's view alone,
+// since other readers may still hold it.
 class CsrCache {
  public:
+  explicit CsrCache(const GraphView* owner) : owner_(owner) {}
+
   const CsrView& Get(const GraphView& base);
   void Invalidate();
 
@@ -195,8 +199,9 @@ class CsrCache {
 
  private:
   mutable std::mutex mu_;
+  const GraphView* const owner_;
   std::unique_ptr<CsrView> view_;
-  const GraphView* base_ = nullptr;
+  uint64_t version_ = 0;  // owner's TopologyVersion() at the build
 };
 
 }  // namespace frappe::graph

@@ -19,6 +19,7 @@ void GraphStore::RemoveEdge(EdgeId id) {
   rec.alive = false;
   rec.props = PropertyMap();
   --live_edges_;
+  ++topology_version_;
 }
 
 void GraphStore::RemoveNode(NodeId id) {
@@ -36,6 +37,7 @@ void GraphStore::RemoveNode(NodeId id) {
   rec.in.clear();
   rec.in.shrink_to_fit();
   --live_nodes_;
+  ++topology_version_;
 }
 
 void GraphStore::ForEachEdge(NodeId id, Direction dir,

@@ -49,6 +49,7 @@ class GraphStore final : public GraphView {
     nodes_.emplace_back();
     nodes_.back().type = type;
     ++live_nodes_;
+    ++topology_version_;
     return id;
   }
   NodeId AddNode(std::string_view type_name) {
@@ -64,6 +65,7 @@ class GraphStore final : public GraphView {
     nodes_[src].out.push_back(id);
     nodes_[dst].in.push_back(id);
     ++live_edges_;
+    ++topology_version_;
     return id;
   }
   EdgeId AddEdge(NodeId src, NodeId dst, std::string_view type_name) {
@@ -97,12 +99,14 @@ class GraphStore final : public GraphView {
     NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.emplace_back();
     nodes_.back().alive = false;
+    ++topology_version_;
     return id;
   }
   EdgeId AddDeadEdge() {
     EdgeId id = static_cast<EdgeId>(edges_.size());
     edges_.emplace_back();
     edges_.back().alive = false;
+    ++topology_version_;
     return id;
   }
 
@@ -155,6 +159,10 @@ class GraphStore final : public GraphView {
   size_t OutDegree(NodeId id) const override { return nodes_[id].out.size(); }
   size_t InDegree(NodeId id) const override { return nodes_[id].in.size(); }
 
+  // Bumped by every Add*/Remove* above: a plain counter, not a lock, since
+  // mutation already needs exclusive access.
+  uint64_t TopologyVersion() const override { return topology_version_; }
+
   // Direct adjacency access for hot traversal paths (store-only; views go
   // through ForEachEdge).
   const std::vector<EdgeId>& OutEdgeIds(NodeId id) const {
@@ -196,6 +204,7 @@ class GraphStore final : public GraphView {
   std::vector<EdgeRecord> edges_;
   size_t live_nodes_ = 0;
   size_t live_edges_ = 0;
+  uint64_t topology_version_ = 0;
 };
 
 }  // namespace frappe::graph

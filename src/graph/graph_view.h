@@ -2,6 +2,7 @@
 #define FRAPPE_GRAPH_GRAPH_VIEW_H_
 
 #include <functional>
+#include <memory>
 #include <string_view>
 
 #include "graph/ids.h"
@@ -22,6 +23,9 @@ struct Edge {
 // Direction of traversal relative to a node.
 enum class Direction : uint8_t { kOut, kIn, kBoth };
 
+class CsrCache;
+class CsrView;
+
 // Read-only interface over a property graph. `GraphStore` (the mutable
 // store) and `temporal::VersionView` (a point-in-time view of a versioned
 // graph) both implement it, so traversals, analyses, the query engine and
@@ -30,9 +34,17 @@ enum class Direction : uint8_t { kOut, kIn, kBoth };
 // Iteration contract: node ids are dense in [0, NodeIdUpperBound()) but may
 // contain holes after deletions; callers must check NodeExists(). Same for
 // edges.
+//
+// Every view owns one lazily built packed adjacency (Packed()), the CSR
+// the analytics kernels, the analysis API and the executor's fast paths
+// all read. A copy or a move starts with an empty cache; assignment
+// empties the target's.
 class GraphView {
  public:
-  virtual ~GraphView() = default;
+  GraphView();
+  GraphView(const GraphView& other);
+  GraphView& operator=(const GraphView& other);
+  virtual ~GraphView();
 
   // Shared vocabulary of the logical graph.
   virtual const NameRegistry& node_types() const = 0;
@@ -64,6 +76,21 @@ class GraphView {
 
   virtual size_t OutDegree(NodeId id) const = 0;
   virtual size_t InDegree(NodeId id) const = 0;
+
+  // Counter that moves whenever nodes or edges are added or removed.
+  // Packed() rebuilds when it differs from the value at the last build;
+  // views whose topology never changes keep the default.
+  virtual uint64_t TopologyVersion() const { return 0; }
+
+  // --- Packed adjacency ---
+
+  // The view's CSR: built on first call, rebuilt on the first call after
+  // TopologyVersion() moves. Thread-safe against other readers; a mutation
+  // (which needs exclusive access anyway) frees the old one.
+  const CsrView& Packed() const;
+  // The cache behind Packed(), for holders that must share the one copy
+  // (query::Database::csr).
+  const std::shared_ptr<CsrCache>& PackedCache() const { return packed_; }
 
   // --- Convenience helpers (non-virtual) ---
 
@@ -101,6 +128,9 @@ class GraphView {
       if (EdgeExists(id)) fn(id);
     }
   }
+
+ private:
+  std::shared_ptr<CsrCache> packed_;
 };
 
 }  // namespace frappe::graph

@@ -31,7 +31,7 @@ Database Database::Plain(const graph::GraphView& view,
     if (id == 0xFFFF) return std::nullopt;
     return id;
   };
-  db.csr = std::make_shared<graph::CsrCache>();
+  db.csr = view.PackedCache();
   db.stats = std::make_shared<graph::StatsCatalogCache>();
   return db;
 }

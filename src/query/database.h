@@ -42,10 +42,12 @@ struct Database {
   // Property used when rendering nodes in result output (optional).
   graph::KeyId display_name_key = graph::kInvalidKey;
 
-  // Lazily-built CSR snapshot shared by analytics fast paths (the
-  // executor's variable-length closure kernel). Populated by Plain /
-  // MakeFrappeDatabase; a null cache disables the fast path. Call
-  // csr->Invalidate() after mutating the underlying graph.
+  // The view's own packed-adjacency cache (view->PackedCache()), read by
+  // the executor's closure and reachability fast paths. Plain /
+  // MakeFrappeDatabase share it, so the fast paths and the analysis API
+  // hold one CSR per view; a null cache disables the fast paths. Mutating
+  // a GraphStore bumps its TopologyVersion(), which makes the next Get()
+  // rebuild.
   std::shared_ptr<graph::CsrCache> csr;
 
   // Cardinality statistics feeding the plan estimator (est_rows /

@@ -161,7 +161,7 @@ Database MakeFrappeDatabase(const graph::GraphView& view,
     if (id == graph::kInvalidKey) return std::nullopt;
     return id;
   };
-  db.csr = std::make_shared<graph::CsrCache>();
+  db.csr = view.PackedCache();
   db.stats = std::make_shared<graph::StatsCatalogCache>();
   return db;
 }

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "analysis/slicing.h"
-#include "graph/csr_view.h"
 
 namespace frappe::temporal {
 
@@ -71,12 +70,9 @@ Result<ImpactReport> ChangeImpact(const VersionStore& store,
   for (NodeId id : seeds) {
     if (view->NodeExists(id)) live_seeds.push_back(id);
   }
-  // The direction-optimizing CSR kernel beats the sequential visited-set
-  // walk.
-  graph::CsrView csr = graph::CsrView::Build(*view);
-  report.impacted_functions = analysis::ParallelImpactSet(
-      csr, schema, live_seeds, {model::EdgeKind::kCalls},
-      graph::Direction::kIn, /*threads=*/1);
+  report.impacted_functions =
+      analysis::ImpactSet(*view, schema, live_seeds,
+                          {model::EdgeKind::kCalls}, graph::Direction::kIn);
   return report;
 }
 

@@ -19,8 +19,8 @@ struct ImpactReport {
   std::vector<graph::NodeId> impacted_functions;
 };
 
-// The impact slice runs the frontier kernel over a CSR snapshot of the
-// `to` view.
+// The impact slice is analysis::ImpactSet on the `to` view: one kernel
+// closure over that view's packed adjacency.
 Result<ImpactReport> ChangeImpact(const VersionStore& store,
                                   const model::Schema& schema, Version from,
                                   Version to);

@@ -237,6 +237,11 @@ class VersionView final : public graph::GraphView {
                 });
     return count;
   }
+  // A committed version's visible topology is fixed, but ids added later
+  // grow the upper bounds its packed adjacency is sized by.
+  uint64_t TopologyVersion() const override {
+    return store_.store_.TopologyVersion();
+  }
 
   Version version() const { return version_; }
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "analysis/debugging.h"
 #include "analysis/navigation.h"
@@ -13,6 +16,8 @@
 #include "analysis/slicing.h"
 #include "extractor/synthetic.h"
 #include "graph/csr_view.h"
+#include "graph/traversal.h"
+#include "query/session.h"
 #include "tests/query/fixture.h"
 
 namespace frappe::analysis {
@@ -22,16 +27,18 @@ using graph::NodeId;
 using model::NodeKind;
 using query::testing::PaperFixture;
 
+constexpr size_t kNoDepthLimit = std::numeric_limits<size_t>::max();
+
+std::set<NodeId> ToSet(const std::vector<NodeId>& v) {
+  return std::set<NodeId>(v.begin(), v.end());
+}
+
 class AnalysisTest : public ::testing::Test {
  protected:
   AnalysisTest()
       : index_(fixture_.graph.BuildNameIndex()),
         view_(fixture_.graph.view()),
         schema_(fixture_.graph.schema()) {}
-
-  std::set<NodeId> ToSet(const std::vector<NodeId>& v) {
-    return std::set<NodeId>(v.begin(), v.end());
-  }
 
   PaperFixture fixture_;
   graph::NameIndex index_;
@@ -189,56 +196,386 @@ TEST_F(AnalysisTest, SuspectWritesBoundExcludesLateCalls) {
   ASSERT_EQ(all_calls.size(), 1u);
 }
 
-// --- Kernel slices (the CSR counterparts of the slices above) ---
+// --- Kernel slices against the store-walking reference ---
 
-// On a generated kernel graph every kernel slice equals its store-walking
-// counterpart. The calls pass a `threads` argument positionally, as the
-// benchmark does, so a 0 there must never bind to max_depth.
-TEST(ParallelSliceTest, MatchStoreWalkingSlices) {
+// graph::TransitiveClosure walks the GraphView and never touches the
+// packed adjacency, so it is the kernel-free reference for every slice.
+std::vector<NodeId> Reference(const graph::GraphView& view,
+                              const model::Schema& schema,
+                              const std::vector<NodeId>& seeds,
+                              const std::vector<model::EdgeKind>& kinds,
+                              graph::Direction dir,
+                              size_t max_depth = kNoDepthLimit) {
+  std::vector<graph::TypeId> types;
+  for (model::EdgeKind kind : kinds) types.push_back(schema.edge_type(kind));
+  return graph::TransitiveClosure(
+      view, seeds, graph::EdgeFilter::Of(std::move(types), dir), max_depth);
+}
+
+std::vector<NodeId> ReferenceFiles(const graph::GraphView& view,
+                                   const model::Schema& schema, NodeId root,
+                                   const std::vector<model::EdgeKind>& kinds) {
+  std::vector<NodeId> files;
+  for (NodeId n : Reference(view, schema, {root}, kinds,
+                            graph::Direction::kOut)) {
+    if (schema.node_kind(view.NodeType(n)) == NodeKind::kFile) {
+      files.push_back(n);
+    }
+  }
+  return files;
+}
+
+using WriteSet = std::set<std::pair<NodeId, int64_t>>;
+
+// FindSuspectWrites spelled out over graph::TransitiveClosure.
+WriteSet ReferenceSuspects(const graph::GraphView& view,
+                           const model::Schema& schema, NodeId good,
+                           NodeId bad, NodeId field, int64_t bound) {
+  graph::TypeId calls = schema.edge_type(model::EdgeKind::kCalls);
+  graph::KeyId line_key = schema.key(model::PropKey::kUseStartLine);
+  bool bound_found = false;
+  std::vector<NodeId> early;
+  view.ForEachEdge(good, graph::Direction::kOut,
+                   [&](graph::EdgeId e, NodeId target) {
+                     graph::Value line = view.GetEdgeProperty(e, line_key);
+                     if (view.GetEdge(e).type != calls || line.is_null()) {
+                       return true;
+                     }
+                     bound_found |= target == bad && line.AsInt() == bound;
+                     if (line.AsInt() <= bound) early.push_back(target);
+                     return true;
+                   });
+  if (!bound_found) return {};
+  std::set<NodeId> reach(early.begin(), early.end());
+  for (NodeId n : Reference(view, schema, early, {model::EdgeKind::kCalls},
+                            graph::Direction::kOut)) {
+    reach.insert(n);
+  }
+  WriteSet out;
+  graph::TypeId writes = schema.edge_type(model::EdgeKind::kWritesMember);
+  view.ForEachEdge(field, graph::Direction::kIn,
+                   [&](graph::EdgeId e, NodeId writer) {
+                     if (view.GetEdge(e).type == writes &&
+                         reach.count(writer) != 0) {
+                       out.insert({writer,
+                                   view.GetEdgeProperty(e, line_key).AsInt()});
+                     }
+                     return true;
+                   });
+  return out;
+}
+
+WriteSet Pairs(const std::vector<SuspectWrite>& suspects) {
+  WriteSet out;
+  for (const SuspectWrite& s : suspects) out.insert({s.writer, s.write_line});
+  return out;
+}
+
+class KernelSliceTest : public ::testing::Test {
+ protected:
+  KernelSliceTest() {
+    extractor::GraphScale scale;
+    scale.factor = 0.01;
+    extractor::GenerateKernelGraph(scale, &kernel_);
+  }
+
+  // Every `stride`-th live node of `kind`, at most `limit` of them.
+  std::vector<NodeId> Sample(NodeKind kind, size_t stride, size_t limit) {
+    std::vector<NodeId> out;
+    graph::TypeId type = schema_.node_type(kind);
+    for (NodeId id = 0; id < view_.NodeIdUpperBound() && out.size() < limit;
+         id += stride) {
+      if (view_.NodeExists(id) && view_.NodeType(id) == type) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  }
+
+  model::CodeGraph kernel_;
+  const graph::GraphView& view_ = kernel_.view();
+  const model::Schema& schema_ = kernel_.schema();
+};
+
+// The calls pass a `threads` argument positionally, as the benchmark does,
+// so a 0 there must never bind to max_depth.
+TEST_F(KernelSliceTest, MatchStoreWalkingSlices) {
+  using model::EdgeKind;
+  const graph::Direction kIn = graph::Direction::kIn;
+  const graph::Direction kOut = graph::Direction::kOut;
+  graph::CsrView csr = graph::CsrView::Build(view_);
+  std::vector<NodeId> functions = Sample(NodeKind::kFunction, 7, 20);
+  ASSERT_EQ(functions.size(), 20u);
+
+  size_t nonempty = 0;
+  for (NodeId fn : functions) {
+    std::vector<NodeId> backward =
+        Reference(view_, schema_, {fn}, {EdgeKind::kCalls}, kOut);
+    std::vector<NodeId> forward =
+        Reference(view_, schema_, {fn}, {EdgeKind::kCalls}, kIn);
+    nonempty += backward.empty() ? 0 : 1;
+    EXPECT_EQ(BackwardSlice(view_, schema_, fn), backward) << fn;
+    EXPECT_EQ(ParallelBackwardSlice(csr, schema_, fn, 0), backward) << fn;
+    EXPECT_EQ(ForwardSlice(view_, schema_, fn), forward) << fn;
+    EXPECT_EQ(ParallelForwardSlice(csr, schema_, fn, 0), forward) << fn;
+    EXPECT_EQ(ParallelBackwardSlice(csr, schema_, fn, 0, 2),
+              Reference(view_, schema_, {fn}, {EdgeKind::kCalls}, kOut, 2))
+        << fn;
+    EXPECT_EQ(ForwardSlice(view_, schema_, fn, 1),
+              Reference(view_, schema_, {fn}, {EdgeKind::kCalls}, kIn, 1))
+        << fn;
+  }
+  EXPECT_GT(nonempty, 0u);
+
+  const std::vector<EdgeKind> kinds = {EdgeKind::kCalls,
+                                       EdgeKind::kReadsMember};
+  for (graph::Direction dir : {kIn, kOut, graph::Direction::kBoth}) {
+    std::vector<NodeId> all = Reference(view_, schema_, functions, kinds, dir);
+    EXPECT_EQ(ImpactSet(view_, schema_, functions, kinds, dir), all);
+    EXPECT_EQ(ParallelImpactSet(csr, schema_, functions, kinds, dir, 0), all);
+    EXPECT_EQ(ParallelImpactSet(csr, schema_, functions, kinds, dir, 0, 2),
+              Reference(view_, schema_, functions, kinds, dir, 2));
+  }
+}
+
+TEST_F(KernelSliceTest, ImpactAndScopeMatchStoreWalkingReference) {
+  using model::EdgeKind;
+  const graph::Direction kIn = graph::Direction::kIn;
+  size_t nonempty = 0;
+  for (NodeId macro : Sample(NodeKind::kMacro, 1, 40)) {
+    std::vector<NodeId> users = Reference(
+        view_, schema_, {macro},
+        {EdgeKind::kExpandsMacro, EdgeKind::kInterrogatesMacro}, kIn, 1);
+    std::set<NodeId> expected(users.begin(), users.end());
+    for (NodeId n :
+         Reference(view_, schema_, users, {EdgeKind::kCalls}, kIn)) {
+      expected.insert(n);
+    }
+    std::vector<NodeId> impact = MacroImpact(view_, schema_, macro);
+    nonempty += impact.empty() ? 0 : 1;
+    EXPECT_EQ(impact, std::vector<NodeId>(expected.begin(), expected.end()))
+        << macro;
+  }
+  EXPECT_GT(nonempty, 0u);
+
+  nonempty = 0;
+  for (NodeId file : Sample(NodeKind::kFile, 3, 40)) {
+    std::vector<NodeId> includers = IncludeImpact(view_, schema_, file);
+    nonempty += includers.empty() ? 0 : 1;
+    EXPECT_EQ(includers,
+              Reference(view_, schema_, {file}, {EdgeKind::kIncludes}, kIn))
+        << file;
+  }
+  EXPECT_GT(nonempty, 0u);
+
+  nonempty = 0;
+  for (NodeId module : Sample(NodeKind::kModule, 1, 20)) {
+    std::vector<NodeId> files = ModuleFiles(view_, schema_, module);
+    nonempty += files.empty() ? 0 : 1;
+    EXPECT_EQ(files, ReferenceFiles(view_, schema_, module,
+                                    {EdgeKind::kCompiledFrom,
+                                     EdgeKind::kLinkedFrom,
+                                     EdgeKind::kLinkedFromLib}))
+        << module;
+  }
+  EXPECT_GT(nonempty, 0u);
+  for (NodeId dir : Sample(NodeKind::kDirectory, 1, 20)) {
+    EXPECT_EQ(DirectoryFiles(view_, schema_, dir),
+              ReferenceFiles(view_, schema_, dir, {EdgeKind::kDirContains}))
+        << dir;
+  }
+}
+
+TEST_F(KernelSliceTest, SuspectWritesMatchStoreWalkingReference) {
+  graph::TypeId calls = schema_.edge_type(model::EdgeKind::kCalls);
+  graph::TypeId writes = schema_.edge_type(model::EdgeKind::kWritesMember);
+  graph::KeyId line_key = schema_.key(model::PropKey::kUseStartLine);
+  size_t nonempty = 0;
+  for (NodeId good : Sample(NodeKind::kFunction, 5, 60)) {
+    // Bound at good's last call; the field is one a reachable writer
+    // writes, so most instances have suspects.
+    graph::EdgeId bound_edge = graph::kInvalidEdge;
+    int64_t bound = -1;
+    view_.ForEachEdge(good, graph::Direction::kOut,
+                      [&](graph::EdgeId e, NodeId) {
+                        graph::Value line = view_.GetEdgeProperty(e, line_key);
+                        if (view_.GetEdge(e).type == calls &&
+                            !line.is_null() && line.AsInt() > bound) {
+                          bound = line.AsInt();
+                          bound_edge = e;
+                        }
+                        return true;
+                      });
+    if (bound_edge == graph::kInvalidEdge) continue;
+    NodeId bad = view_.GetEdge(bound_edge).dst;
+    NodeId field = graph::kInvalidNode;
+    for (NodeId n : BackwardSlice(view_, schema_, good)) {
+      view_.ForEachEdge(n, graph::Direction::kOut,
+                        [&](graph::EdgeId e, NodeId target) {
+                          if (view_.GetEdge(e).type != writes) return true;
+                          field = target;
+                          return false;
+                        });
+      if (field != graph::kInvalidNode) break;
+    }
+    if (field == graph::kInvalidNode) continue;
+    for (int64_t line : {bound, bound - 1}) {
+      WriteSet got = Pairs(
+          FindSuspectWrites(view_, schema_, good, bad, field, line));
+      nonempty += got.empty() ? 0 : 1;
+      EXPECT_EQ(got,
+                ReferenceSuspects(view_, schema_, good, bad, field, line))
+          << good << " line " << line;
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
+}
+
+// Dead seeds are skipped, and a seed re-reached through a cycle is in its
+// own slice; both after mutations the packed adjacency must pick up.
+TEST_F(KernelSliceTest, DeadSeedsAndCyclesMatchStoreWalkingReference) {
+  using model::EdgeKind;
+  graph::GraphStore& store = kernel_.store();
+  std::vector<NodeId> functions = Sample(NodeKind::kFunction, 7, 20);
+  ASSERT_EQ(functions.size(), 20u);
+  ASSERT_FALSE(BackwardSlice(view_, schema_, functions[0]).empty());
+
+  // Close a cycle through functions[1]: its first callee calls it back.
+  NodeId cyclic = functions[1];
+  std::vector<NodeId> callees = BackwardSlice(view_, schema_, cyclic, 1);
+  ASSERT_FALSE(callees.empty());
+  store.AddEdge(callees.front(), cyclic, schema_.edge_type(EdgeKind::kCalls));
+  std::vector<NodeId> slice = BackwardSlice(view_, schema_, cyclic);
+  EXPECT_TRUE(std::binary_search(slice.begin(), slice.end(), cyclic));
+  EXPECT_EQ(slice, Reference(view_, schema_, {cyclic}, {EdgeKind::kCalls},
+                             graph::Direction::kOut));
+
+  // Kill every fourth sampled function: dead seeds, and holes in the
+  // slices of the live ones.
+  for (size_t i = 0; i < functions.size(); i += 4) {
+    store.RemoveNode(functions[i]);
+  }
+  EXPECT_TRUE(BackwardSlice(view_, schema_, functions[0]).empty());
+  for (graph::Direction dir : {graph::Direction::kIn, graph::Direction::kOut}) {
+    for (size_t depth : {size_t{1}, size_t{3}, kNoDepthLimit}) {
+      EXPECT_EQ(
+          ImpactSet(view_, schema_, functions, {EdgeKind::kCalls}, dir, depth),
+          Reference(view_, schema_, functions, {EdgeKind::kCalls}, dir,
+                    depth));
+    }
+  }
+}
+
+// --- One packed adjacency per view ---
+
+constexpr const char* kFigure6 =
+    "START n=node:node_auto_index('short_name: sr_media_change') "
+    "MATCH n -[:calls*]-> m RETURN distinct m";
+
+// The embedded API and the executor's fast path read one CSR, and both see
+// nodes and edges added after it was built.
+TEST(PackedCsrTest, SlicesAndFastPathSeeMutationsAfterBuild) {
+  PaperFixture fixture;
+  const graph::GraphView& view = fixture.graph.view();
+  const model::Schema& schema = fixture.graph.schema();
+  graph::NameIndex index = fixture.graph.BuildNameIndex();
+  query::Database db = query::MakeFrappeDatabase(view, schema, &index,
+                                                 /*label_index=*/nullptr);
+  EXPECT_EQ(db.csr, view.PackedCache());
+  EXPECT_EQ(BackwardSlice(view, schema, fixture.sr_media_change).size(), 4u);
+  auto before = query::RunQuery(db, kFigure6);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->size(), 4u);
+  EXPECT_EQ(&db.csr->Get(view), &view.Packed());
+
+  // A callee of sr_do_ioctl added after the build: its id is past the
+  // built CSR's offsets.
+  NodeId late = fixture.graph.AddNode(NodeKind::kFunction, "late_callee");
+  ASSERT_TRUE(fixture.graph
+                  .AddEdge(model::EdgeKind::kCalls, fixture.sr_do_ioctl, late)
+                  .ok());
+  std::vector<NodeId> slice =
+      BackwardSlice(view, schema, fixture.sr_media_change);
+  EXPECT_EQ(slice.size(), 5u);
+  EXPECT_TRUE(std::binary_search(slice.begin(), slice.end(), late));
+  EXPECT_EQ(ToSet(ForwardSlice(view, schema, late)),
+            (std::set<NodeId>{fixture.sr_do_ioctl, fixture.helper_a,
+                              fixture.helper_b, fixture.sr_media_change}));
+  auto after = query::RunQuery(db, kFigure6);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->size(), 5u);
+  query::ExecOptions off;
+  off.use_csr_fast_path = false;
+  auto walked = query::RunQuery(db, kFigure6, off);
+  ASSERT_TRUE(walked.ok()) << walked.status();
+  EXPECT_EQ(walked->size(), 5u);
+
+  fixture.graph.store().RemoveNode(late);
+  EXPECT_EQ(BackwardSlice(view, schema, fixture.sr_media_change).size(), 4u);
+  auto removed = query::RunQuery(db, kFigure6);
+  ASSERT_TRUE(removed.ok()) << removed.status();
+  EXPECT_EQ(removed->size(), 4u);
+}
+
+// Four threads slice a fresh view while a Fig. 6 query runs on its
+// database: one lazy build serves them all (run under TSan via the
+// `parallel` ctest label).
+TEST(PackedCsrTest, ConcurrentSlicesShareOneBuild) {
   model::CodeGraph kernel;
   extractor::GraphScale scale;
   scale.factor = 0.01;
   extractor::GenerateKernelGraph(scale, &kernel);
   const graph::GraphView& view = kernel.view();
   const model::Schema& schema = kernel.schema();
-  graph::CsrView csr = graph::CsrView::Build(view);
+  graph::NameIndex index = kernel.BuildNameIndex();
+  query::Database db = query::MakeFrappeDatabase(view, schema, &index,
+                                                 /*label_index=*/nullptr);
+  graph::EdgeFilter calls =
+      graph::EdgeFilter::Of({schema.edge_type(model::EdgeKind::kCalls)});
 
-  std::vector<NodeId> functions;
+  // A function with a unique short name and a non-empty slice.
+  NodeId fn = graph::kInvalidNode;
+  std::string name;
   graph::TypeId fn_type = schema.node_type(NodeKind::kFunction);
-  for (NodeId id = 0; id < view.NodeIdUpperBound(); id += 7) {
-    if (view.NodeExists(id) && view.NodeType(id) == fn_type) {
-      functions.push_back(id);
+  for (NodeId id = 0; id < view.NodeIdUpperBound(); ++id) {
+    if (!view.NodeExists(id) || view.NodeType(id) != fn_type) continue;
+    name = std::string(
+        view.GetNodeString(id, schema.key(model::PropKey::kShortName)));
+    if (index.Lookup("short_name", name).size() == 1 &&
+        graph::TransitiveClosure(view, id, calls).size() > 10) {
+      fn = id;
+      break;
     }
   }
-  ASSERT_GE(functions.size(), 20u);
-  functions.resize(20);
+  ASSERT_NE(fn, graph::kInvalidNode);
+  const std::vector<NodeId> backward =
+      graph::TransitiveClosure(view, fn, calls);
+  const std::vector<NodeId> forward = graph::TransitiveClosure(
+      view, fn, graph::EdgeFilter::Of(calls.types, graph::Direction::kIn));
+  ASSERT_EQ(db.csr->GetStats().forward_bytes, 0u);
 
-  size_t nonempty = 0;
-  for (NodeId fn : functions) {
-    std::vector<NodeId> backward = BackwardSlice(view, schema, fn);
-    nonempty += backward.empty() ? 0 : 1;
-    EXPECT_EQ(ParallelBackwardSlice(csr, schema, fn, 0), backward) << fn;
-    EXPECT_EQ(ParallelForwardSlice(csr, schema, fn, 0),
-              ForwardSlice(view, schema, fn))
-        << fn;
-    EXPECT_EQ(ParallelBackwardSlice(csr, schema, fn, 0, 2),
-              BackwardSlice(view, schema, fn, 2))
-        << fn;
-    EXPECT_EQ(ParallelForwardSlice(csr, schema, fn, 0, 1),
-              ForwardSlice(view, schema, fn, 1))
-        << fn;
+  std::vector<std::vector<NodeId>> backs(4), fores(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      backs[t] = BackwardSlice(view, schema, fn);
+      fores[t] = ForwardSlice(view, schema, fn);
+    });
   }
-  EXPECT_GT(nonempty, 0u);
+  auto rows = query::RunQuery(
+      db, "START n=node:node_auto_index('short_name: " + name +
+              "') MATCH n -[:calls*]-> m RETURN distinct m");
+  for (std::thread& thread : threads) thread.join();
 
-  const std::vector<model::EdgeKind> kinds = {model::EdgeKind::kCalls,
-                                              model::EdgeKind::kReadsMember};
-  for (graph::Direction dir : {graph::Direction::kIn, graph::Direction::kOut,
-                               graph::Direction::kBoth}) {
-    EXPECT_EQ(ParallelImpactSet(csr, schema, functions, kinds, dir, 0),
-              ImpactSet(view, schema, functions, kinds, dir));
-    EXPECT_EQ(ParallelImpactSet(csr, schema, functions, kinds, dir, 0, 2),
-              ImpactSet(view, schema, functions, kinds, dir, 2));
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->size(), backward.size());
+  for (size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(backs[t], backward) << t;
+    EXPECT_EQ(fores[t], forward) << t;
   }
+  EXPECT_EQ(&db.csr->Get(view), &view.Packed());
+  EXPECT_EQ(db.csr->GetStats().forward_bytes,
+            view.Packed().ForwardByteSize());
 }
 
 }  // namespace

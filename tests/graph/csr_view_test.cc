@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "common/rng.h"
@@ -125,6 +126,65 @@ TEST(CsrViewTest, ReverseCsrBuildsLazily) {
   EXPECT_GT(view.ReverseByteSize(), 0u);
   EXPECT_EQ(view.ByteSize(),
             view.ForwardByteSize() + view.ReverseByteSize());
+}
+
+// --- The view's own packed adjacency (GraphView::Packed / CsrCache) ---
+
+TEST(CsrCacheTest, PackedIsBuiltOnceAndRebuiltAfterMutation) {
+  GraphStore store;
+  NodeId a = store.AddNode("n");
+  NodeId b = store.AddNode("n");
+  store.AddEdge(a, b, "e");
+  EXPECT_EQ(store.PackedCache()->GetStats().forward_bytes, 0u);
+  const CsrView& first = store.Packed();
+  EXPECT_EQ(&store.Packed(), &first);
+  EXPECT_EQ(&store.PackedCache()->Get(store), &first);
+  EXPECT_EQ(store.PackedCache()->GetStats().forward_bytes,
+            first.ForwardByteSize());
+
+  // A node past the built offsets and an edge into it.
+  NodeId c = store.AddNode("n");
+  store.AddEdge(b, c, "e");
+  const CsrView& second = store.Packed();
+  EXPECT_EQ(second.OutDegree(b), 1u);
+  EXPECT_EQ(second.Out(b).begin_nodes[0], c);
+  EXPECT_EQ(second.InDegree(c), 1u);
+
+  store.RemoveEdge(second.Out(b).begin_edges[0]);
+  EXPECT_EQ(store.Packed().OutDegree(b), 0u);
+}
+
+TEST(CsrCacheTest, ForeignBaseDoesNotFreeTheOwnersView) {
+  GraphStore owner;
+  owner.AddEdge(owner.AddNode("n"), owner.AddNode("n"), "e");
+  GraphStore other;
+  other.AddNode("n");
+  const CsrView& mine = owner.Packed();
+  CsrCache& cache = *owner.PackedCache();
+  // The foreign base gets its own view's CSR; the owner's stays put.
+  EXPECT_EQ(&cache.Get(other), &other.Packed());
+  EXPECT_EQ(&cache.Get(owner), &mine);
+  EXPECT_EQ(mine.LiveEdgeCount(), 1u);
+  EXPECT_EQ(cache.GetStats().forward_bytes, mine.ForwardByteSize());
+}
+
+TEST(CsrCacheTest, MovesStartEmptyAndAssignmentEmptiesTheTarget) {
+  GraphStore store;
+  store.AddEdge(store.AddNode("n"), store.AddNode("n"), "e");
+  store.Packed();
+  std::shared_ptr<CsrCache> source_cache = store.PackedCache();
+  GraphStore moved = std::move(store);
+  EXPECT_NE(moved.PackedCache(), source_cache);
+  EXPECT_EQ(moved.PackedCache()->GetStats().forward_bytes, 0u);
+  EXPECT_EQ(moved.Packed().LiveEdgeCount(), 1u);
+
+  std::shared_ptr<CsrCache> target_cache = moved.PackedCache();
+  GraphStore empty;
+  moved = std::move(empty);
+  // Same cache object (a Database may share it), emptied.
+  EXPECT_EQ(moved.PackedCache(), target_cache);
+  EXPECT_EQ(target_cache->GetStats().forward_bytes, 0u);
+  EXPECT_EQ(moved.Packed().LiveEdgeCount(), 0u);
 }
 
 TEST(CsrViewTest, ReverseBucketsSortedBySourceWithMatchingTypes) {

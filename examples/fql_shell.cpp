@@ -18,10 +18,6 @@
 //                            error|off; default info)
 //   FRAPPE_STUCK_QUERY_MS=60000  warn (component=watchdog) when a query
 //                            runs past the threshold
-//   FRAPPE_MISESTIMATE_QERROR=10 record queries whose plan q-error
-//                            (est vs actual rows) crosses the threshold
-//                            on /debug/statz and the structured log
-//   FRAPPE_ESTIMATOR=off     disable the cardinality estimator entirely
 
 #include <algorithm>
 #include <chrono>
@@ -138,11 +134,11 @@ void PrintTopQueries() {
     std::printf("no queries recorded yet\n");
     return;
   }
-  std::printf("%-16s %8s %6s %10s %10s %10s %8s %8s %8s %8s %8s %9s %9s"
+  std::printf("%-16s %8s %6s %10s %10s %10s %8s %8s %8s %8s %9s %9s"
               "  query\n",
               "fingerprint", "calls", "errors", "total_ms", "avg_ms",
-              "p99_ms", "worst_q", "parse_us", "plan_us", "exec_us",
-              "cpu_us", "alloc_kb", "peak_kb");
+              "p99_ms", "parse_us", "plan_us", "exec_us", "cpu_us",
+              "alloc_kb", "peak_kb");
   for (const auto& s : top) {
     double avg_ms =
         s.calls > 0
@@ -154,14 +150,13 @@ void PrintTopQueries() {
     // worst single call.
     double calls = s.calls > 0 ? static_cast<double>(s.calls) : 1.0;
     std::printf(
-        "%-16s %8llu %6llu %10.1f %10.2f %10.2f %8.2f %8.0f %8.0f %8.0f"
-        " %8.0f %9.1f %9.1f  %s\n",
+        "%-16s %8llu %6llu %10.1f %10.2f %10.2f %8.0f %8.0f %8.0f %8.0f"
+        " %9.1f %9.1f  %s\n",
         obs::FingerprintHex(s.fingerprint).c_str(),
         static_cast<unsigned long long>(s.calls),
         static_cast<unsigned long long>(s.errors),
         static_cast<double>(s.total_latency_us) / 1000.0, avg_ms,
         s.latency.Quantile(0.99) / 1000.0,
-        static_cast<double>(s.worst_qerror_x100) / 100.0,
         static_cast<double>(s.parse_us_total) / calls,
         static_cast<double>(s.plan_us_total) / calls,
         static_cast<double>(s.exec_us_total) / calls,
@@ -370,8 +365,8 @@ int main(int argc, char** argv) {
               " in-flight query\n"
               "  \\analyze      rebuild the cardinality stats catalog"
               " (same as the ANALYZE query)\n"
-              "  \\statz        print the /debug/statz JSON (catalog +"
-              " misestimates)\n");
+              "  \\statz        print the /debug/statz JSON (the ANALYZE"
+              " catalog)\n");
 
   std::string line;
   while (true) {

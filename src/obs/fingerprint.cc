@@ -194,14 +194,6 @@ void QueryStats::Entry::RecordTimeline(uint64_t queue_us, uint64_t parse_us,
   exec_us_total.fetch_add(exec_us, std::memory_order_relaxed);
 }
 
-void QueryStats::Entry::RecordQError(uint64_t qerror_x100) {
-  uint64_t seen = worst_qerror_x100.load(std::memory_order_relaxed);
-  while (qerror_x100 > seen &&
-         !worst_qerror_x100.compare_exchange_weak(
-             seen, qerror_x100, std::memory_order_relaxed)) {
-  }
-}
-
 void QueryStats::Entry::RecordResources(uint64_t cpu_us,
                                         uint64_t alloc_bytes,
                                         uint64_t peak_bytes) {
@@ -243,8 +235,6 @@ std::vector<QueryStats::Snapshot> QueryStats::SnapshotAll() const {
       s.max_latency_us = entry->max_latency_us.load(std::memory_order_relaxed);
       s.rows = entry->rows.load(std::memory_order_relaxed);
       s.db_hits = entry->db_hits.load(std::memory_order_relaxed);
-      s.worst_qerror_x100 =
-          entry->worst_qerror_x100.load(std::memory_order_relaxed);
       s.queue_us_total = entry->queue_us_total.load(std::memory_order_relaxed);
       s.parse_us_total = entry->parse_us_total.load(std::memory_order_relaxed);
       s.plan_us_total = entry->plan_us_total.load(std::memory_order_relaxed);
@@ -267,7 +257,6 @@ std::vector<QueryStats::Snapshot> QueryStats::Top(size_t n,
     switch (order) {
       case Order::kTotalLatency: return s.total_latency_us;
       case Order::kCalls: return s.calls;
-      case Order::kWorstQError: return s.worst_qerror_x100;
     }
     return s.total_latency_us;
   };
@@ -280,15 +269,12 @@ std::vector<QueryStats::Snapshot> QueryStats::Top(size_t n,
   return all;
 }
 
-std::string QueryStats::DumpJson(size_t top_n, Order order) const {
-  std::vector<Snapshot> top = Top(top_n, order);
+std::string QueryStats::DumpJson(size_t top_n) const {
+  std::vector<Snapshot> top = Top(top_n, Order::kTotalLatency);
   std::string out = "[";
-  char qbuf[32];
   for (size_t i = 0; i < top.size(); ++i) {
     const Snapshot& s = top[i];
     uint64_t avg = s.calls == 0 ? 0 : s.total_latency_us / s.calls;
-    std::snprintf(qbuf, sizeof(qbuf), "%.2f",
-                  static_cast<double>(s.worst_qerror_x100) / 100.0);
     out += std::string(i == 0 ? "" : ",") + "\n    {\"fp\": " +
            JsonQuote(FingerprintHex(s.fingerprint)) +
            ", \"query\": " + JsonQuote(s.normalized) +
@@ -302,7 +288,6 @@ std::string QueryStats::DumpJson(size_t top_n, Order order) const {
                static_cast<uint64_t>(s.latency.Quantile(0.99))) +
            ", \"rows\": " + std::to_string(s.rows) +
            ", \"db_hits\": " + std::to_string(s.db_hits) +
-           ", \"worst_qerror\": " + qbuf +
            ", \"cpu_us_total\": " + std::to_string(s.cpu_us_total) +
            ", \"alloc_bytes_total\": " +
            std::to_string(s.alloc_bytes_total) +
@@ -406,64 +391,6 @@ std::string SlowQueryRing::DumpJson() const {
 }
 
 void SlowQueryRing::ResetForTesting() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// MisestimateRing
-
-MisestimateRing& MisestimateRing::Global() {
-  static MisestimateRing* ring = new MisestimateRing();  // never destroyed
-  return *ring;
-}
-
-void MisestimateRing::Push(Record record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < kCapacity) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[next_] = std::move(record);
-  }
-  next_ = (next_ + 1) % kCapacity;
-}
-
-std::vector<MisestimateRing::Record> MisestimateRing::SnapshotAll() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Record> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < kCapacity) {
-    out = ring_;
-  } else {
-    for (size_t i = 0; i < kCapacity; ++i) {
-      out.push_back(ring_[(next_ + i) % kCapacity]);
-    }
-  }
-  return out;
-}
-
-std::string MisestimateRing::DumpJson() const {
-  std::vector<Record> records = SnapshotAll();
-  std::string out = "[";
-  char est[32], q[32];
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    std::snprintf(est, sizeof(est), "%.1f", r.est_rows);
-    std::snprintf(q, sizeof(q), "%.2f", r.qerror);
-    out += std::string(i == 0 ? "" : ",") + "\n    {\"ts_us\": " +
-           std::to_string(r.ts_us) +
-           ", \"fp\": " + JsonQuote(FingerprintHex(r.fingerprint)) +
-           ", \"query\": " + JsonQuote(r.normalized) +
-           ", \"est_rows\": " + est +
-           ", \"actual_rows\": " + std::to_string(r.actual_rows) +
-           ", \"qerror\": " + q + "}";
-  }
-  out += records.empty() ? "]" : "\n  ]";
-  return out;
-}
-
-void MisestimateRing::ResetForTesting() {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();
   next_ = 0;

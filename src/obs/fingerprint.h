@@ -72,9 +72,6 @@ class QueryStats {
     std::atomic<uint64_t> max_latency_us{0};
     std::atomic<uint64_t> rows{0};
     std::atomic<uint64_t> db_hits{0};
-    // Worst plan q-error seen for this shape, in hundredths (q x 100 —
-    // atomics are integral; 250 means q = 2.50). 0 = never estimated.
-    std::atomic<uint64_t> worst_qerror_x100{0};
     // Cumulative latency attribution (the per-query Timeline, summed):
     // where this shape's total_latency_us actually went.
     std::atomic<uint64_t> queue_us_total{0};
@@ -94,8 +91,6 @@ class QueryStats {
     // Accumulates one query's timeline breakdown.
     void RecordTimeline(uint64_t queue_us, uint64_t parse_us,
                         uint64_t plan_us, uint64_t exec_us);
-    // CAS-max update from the per-query estimate-vs-actual comparison.
-    void RecordQError(uint64_t qerror_x100);
     // Accumulates one query's resource totals (CAS-max for peak bytes).
     void RecordResources(uint64_t cpu_us, uint64_t alloc_bytes,
                          uint64_t peak_bytes);
@@ -115,7 +110,6 @@ class QueryStats {
     uint64_t max_latency_us = 0;
     uint64_t rows = 0;
     uint64_t db_hits = 0;
-    uint64_t worst_qerror_x100 = 0;
     uint64_t queue_us_total = 0;
     uint64_t parse_us_total = 0;
     uint64_t plan_us_total = 0;
@@ -130,19 +124,17 @@ class QueryStats {
   std::vector<Snapshot> SnapshotAll() const;
 
   // The top-N view an operator actually wants: order by cumulative
-  // latency (where the time goes), by call count (what the workload is),
-  // or by worst q-error (where the planner is most wrong). n == 0 returns
-  // everything.
-  enum class Order { kTotalLatency, kCalls, kWorstQError };
+  // latency (where the time goes) or by call count (what the workload
+  // is). n == 0 returns everything.
+  enum class Order { kTotalLatency, kCalls };
   std::vector<Snapshot> Top(size_t n, Order order) const;
 
-  // JSON array of the top-N (0 = all), ordered by `order`: [{"fp": "..",
+  // JSON array of the top-N (0 = all) by total latency: [{"fp": "..",
   // "query": "..", "calls": .., "errors": .., "total_latency_us": ..,
   // "max_latency_us": .., "avg_latency_us": .., "p99_latency_us": ..,
-  // "rows": .., "db_hits": .., "worst_qerror": .., "cpu_us_total": ..,
-  // "alloc_bytes_total": .., "peak_bytes": ..}, ...].
-  std::string DumpJson(size_t top_n = 0,
-                       Order order = Order::kTotalLatency) const;
+  // "rows": .., "db_hits": .., "cpu_us_total": .., "alloc_bytes_total": ..,
+  // "peak_bytes": ..}, ...].
+  std::string DumpJson(size_t top_n = 0) const;
 
   size_t size() const;
 
@@ -198,41 +190,6 @@ class SlowQueryRing {
 
   mutable std::mutex mu_;
   std::vector<Record> ring_;  // ring_[next_] is the oldest once wrapped
-  size_t next_ = 0;
-};
-
-// Fixed-capacity ring of the worst recent plan misestimates (queries whose
-// q-error crossed FRAPPE_MISESTIMATE_QERROR), served by /debug/statz.
-// Structured like SlowQueryRing: misestimates worth recording are rare, a
-// mutex is fine.
-class MisestimateRing {
- public:
-  static constexpr size_t kCapacity = 64;
-
-  struct Record {
-    int64_t ts_us = 0;  // unix epoch microseconds
-    uint64_t fingerprint = 0;
-    std::string normalized;
-    double est_rows = 0.0;
-    uint64_t actual_rows = 0;
-    double qerror = 0.0;
-  };
-
-  static MisestimateRing& Global();
-
-  void Push(Record record);
-  // Oldest-first copy of the buffered records.
-  std::vector<Record> SnapshotAll() const;
-  // JSON array, oldest first.
-  std::string DumpJson() const;
-
-  void ResetForTesting();
-
- private:
-  MisestimateRing() = default;
-
-  mutable std::mutex mu_;
-  std::vector<Record> ring_;
   size_t next_ = 0;
 };
 

@@ -22,15 +22,6 @@ int64_t SlowQueryThresholdMs() {
   return NonNegativeInt("FRAPPE_SLOW_QUERY_MS");
 }
 
-double MisestimateQErrorThreshold() {
-  const char* env = std::getenv("FRAPPE_MISESTIMATE_QERROR");
-  if (env == nullptr || *env == '\0') return -1.0;
-  char* end = nullptr;
-  double value = std::strtod(env, &end);
-  if (*end != '\0' || !(value > 0.0)) return -1.0;
-  return value;
-}
-
 uint64_t QueryMemBudgetBytes() {
   int64_t value = NonNegativeInt("FRAPPE_QUERY_MEM_BYTES");
   return value > 0 ? static_cast<uint64_t>(value) : 0;

@@ -14,10 +14,6 @@ namespace frappe::obs {
 // invalid.
 int64_t SlowQueryThresholdMs();
 
-// FRAPPE_MISESTIMATE_QERROR: the q-error at which a query is recorded as
-// misestimated, or -1 when unset or invalid.
-double MisestimateQErrorThreshold();
-
 // FRAPPE_QUERY_MEM_BYTES: the per-query memory budget in bytes, or 0
 // (unlimited) when unset or invalid.
 uint64_t QueryMemBudgetBytes();

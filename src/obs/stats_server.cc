@@ -68,16 +68,6 @@ std::string QueryCatalogJson() {
   return fn ? fn() : std::string();
 }
 
-// FRAPPE_MISESTIMATE_QERROR rendered as a JSON value ("null" when unset
-// or unparsable).
-std::string MisestimateThresholdJson() {
-  double v = MisestimateQErrorThreshold();
-  if (v < 0.0) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 // "query.latency_us" -> "frappe_query_latency_us" (Prometheus name rules:
 // [a-zA-Z_:][a-zA-Z0-9_:]*).
 std::string PromName(std::string_view name) {
@@ -321,15 +311,8 @@ void StatsServer::SetCatalogStatsProvider(std::function<std::string()> fn) {
 
 std::string StatsServer::StatzJson() {
   std::string catalog = QueryCatalogJson();
-  std::string out = "{\n  \"catalog\": ";
-  out += catalog.empty() ? "null" : catalog;
-  out += ",\n  \"misestimate_threshold\": " + MisestimateThresholdJson() +
-         ",\n  \"worst_fingerprints\": " +
-         QueryStats::Global().DumpJson(/*top_n=*/20,
-                                       QueryStats::Order::kWorstQError) +
-         ",\n  \"misestimates\": " + MisestimateRing::Global().DumpJson() +
+  return "{\n  \"catalog\": " + (catalog.empty() ? "null" : catalog) +
          "\n}\n";
-  return out;
 }
 
 std::string StatsServer::StatsJson(std::string_view build_sha,
@@ -341,8 +324,6 @@ std::string StatsServer::StatsJson(std::string_view build_sha,
                     QueryStats::Global().DumpJson(/*top_n=*/50) +
                     ",\n  \"slow_queries\": " +
                     SlowQueryRing::Global().DumpJson() +
-                    ",\n  \"misestimates\": " +
-                    MisestimateRing::Global().DumpJson() +
                     ",\n  \"query_log\": {\"written\": " +
                     std::to_string(qlog.written()) +
                     ", \"dropped\": " + std::to_string(qlog.dropped()) +
@@ -505,8 +486,8 @@ HttpResponse StatsServer::BuildResponse(const HttpRequest& request) const {
     return Ok("application/json", std::move(body));
   }
   if (target == "/debug/statz") {
-    // Always 200: even without a catalog provider, the misestimate view
-    // (worst fingerprints + recent offenders) is worth serving.
+    // Always 200: "catalog" is null until a provider is registered and
+    // ANALYZE has built a catalog.
     return Ok("application/json", StatzJson());
   }
   if (target == "/debug/logz") {

@@ -45,8 +45,7 @@ namespace frappe::obs {
 //                        forms answer immediately — no capture window ever
 //                        blocks the serving thread
 //   /debug/storagez      per-section storage byte breakdown (Table 4)
-//   /debug/statz         cardinality stats catalog (ANALYZE output) + the
-//                        worst-misestimated query fingerprints
+//   /debug/statz         cardinality stats catalog (ANALYZE output)
 //   /debug/logz          recent structured-log entries (the in-memory ring)
 //   /debug/memz          process memory attribution: RSS and peak RSS plus
 //                        per-subsystem byte sections (the storage provider's

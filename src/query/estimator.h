@@ -14,11 +14,9 @@ namespace frappe::query {
 //
 // This is deliberately a *naive* System-R-style estimator — independence
 // and uniformity assumptions, fixed selectivities for predicates — because
-// its job in this PR is observability, not optimality: every EXPLAIN /
-// PROFILE plan step carries `est_rows`, PROFILE compares it against actual
-// rows as a q-error, and gross misestimates land in telemetry
-// (frappe_plan_qerror, /debug/statz). ROADMAP item 3's cost model will
-// replace the guts; the seam and the scoreboard stay.
+// its job is observability, not optimality: no plan decision reads it.
+// Only EXPLAIN and PROFILE call it: every plan step carries `est_rows`,
+// and PROFILE compares it against actual rows as a q-error (`q=`).
 struct ClauseEstimates {
   // Estimated rows *after* each clause has run, indexed by clause
   // position in Query::clauses. Same length as Query::clauses.

@@ -2,19 +2,16 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/string_util.h"
 #include "graph/stats_catalog.h"
 #include "obs/fingerprint.h"
 #include "obs/knobs.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/query_registry.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
-#include "query/estimator.h"
 #include "query/explain.h"
 #include "query/parser.h"
 
@@ -34,14 +31,6 @@ void EmitSlowQueryLog(const std::string& message) {
   } else {
     std::fputs(message.c_str(), stderr);
   }
-}
-
-// Estimates are on unless FRAPPE_ESTIMATOR=off. Read per call (same
-// contract as the slow-query threshold): operators can flip it live, and
-// the A/B overhead bench toggles it between arms.
-bool EstimatorDisabled() {
-  const char* env = std::getenv("FRAPPE_ESTIMATOR");
-  return env != nullptr && std::string_view(env) == "off";
 }
 
 int64_t NowUnixMicros() {
@@ -389,44 +378,6 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
       result.ok() ? result->stats.db_hits.Total() : 0,
       result.ok() && result->stats.fast_path_taken, trace, timeline,
       resources);
-
-  // Estimate-vs-actual instrumentation: compare the planner's final-row
-  // estimate against what the execution produced, feed the q-error
-  // histogram and the per-fingerprint worst-case, and route crossings of
-  // FRAPPE_MISESTIMATE_QERROR to the misestimate ring + structured log.
-  if (result.ok() && !EstimatorDisabled()) {
-    ClauseEstimates estimates = EstimateQuery(db, query);
-    const double actual = static_cast<double>(result->rows.size());
-    const double q = QError(estimates.final_rows, actual);
-    const uint64_t q_x100 = static_cast<uint64_t>(q * 100.0);
-    static obs::Histogram& qerror_hist =
-        obs::Registry::Global().GetHistogram("plan.qerror_x100");
-    qerror_hist.Record(q_x100);
-    obs::QueryStats::Global()
-        .GetOrCreate(normalized.fingerprint, normalized.text)
-        .RecordQError(q_x100);
-    double qerror_threshold = obs::MisestimateQErrorThreshold();
-    if (qerror_threshold > 0.0 && q >= qerror_threshold) {
-      static obs::Counter& misestimates =
-          obs::Registry::Global().GetCounter("plan.misestimates");
-      misestimates.Add();
-      obs::MisestimateRing::Record miss;
-      miss.ts_us = NowUnixMicros();
-      miss.fingerprint = normalized.fingerprint;
-      miss.normalized = normalized.text;
-      miss.est_rows = estimates.final_rows;
-      miss.actual_rows = result->rows.size();
-      miss.qerror = q;
-      obs::MisestimateRing::Global().Push(std::move(miss));
-      char detail[160];
-      std::snprintf(detail, sizeof(detail),
-                    "plan misestimate q=%.2f (est=%.1f actual=%zu) fp=",
-                    q, estimates.final_rows, result->rows.size());
-      obs::LogWarn("planner",
-                   detail + obs::FingerprintHex(normalized.fingerprint) +
-                       ": " + normalized.text);
-    }
-  }
 
   // Slow-query log: fires for successes and budget breaches alike — the
   // aborted Figure 6 run is exactly the query an operator wants logged.

@@ -1,8 +1,8 @@
-// /debug/statz end to end: a session runs ANALYZE and a seeded
-// misestimate, the shell-style catalog provider is registered, and the
-// endpoint serves the catalog + worst-fingerprint + misestimate-ring JSON
-// over real HTTP. Exports statz_export.json and statz_metrics.txt, the
-// fixtures tools/statz_check.py validates from ctest.
+// /debug/statz end to end: a session runs ANALYZE and a query, the
+// shell-style catalog provider is registered, and the endpoint serves the
+// catalog JSON over real HTTP. Exports statz_export.json,
+// statz_metrics.txt and stats_export.json (the /stats body), the fixtures
+// tools/statz_check.py validates from ctest.
 
 #include "obs/stats_server.h"
 
@@ -12,11 +12,9 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "gtest/gtest.h"
-#include "obs/fingerprint.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
 
@@ -69,7 +67,6 @@ class StatzTest : public ::testing::Test {
   void TearDown() override {
     server_.reset();
     StatsServer::SetCatalogStatsProvider(nullptr);
-    ::unsetenv("FRAPPE_MISESTIMATE_QERROR");
   }
 
   uint16_t port() const { return server_->port(); }
@@ -77,22 +74,16 @@ class StatzTest : public ::testing::Test {
   std::unique_ptr<StatsServer> server_;
 };
 
-TEST_F(StatzTest, ServesWithoutAProviderOrThreshold) {
+TEST_F(StatzTest, ServesWithoutAProvider) {
   StatsServer::SetCatalogStatsProvider(nullptr);
-  ::unsetenv("FRAPPE_MISESTIMATE_QERROR");
   std::string response = HttpGet(port(), "/debug/statz");
   EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("application/json"), std::string::npos);
   std::string body = Body(response);
-  EXPECT_NE(body.find("\"catalog\": null"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"misestimate_threshold\": null"), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("\"worst_fingerprints\": ["), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("\"misestimates\": ["), std::string::npos) << body;
+  EXPECT_EQ(body, "{\n  \"catalog\": null\n}\n") << body;
 }
 
-TEST_F(StatzTest, ServesCatalogAndMisestimatesEndToEnd) {
+TEST_F(StatzTest, ServesCatalogEndToEnd) {
   query::testing::PaperFixture fixture;
   query::Session session(fixture.graph);
 
@@ -107,10 +98,7 @@ TEST_F(StatzTest, ServesCatalogAndMisestimatesEndToEnd) {
   });
 
   ASSERT_TRUE(session.Run("ANALYZE").ok());
-  // Threshold 1 flags every estimated query (q >= 1 by definition): a
-  // deterministic way to populate the ring and the worst-q column.
-  MisestimateRing::Global().ResetForTesting();
-  ::setenv("FRAPPE_MISESTIMATE_QERROR", "1", 1);
+  // One query gives /stats a fingerprint row to export.
   ASSERT_TRUE(session.Run("MATCH (n:function) RETURN n").ok());
 
   std::string response = HttpGet(port(), "/debug/statz");
@@ -120,14 +108,9 @@ TEST_F(StatzTest, ServesCatalogAndMisestimatesEndToEnd) {
   EXPECT_NE(body.find("\"node_count\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"edge_types\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"hubs\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"misestimate_threshold\": 1"), std::string::npos)
-      << body;
-  EXPECT_NE(body.find("\"worst_qerror\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"est_rows\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"qerror\""), std::string::npos) << body;
   ExportFixtureFile("statz_export.json", body);
 
-  // The catalog gauges and q-error telemetry surface on /metrics.
+  // The catalog gauges surface on /metrics.
   std::string metrics = Body(HttpGet(port(), "/metrics"));
   EXPECT_NE(metrics.find("# TYPE frappe_catalog_nodes gauge"),
             std::string::npos)
@@ -138,21 +121,18 @@ TEST_F(StatzTest, ServesCatalogAndMisestimatesEndToEnd) {
             std::string::npos);
   EXPECT_NE(metrics.find("# TYPE frappe_catalog_builds_total counter"),
             std::string::npos);
-  EXPECT_NE(metrics.find("# TYPE frappe_plan_qerror_x100 summary"),
-            std::string::npos);
-  EXPECT_NE(metrics.find("# TYPE frappe_plan_misestimates_total counter"),
-            std::string::npos);
   ExportFixtureFile("statz_metrics.txt", metrics);
 
-  // /stats carries the misestimate ring alongside the slow-query ring.
+  // /stats lists the query's fingerprint row; statz_check.py pins the
+  // row schema.
   std::string stats_body = Body(HttpGet(port(), "/stats"));
-  EXPECT_NE(stats_body.find("\"misestimates\": ["), std::string::npos)
+  EXPECT_NE(stats_body.find("\"fingerprints\": ["), std::string::npos)
       << stats_body;
+  ExportFixtureFile("stats_export.json", stats_body);
 
   // The catalog bytes also appear in the storage view when the embedder
   // registers them (shell behaviour) — covered by the shell itself; here
   // we only pin the statz schema.
-  MisestimateRing::Global().ResetForTesting();
 }
 
 }  // namespace

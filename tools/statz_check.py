@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Validates the cardinality-observability exports of the frappe stats server.
 
-Two checks, any subset per invocation:
+Three checks, any subset per invocation:
 
   statz_check.py --statz <statz_export.json>
-      The /debug/statz document: a catalog (the persisted ANALYZE stats
-      catalog, or null before the first ANALYZE), the active
-      FRAPPE_MISESTIMATE_QERROR threshold (number or null), the
-      worst-q-error fingerprint table, and the misestimate ring. Unknown
-      keys fail: operators' dashboards parse against this schema.
+      The /debug/statz document: exactly one key, the catalog (the
+      persisted ANALYZE stats catalog, or null before the first ANALYZE).
+      Unknown keys fail: operators' dashboards parse against this schema.
+
+  statz_check.py --stats <stats_export.json>
+      The /stats document's per-fingerprint rows: at least one row, each
+      with exactly the row schema, a 16-hex-char fp, non-negative
+      timeline fields, in descending total_latency_us order.
 
   statz_check.py --metrics <metrics.txt>
       A /metrics capture: the catalog gauges (frappe_catalog_nodes /
-      _edges / _bytes), the frappe_catalog_builds_total counter, the
-      frappe_plan_qerror_x100 summary and the
-      frappe_plan_misestimates_total counter must all be present with
-      sane values.
+      _edges / _bytes) and the frappe_catalog_builds_total counter must
+      all be present with sane values.
 
 Exit code 0 when valid, 1 with a diagnostic otherwise.
 
@@ -75,7 +76,6 @@ FINGERPRINT_SCHEMA = {
     "p99_latency_us": int,
     "rows": int,
     "db_hits": int,
-    "worst_qerror": (int, float),
     "cpu_us_total": int,
     "alloc_bytes_total": int,
     "peak_bytes": int,
@@ -87,15 +87,6 @@ TIMELINE_SCHEMA = {
     "parse_us": int,
     "plan_us": int,
     "exec_us": int,
-}
-
-MISESTIMATE_SCHEMA = {
-    "ts_us": int,
-    "fp": str,
-    "query": str,
-    "est_rows": (int, float),
-    "actual_rows": int,
-    "qerror": (int, float),
 }
 
 
@@ -206,26 +197,34 @@ def check_statz(path):
         return fail(f"cannot load {path}: {e}")
     if not isinstance(doc, dict):
         return fail(f"{path}: top level is not a JSON object")
-    expected = {"catalog", "misestimate_threshold", "worst_fingerprints",
-                "misestimates"}
-    if set(doc.keys()) != expected:
+    if set(doc.keys()) != {"catalog"}:
         return fail(f"{path}: top-level keys {sorted(doc.keys())},"
-                    f" expected {sorted(expected)}")
+                    " expected ['catalog']")
     if doc["catalog"] is not None:
         rc = check_catalog(path, doc["catalog"])
         if rc:
             return rc
-    threshold = doc["misestimate_threshold"]
-    if threshold is not None:
-        if isinstance(threshold, bool) \
-                or not isinstance(threshold, (int, float)) or threshold <= 0:
-            return fail(f"{path}: misestimate_threshold={threshold!r} is"
-                        " not a positive number")
-    if not isinstance(doc["worst_fingerprints"], list):
-        return fail(f"{path}: worst_fingerprints is not an array")
-    previous_q = None
-    for i, entry in enumerate(doc["worst_fingerprints"]):
-        where = f"worst_fingerprints[{i}]"
+    catalog_note = ("null catalog" if doc["catalog"] is None else
+                    f"catalog of {doc['catalog']['node_count']} nodes")
+    print(f"statz_check: OK: {catalog_note} in {path}")
+    return 0
+
+
+def check_stats(path):
+    try:
+        doc = load_json(path)
+    except (OSError, json.JSONDecodeError) as e:
+        return fail(f"cannot load {path}: {e}")
+    if not isinstance(doc, dict):
+        return fail(f"{path}: top level is not a JSON object")
+    rows = doc.get("fingerprints")
+    if not isinstance(rows, list):
+        return fail(f"{path}: fingerprints is missing or not an array")
+    if not rows:
+        return fail(f"{path}: no fingerprint rows — the fixture ran queries")
+    previous_latency = None
+    for i, entry in enumerate(rows):
+        where = f"fingerprints[{i}]"
         rc = check_object(path, entry, FINGERPRINT_SCHEMA, where)
         if rc:
             return rc
@@ -239,32 +238,12 @@ def check_statz(path):
         for key in TIMELINE_SCHEMA:
             if entry["timeline"][key] < 0:
                 return fail(f"{path}: {where}.timeline.{key} is negative")
-        if entry["worst_qerror"] < 0:
-            return fail(f"{path}: {where}.worst_qerror is negative")
-        if previous_q is not None and entry["worst_qerror"] > previous_q:
-            return fail(f"{path}: {where} worst_qerror out of descending"
-                        " order")
-        previous_q = entry["worst_qerror"]
-    if not isinstance(doc["misestimates"], list):
-        return fail(f"{path}: misestimates is not an array")
-    for i, entry in enumerate(doc["misestimates"]):
-        where = f"misestimates[{i}]"
-        rc = check_object(path, entry, MISESTIMATE_SCHEMA, where)
-        if rc:
-            return rc
-        if not FP_RE.match(entry["fp"]):
-            return fail(f"{path}: {where}.fp={entry['fp']!r} is not 16"
-                        " lower-case hex chars")
-        # A recorded misestimate crossed a threshold >= 1 by construction.
-        if entry["qerror"] < 1:
-            return fail(f"{path}: {where}.qerror={entry['qerror']} < 1")
-        if entry["est_rows"] < 0 or entry["actual_rows"] < 0:
-            return fail(f"{path}: {where} has negative row counts")
-    catalog_note = ("null catalog" if doc["catalog"] is None else
-                    f"catalog of {doc['catalog']['node_count']} nodes")
-    print(f"statz_check: OK: {catalog_note},"
-          f" {len(doc['worst_fingerprints'])} fingerprints,"
-          f" {len(doc['misestimates'])} misestimates in {path}")
+        latency = entry["total_latency_us"]
+        if previous_latency is not None and latency > previous_latency:
+            return fail(f"{path}: {where} total_latency_us out of"
+                        " descending order")
+        previous_latency = latency
+    print(f"statz_check: OK: {len(rows)} fingerprint rows in {path}")
     return 0
 
 
@@ -277,10 +256,6 @@ METRIC_RES = {
         re.compile(r"^frappe_catalog_bytes (\d+)$", re.M),
     "frappe_catalog_builds_total":
         re.compile(r"^frappe_catalog_builds_total (\d+)$", re.M),
-    "frappe_plan_qerror_x100_count":
-        re.compile(r"^frappe_plan_qerror_x100_count (\d+)$", re.M),
-    "frappe_plan_misestimates_total":
-        re.compile(r"^frappe_plan_misestimates_total (\d+)$", re.M),
 }
 
 
@@ -296,9 +271,6 @@ def check_metrics(path):
         if not match:
             return fail(f"{path}: metric {name} missing")
         values[name] = int(match.group(1))
-    if "# TYPE frappe_plan_qerror_x100 summary" not in text:
-        return fail(f"{path}: frappe_plan_qerror_x100 is not typed as a"
-                    " summary")
     if values["frappe_catalog_builds_total"] < 1:
         return fail(f"{path}: frappe_catalog_builds_total is 0 — the"
                     " fixture ran ANALYZE")
@@ -306,13 +278,8 @@ def check_metrics(path):
         return fail(f"{path}: frappe_catalog_nodes is 0 after ANALYZE")
     if values["frappe_catalog_bytes"] < 1:
         return fail(f"{path}: frappe_catalog_bytes is 0 after ANALYZE")
-    if values["frappe_plan_qerror_x100_count"] < 1:
-        return fail(f"{path}: no q-error observations recorded")
     print(f"statz_check: OK: catalog of {values['frappe_catalog_nodes']}"
-          f" nodes / {values['frappe_catalog_bytes']} bytes,"
-          f" {values['frappe_plan_qerror_x100_count']} q-error samples,"
-          f" {values['frappe_plan_misestimates_total']} misestimates"
-          f" in {path}")
+          f" nodes / {values['frappe_catalog_bytes']} bytes in {path}")
     return 0
 
 
@@ -320,14 +287,17 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--statz", metavar="FILE",
                         help="/debug/statz JSON export to validate")
+    parser.add_argument("--stats", metavar="FILE",
+                        help="/stats JSON export to validate")
     parser.add_argument("--metrics", metavar="FILE",
                         help="/metrics capture to validate")
     args = parser.parse_args()
 
-    if not (args.statz or args.metrics):
-        parser.error("nothing to check: pass --statz/--metrics")
+    if not (args.statz or args.stats or args.metrics):
+        parser.error("nothing to check: pass --statz/--stats/--metrics")
 
     for flag, checker in (("statz", check_statz),
+                          ("stats", check_stats),
                           ("metrics", check_metrics)):
         path = getattr(args, flag)
         if path:

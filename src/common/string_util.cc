@@ -175,32 +175,54 @@ std::string HumanBytes(uint64_t bytes) {
   return buf;
 }
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  // Names almost never need an escape: a branch-free scan (which the
+  // compiler vectorizes) lets them through in one append.
+  uint8_t escapes = 0;
+  for (char ch : s) {
+    const uint8_t c = static_cast<uint8_t>(ch);
+    escapes |= static_cast<uint8_t>((c < 0x20) | (c == '"') | (c == '\\'));
+  }
+  if (escapes == 0) {
+    out->append(s);
+    return;
+  }
+  for (char ch : s) {
+    switch (ch) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default: {
+        const uint8_t c = static_cast<uint8_t>(ch);
+        if (c >= 0x20) {
+          out->push_back(ch);
+          break;
+        }
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+        out->append(escaped, sizeof(escaped));
+      }
+    }
+  }
+}
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(&out, s);
   return out;
 }
 
 std::string JsonQuote(std::string_view s) {
-  return "\"" + JsonEscape(s) + "\"";
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  AppendJsonEscaped(&out, s);
+  out += '"';
+  return out;
 }
 
 }  // namespace frappe

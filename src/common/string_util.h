@@ -50,8 +50,10 @@ bool ParseInt64(std::string_view s, int64_t* out);
 std::string HumanBytes(uint64_t bytes);
 
 // Escapes `s` for embedding inside a JSON string literal (quotes,
-// backslashes, control characters as \uXXXX). Does NOT add surrounding
-// quotes; JsonQuote does.
+// backslashes, control characters as \uXXXX) and appends it to `out`.
+// Does NOT add surrounding quotes; JsonQuote does. JsonEscape returns the
+// same escape as a new string.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 std::string JsonEscape(std::string_view s);
 std::string JsonQuote(std::string_view s);
 

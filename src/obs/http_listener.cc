@@ -5,6 +5,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -197,19 +198,33 @@ ReadResult ReadRequest(int fd, const HttpListener::Options& options,
   return ReadResult::kOk;
 }
 
-void SendAll(int fd, std::string_view payload) {
-  size_t off = 0;
-  while (off < payload.size()) {
-    ssize_t n =
-        send(fd, payload.data() + off, payload.size() - off, MSG_NOSIGNAL);
+// Sends `head` and then `body` with gathered writes, so a response's body
+// is never copied behind its head.
+void SendAll(int fd, std::string_view head, std::string_view body = {}) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  size_t next = 0;  // first iovec with bytes left
+  while (true) {
+    while (next < 2 && iov[next].iov_len == 0) ++next;
+    if (next == 2) return;
+    msghdr msg{};
+    msg.msg_iov = iov + next;
+    msg.msg_iovlen = 2 - next;
+    ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) return;  // SO_SNDTIMEO or peer gone: give up, caller closes
-    off += static_cast<size_t>(n);
+    for (size_t sent = static_cast<size_t>(n); sent > 0; ++next) {
+      const size_t take = std::min(sent, iov[next].iov_len);
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + take;
+      iov[next].iov_len -= take;
+      sent -= take;
+      if (iov[next].iov_len > 0) break;
+    }
   }
 }
 
-}  // namespace
-
-std::string SerializeHttpResponse(const HttpResponse& response) {
+// "HTTP/1.0 <code> <reason>\r\n<headers>\r\n\r\n": everything before the
+// body.
+std::string HttpResponseHead(const HttpResponse& response) {
   std::string out = "HTTP/1.0 " + std::to_string(response.code) + " " +
                     response.reason + "\r\nContent-Type: " +
                     response.content_type + "\r\nContent-Length: " +
@@ -218,9 +233,10 @@ std::string SerializeHttpResponse(const HttpResponse& response) {
     out += name + ": " + value + "\r\n";
   }
   out += "Connection: close\r\n\r\n";
-  out += response.body;
   return out;
 }
+
+}  // namespace
 
 HttpResponse TextResponse(int code, std::string_view reason,
                           std::string_view body) {
@@ -347,7 +363,7 @@ bool HttpConnection::Respond(const HttpResponse& response) {
     Close();
     return false;
   }
-  SendAll(fd_, SerializeHttpResponse(response));
+  SendAll(fd_, HttpResponseHead(response), response.body);
   Close();
   return true;
 }

@@ -52,9 +52,6 @@ struct HttpResponse {
   std::string body;
 };
 
-// "HTTP/1.0 <code> <reason>\r\n<headers>\r\n\r\n<body>".
-std::string SerializeHttpResponse(const HttpResponse& response);
-
 HttpResponse TextResponse(int code, std::string_view reason,
                           std::string_view body);
 HttpResponse JsonResponse(int code, std::string_view reason,

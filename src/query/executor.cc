@@ -1,6 +1,7 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <map>
 #include <set>
@@ -74,7 +75,7 @@ int ComparePools(const ResultValue& a, const ResultValue& b,
     case Kind::kValue:
       return CompareScalars(a.value, b.value, pool);
     case Kind::kEdgeList: {
-      if (a.edges != b.edges) return a.edges < b.edges ? -1 : 1;
+      if (a.edges() != b.edges()) return a.edges() < b.edges() ? -1 : 1;
       return 0;
     }
     default:
@@ -92,36 +93,99 @@ bool ResultValue::operator==(const ResultValue& other) const {
   return Compare(*this, other) == 0;
 }
 
-std::string ResultValue::ToString(const Database& db) const {
+const std::vector<graph::EdgeId>& ResultValue::edges() const {
+  static const std::vector<graph::EdgeId> kNone;
+  return edge_list_ != nullptr ? *edge_list_ : kNone;
+}
+
+namespace {
+
+// The one display renderer behind ToString and AppendTo. Appends `v`'s
+// display form to `out`; with `json` set, the text taken from the graph
+// (type names, names, string values) is JSON-escaped as it is appended.
+// The fixed punctuation and the numbers never need escaping, so the
+// result equals escaping the whole display form afterwards.
+void AppendDisplay(const ResultValue& v, const Database& db, bool json,
+                   std::string* out) {
+  using Kind = ResultValue::Kind;
   const graph::GraphView& view = *db.view;
-  switch (kind) {
+  auto text = [&](std::string_view s) {
+    if (json) {
+      AppendJsonEscaped(out, s);
+    } else {
+      out->append(s);
+    }
+  };
+  auto number = [&](uint64_t n) {
+    char buf[24];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), n);
+    out->append(buf, end);
+  };
+  switch (v.kind) {
     case Kind::kNull:
-      return "null";
-    case Kind::kNode: {
-      std::string out = "(#" + std::to_string(node);
-      if (view.NodeExists(node)) {
-        out += ":" + std::string(view.NodeTypeName(node));
+      out->append("null");
+      return;
+    case Kind::kNode:
+      out->append("(#");
+      number(v.node);
+      if (view.NodeExists(v.node)) {
+        out->push_back(':');
+        text(view.NodeTypeName(v.node));
         if (db.display_name_key != graph::kInvalidKey) {
-          std::string_view name = view.GetNodeString(node,
-                                                     db.display_name_key);
-          if (!name.empty()) out += " " + std::string(name);
+          std::string_view name =
+              view.GetNodeString(v.node, db.display_name_key);
+          if (!name.empty()) {
+            out->push_back(' ');
+            text(name);
+          }
         }
       }
-      return out + ")";
-    }
-    case Kind::kEdge: {
-      if (!view.EdgeExists(edge)) return "[#" + std::to_string(edge) + "]";
-      graph::Edge e = view.GetEdge(edge);
-      return "[#" + std::to_string(edge) + ":" +
-             std::string(view.EdgeTypeName(edge)) + " " +
-             std::to_string(e.src) + "->" + std::to_string(e.dst) + "]";
-    }
+      out->push_back(')');
+      return;
+    case Kind::kEdge:
+      out->append("[#");
+      number(v.edge);
+      if (view.EdgeExists(v.edge)) {
+        graph::Edge e = view.GetEdge(v.edge);
+        out->push_back(':');
+        text(view.EdgeTypeName(v.edge));
+        out->push_back(' ');
+        number(e.src);
+        out->append("->");
+        number(e.dst);
+      }
+      out->push_back(']');
+      return;
     case Kind::kValue:
-      return value.ToString(view.strings());
+      if (v.value.type() == graph::ValueType::kString) {
+        out->push_back('\'');
+        text(view.strings().Resolve(v.value.AsString()));
+        out->push_back('\'');
+      } else {
+        out->append(v.value.ToString(view.strings()));
+      }
+      return;
     case Kind::kEdgeList:
-      return "[" + std::to_string(edges.size()) + " rels]";
+      out->push_back('[');
+      number(v.edges().size());
+      out->append(" rels]");
+      return;
   }
-  return "?";
+  out->push_back('?');
+}
+
+}  // namespace
+
+std::string ResultValue::ToString(const Database& db) const {
+  std::string out;
+  AppendDisplay(*this, db, /*json=*/false, &out);
+  return out;
+}
+
+void ResultValue::AppendTo(std::string* out, const Database& db) const {
+  out->push_back('"');
+  AppendDisplay(*this, db, /*json=*/true, out);
+  out->push_back('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -562,9 +626,8 @@ class Engine {
     auto emit = [&](NodeId node) -> Status {
       if (!NodeSatisfies(target, node)) return Status::OK();
       FRAPPE_RETURN_IF_ERROR(Tick());
-      Row extended = *row;
+      Row& extended = out->emplace_back(*row);
       extended[target.slot] = ResultValue::Node(node);
-      out->push_back(std::move(extended));
       return Status::OK();
     };
     // `*0..` includes the zero-length path unless the closure already
@@ -779,17 +842,37 @@ class Engine {
     }
 
     if (!has_aggregate) {
+      // The clause's input rows are not read after this projection, so
+      // each projected row is assembled in `cells` and then stored in its
+      // input row's own storage, and a bare variable item moves its cell
+      // once the row's other items are evaluated. Only the last bare item
+      // on a slot moves; earlier ones copy.
+      std::vector<int> var_slot(items.size(), -1);
+      std::vector<char> last_use(items.size(), 0);
+      for (size_t i = items.size(); i-- > 0;) {
+        const auto* var = std::get_if<VarExpr>(&items[i].expr->node);
+        if (var == nullptr) continue;
+        var_slot[i] = FindSlot(var->name);
+        last_use[i] = std::find(var_slot.begin() + i + 1, var_slot.end(),
+                                var_slot[i]) == var_slot.end();
+      }
       out->clear();
       out->reserve(rows_.size());
-      for (const Row& row : rows_) {
+      Row cells(items.size());
+      for (Row& row : rows_) {
         FRAPPE_RETURN_IF_ERROR(Tick());
-        Row projected;
-        projected.reserve(items.size());
-        for (const ProjectionItem& item : items) {
-          FRAPPE_ASSIGN_OR_RETURN(ResultValue v, Eval(*item.expr, row));
-          projected.push_back(std::move(v));
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (var_slot[i] >= 0) continue;
+          FRAPPE_ASSIGN_OR_RETURN(cells[i], Eval(*items[i].expr, row));
         }
-        out->push_back(std::move(projected));
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (var_slot[i] < 0) continue;
+          ResultValue& cell = row[var_slot[i]];
+          cells[i] = last_use[i] != 0 ? std::move(cell) : cell;
+        }
+        row.resize(items.size());
+        std::move(cells.begin(), cells.end(), row.begin());
+        out->push_back(std::move(row));
       }
       if (distinct) DedupeRows(out);
       return Status::OK();
@@ -879,7 +962,16 @@ class Engine {
     return Status::OK();
   }
 
+  // Sorts and dedupes `rows`. Rows that are already strictly increasing
+  // are distinct and in output order, so one O(n) pass spares the sort:
+  // the closure fast path emits its rows that way.
   void DedupeRows(std::vector<Row>* rows) {
+    if (std::adjacent_find(rows->begin(), rows->end(),
+                           [](const Row& a, const Row& b) {
+                             return !RowLess()(a, b);
+                           }) == rows->end()) {
+      return;
+    }
     std::sort(rows->begin(), rows->end(), RowLess());
     rows->erase(std::unique(rows->begin(), rows->end(),
                             [](const Row& a, const Row& b) {
@@ -1664,7 +1756,7 @@ class Engine {
       FRAPPE_ASSIGN_OR_RETURN(ResultValue v, Eval(*call.args[0], row));
       if (v.kind == ResultValue::Kind::kEdgeList) {
         return ResultValue::Scalar(
-            graph::Value::Int(static_cast<int64_t>(v.edges.size())));
+            graph::Value::Int(static_cast<int64_t>(v.edges().size())));
       }
       if (v.kind == ResultValue::Kind::kValue &&
           v.value.type() == graph::ValueType::kString) {

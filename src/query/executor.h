@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -122,14 +123,15 @@ struct ExecStats {
 };
 
 // A value in a result row: a node, an edge, a scalar, or the edge list a
-// variable-length relationship variable binds to.
+// variable-length relationship variable binds to. The edge list lives out
+// of line and is shared between copies, so a cell stays small and cheap to
+// copy: result sets are mostly node and scalar cells.
 struct ResultValue {
   enum class Kind { kNull, kNode, kEdge, kValue, kEdgeList };
   Kind kind = Kind::kNull;
   graph::NodeId node = graph::kInvalidNode;
   graph::EdgeId edge = graph::kInvalidEdge;
-  graph::Value value;                 // kValue payload
-  std::vector<graph::EdgeId> edges;   // kEdgeList payload
+  graph::Value value;  // kValue payload
 
   static ResultValue Null() { return {}; }
   static ResultValue Node(graph::NodeId id) {
@@ -154,11 +156,14 @@ struct ResultValue {
   static ResultValue EdgeList(std::vector<graph::EdgeId> list) {
     ResultValue v;
     v.kind = Kind::kEdgeList;
-    v.edges = std::move(list);
+    v.edge_list_ = std::make_shared<const std::vector<graph::EdgeId>>(
+        std::move(list));
     return v;
   }
 
   bool is_null() const { return kind == Kind::kNull; }
+  // The kEdgeList payload; empty for every other kind.
+  const std::vector<graph::EdgeId>& edges() const;
 
   bool operator==(const ResultValue& other) const;
   // Total order used by DISTINCT, grouping and ORDER BY. Nulls sort last.
@@ -166,6 +171,13 @@ struct ResultValue {
 
   // Display rendering, e.g. `(#12:function main)` for a node.
   std::string ToString(const Database& db) const;
+  // Appends the display rendering as a JSON string literal (quoted and
+  // escaped) to `out`: what ToString returns, passed through JsonQuote,
+  // without building either string.
+  void AppendTo(std::string* out, const Database& db) const;
+
+ private:
+  std::shared_ptr<const std::vector<graph::EdgeId>> edge_list_;
 };
 
 struct QueryResult {

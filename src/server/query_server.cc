@@ -150,7 +150,7 @@ std::string RenderResultJsonOpen(const query::QueryResult& result,
     const auto& row = result.rows[r];
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out += ", ";
-      out += JsonQuote(row[c].ToString(db));
+      row[c].AppendTo(&out, db);
     }
     out += "]";
   }

@@ -144,5 +144,25 @@ TEST(HumanBytesTest, Formats) {
   EXPECT_EQ(HumanBytes(800ull * 1024 * 1024), "800.00 MB");
 }
 
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControlBytes) {
+  const std::string raw = std::string("a\"b\\c\nd\re\tf") + '\x01' +
+                          '\x1f' + " \x7f\xc3\xa9";
+  const std::string escaped =
+      "a\\\"b\\\\c\\nd\\re\\tf\\u0001\\u001f \x7f\xc3\xa9";
+  EXPECT_EQ(JsonEscape(raw), escaped);
+  EXPECT_EQ(JsonQuote(raw), "\"" + escaped + "\"");
+  EXPECT_EQ(JsonEscape(""), "");
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape(std::string(1, '\0')), "\\u0000");
+}
+
+TEST(JsonEscapeTest, AppendKeepsWhatTheBufferHolds) {
+  std::string out = "[";
+  AppendJsonEscaped(&out, "x\"y");
+  AppendJsonEscaped(&out, "");
+  AppendJsonEscaped(&out, "\n");
+  EXPECT_EQ(out, "[x\\\"y\\n");
+}
+
 }  // namespace
 }  // namespace frappe

@@ -240,6 +240,43 @@ TEST_F(ExecutorTest, ReturnDistinct) {
   EXPECT_EQ(with.rows.size(), 1u);
 }
 
+// DISTINCT skips its sort only when the rows already arrive strictly
+// increasing; unsorted rows, and sorted rows with adjacent duplicates,
+// still come back sorted and deduplicated.
+TEST_F(ExecutorTest, ReturnDistinctSortsAndDedupesUnsortedRows) {
+  const NodeId a = fixture_.sr_media_change, b = fixture_.helper_a,
+               c = fixture_.helper_b;
+  auto ids = [](std::initializer_list<NodeId> nodes) {
+    std::string out;
+    for (NodeId n : nodes) out += (out.empty() ? "" : ", ") + std::to_string(n);
+    return out;
+  };
+  auto column = [](const QueryResult& r) {
+    std::vector<NodeId> out;
+    for (const auto& row : r.rows) out.push_back(row[0].node);
+    return out;
+  };
+  ASSERT_LT(a, b);
+  ASSERT_LT(b, c);
+  const std::vector<NodeId> sorted = {a, b, c};
+  EXPECT_EQ(column(Run("START n=node(" + ids({c, a, c, b, a}) +
+                       ") RETURN distinct n")),
+            sorted);
+  EXPECT_EQ(column(Run("START n=node(" + ids({a, b, b, c}) +
+                       ") RETURN distinct n")),
+            sorted);
+  EXPECT_EQ(column(Run("START n=node(" + ids({a, b, c}) +
+                       ") RETURN distinct n")),
+            sorted);
+  // Two columns: the rows are ordered by the first, then the second.
+  QueryResult pairs = Run("START n=node(" + ids({c, a}) + "), m=node(" +
+                          ids({b, a, b}) + ") RETURN distinct n, m");
+  std::vector<std::pair<NodeId, NodeId>> got;
+  for (const auto& row : pairs.rows) got.emplace_back(row[0].node, row[1].node);
+  EXPECT_EQ(got, (std::vector<std::pair<NodeId, NodeId>>{
+                     {a, a}, {a, b}, {c, a}, {c, b}}));
+}
+
 TEST_F(ExecutorTest, ReturnEdgePropertyOfCarriedEdgeVar) {
   QueryResult r = Run(
       "START w=node:node_auto_index('short_name: sr_do_ioctl') "

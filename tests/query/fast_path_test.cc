@@ -15,6 +15,7 @@
 namespace frappe::query {
 namespace {
 
+using graph::NodeId;
 using testing::PaperFixture;
 
 class FastPathTest : public ::testing::Test {
@@ -80,6 +81,57 @@ TEST_F(FastPathTest, ZeroMinLengthIncludesSeed) {
   ExpectFastPathTransparent(
       "START n=node:node_auto_index('short_name: sr_media_change') "
       "MATCH n -[:calls*0..]-> m RETURN distinct m");
+}
+
+// A seed on a call cycle is a closure member, so `*0..` must not add the
+// zero-length row on top of it: the seed comes back once, in order.
+TEST_F(FastPathTest, ZeroMinLengthSeedOnCycleReturnedOnce) {
+  fixture_.AddCall(fixture_.sr_do_ioctl, fixture_.sr_media_change, 500);
+  const std::string query =
+      "START n=node:node_auto_index('short_name: sr_media_change') "
+      "MATCH n -[:calls*0..]-> m RETURN distinct m";
+  ExpectFastPathTransparent(query);
+  auto result = session_.Run(query);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->stats.fast_path_taken);
+  std::vector<NodeId> got;
+  for (const auto& row : result->rows) got.push_back(row[0].node);
+  EXPECT_EQ(got, (std::vector<NodeId>{
+                     fixture_.sr_media_change, fixture_.get_sectorsize,
+                     fixture_.helper_a, fixture_.helper_b,
+                     fixture_.sr_do_ioctl}));
+}
+
+// A seed off the cycle with a smaller-id callee is emitted ahead of the
+// closure members, out of order: DISTINCT must still sort the rows.
+TEST_F(FastPathTest, ZeroMinLengthSeedAheadOfSmallerMembersIsSorted) {
+  fixture_.AddCall(fixture_.sr_do_ioctl, fixture_.get_sectorsize, 500);
+  ASSERT_LT(fixture_.get_sectorsize, fixture_.sr_do_ioctl);
+  auto result = session_.Run(
+      "START n=node:node_auto_index('short_name: sr_do_ioctl') "
+      "MATCH n -[:calls*0..]-> m RETURN distinct m");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->stats.fast_path_taken);
+  std::vector<NodeId> got;
+  for (const auto& row : result->rows) got.push_back(row[0].node);
+  EXPECT_EQ(got, (std::vector<NodeId>{fixture_.get_sectorsize,
+                                      fixture_.sr_do_ioctl}));
+}
+
+// Figure 6's work accounting: the kernel's edge scans plus one step per
+// emitted and projected row. DISTINCT's sorted-run shortcut skips the sort
+// but none of these charges.
+TEST_F(FastPathTest, Figure6StepsAndDbHitsPinned) {
+  auto result = session_.Run(kFigure6);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->stats.fast_path_taken);
+  EXPECT_EQ(result->rows.size(), 4u);
+  // 1 index seek + 1 anchor check + 7 kernel edge scans + 4 emitted rows
+  // + 4 projected rows.
+  EXPECT_EQ(result->stats.steps, 17u);
+  EXPECT_EQ(result->stats.db_hits.nodes, 6u);  // seek, anchor, 4 targets
+  EXPECT_EQ(result->stats.db_hits.edges, 7u);  // the kernel's edge scans
+  EXPECT_EQ(result->stats.db_hits.properties, 0u);
 }
 
 TEST_F(FastPathTest, WithDistinctPipeline) {

@@ -1,8 +1,8 @@
-// The query front door end to end over real HTTP: response schema, error
-// mapping, per-request deadlines, admission-control shedding with
-// Retry-After, the liveness/readiness split, and request tracing
-// (traceparent adoption/echo, per-query timeline, tail-sampled trace
-// retention). Exports capture files (server_query.json,
+// The query front door end to end over real HTTP: response schema, the
+// exact bytes of the paper queries' rows, error mapping, per-request
+// deadlines, admission-control shedding with Retry-After, the
+// liveness/readiness split, and request tracing (traceparent
+// adoption/echo, per-query timeline, tail-sampled trace retention). Exports capture files (server_query.json,
 // server_overload.http, server_readyz_*.json, server_trace.json) that
 // tools/server_check.py and tools/trace_check.py validate from ctest.
 
@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "obs/trace_store.h"
 #include "server/epoch.h"
+#include "tests/query/fixture.h"
 
 namespace frappe::server {
 namespace {
@@ -338,6 +339,147 @@ TEST_F(QueryServerTest, MemoryBudgetMapsTo413) {
   EXPECT_NE(HttpBodyOf(response).find("ResourceExhausted"),
             std::string::npos)
       << response;
+}
+
+// Golden /query bodies: the `columns` + `rows` JSON of the paper's queries
+// (Figs. 3-6, Table 6) and of every cell kind, byte for byte, on the
+// miniature paper fixture. The fixture gains one function whose short
+// name holds a quote, a backslash, a newline and a 0x01 byte; Fig. 6
+// reaches it. The expected bodies are written out by hand.
+class QueryServerGoldenTest : public ::testing::Test {
+ protected:
+  static EpochManager& GoldenEpochs() {
+    static EpochManager* epochs = [] {
+      auto* e = new EpochManager();
+      query::testing::PaperFixture fixture;
+      graph::NodeId odd = fixture.graph.AddNode(model::NodeKind::kFunction,
+                                                "odd\"na\\me\nx\x01");
+      fixture.AddCall(fixture.sr_do_ioctl, odd, 160);
+      auto published = e->Publish(
+          std::make_unique<model::CodeGraph>(std::move(fixture.graph)),
+          "paper fixture");
+      if (!published.ok()) std::abort();
+      return e;
+    }();
+    return *epochs;
+  }
+
+  void SetUp() override {
+    obs::Readiness::Global().ResetForTesting();
+    auto server = QueryServer::Start({}, &GoldenEpochs());
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(*server);
+  }
+  void TearDown() override {
+    server_->Stop();
+    obs::Readiness::Global().ResetForTesting();
+  }
+
+  // The body of a 200 answer up to its stats: `{"columns": [...],
+  // "rows": [...]`.
+  std::string ColumnsAndRows(const std::string& query,
+                             const std::string& path = "/query") {
+    std::string response = HttpFetch(server_->port(), "POST", path, query);
+    EXPECT_EQ(HttpStatusOf(response), 200) << response;
+    std::string body(HttpBodyOf(response));
+    return body.substr(0, body.find(", \"stats\": "));
+  }
+
+  std::unique_ptr<QueryServer> server_;
+};
+
+TEST_F(QueryServerGoldenTest, Figure3) {
+  EXPECT_EQ(ColumnsAndRows(
+                "START m=node:node_auto_index('short_name: wakeup.elf') "
+                "MATCH m -[:compiled_from|linked_from*]-> f WITH distinct f "
+                "MATCH f -[:file_contains]-> (n:field{short_name: 'id'}) "
+                "RETURN n"),
+            R"json({"columns": ["n"], "rows": [
+  ["(#6:field id)"]
+])json");
+}
+
+TEST_F(QueryServerGoldenTest, Figure4) {
+  EXPECT_EQ(ColumnsAndRows(
+                "START n=node:node_auto_index('short_name: id') "
+                "WHERE (n) <-[{NAME_FILE_ID: 4, NAME_START_LINE: 104, "
+                "NAME_START_COLUMN: 16}]- () RETURN n"),
+            R"json({"columns": ["n"], "rows": [
+  ["(#7:field id)"]
+])json");
+}
+
+TEST_F(QueryServerGoldenTest, Figure5) {
+  EXPECT_EQ(
+      ColumnsAndRows(
+          "START from=node:node_auto_index('short_name: sr_media_change'), "
+          "to=node:node_auto_index('short_name: get_sectorsize'), "
+          "b=node:node_auto_index('short_name: packet_command') "
+          "MATCH writer -[write:writes_member]-> ({SHORT_NAME:'cmd'}) "
+          "<-[:contains]- b "
+          "WITH to, from, writer, write "
+          "MATCH direct <-[s:calls]- from "
+          "-[r:calls{use_start_line: 236}]-> to "
+          "WHERE r.use_start_line >= s.use_start_line "
+          "AND direct -[:calls*]-> writer "
+          "RETURN distinct writer, write.use_start_line"),
+      R"json({"columns": ["writer", "write.use_start_line"], "rows": [
+  ["(#14:function sr_do_ioctl)", "150"]
+])json");
+}
+
+TEST_F(QueryServerGoldenTest, Figure6FastPathAndEnumerationAgree) {
+  const std::string query =
+      "START n=node:node_auto_index('short_name: sr_media_change') "
+      "MATCH n -[:calls*]-> m RETURN distinct m";
+  const std::string expected = R"json({"columns": ["m"], "rows": [
+  ["(#11:function get_sectorsize)"],
+  ["(#12:function helper_a)"],
+  ["(#13:function helper_b)"],
+  ["(#14:function sr_do_ioctl)"],
+  ["(#16:function odd\"na\\me\nx\u0001)"]
+])json";
+  EXPECT_EQ(ColumnsAndRows(query), expected);
+  EXPECT_EQ(ColumnsAndRows(query, "/query?fast_path=0"), expected);
+}
+
+TEST_F(QueryServerGoldenTest, Table6) {
+  const std::string expected = R"json({"columns": ["n"], "rows": [
+  ["(#8:struct packet_command)"]
+])json";
+  EXPECT_EQ(ColumnsAndRows("MATCH (n:container:symbol "
+                           "{short_name: 'packet_command'}) RETURN n"),
+            expected);
+  EXPECT_EQ(ColumnsAndRows("START n=node:node_auto_index('(type: struct OR "
+                           "type: union OR type: enum_def) AND short_name: "
+                           "packet_command') RETURN n"),
+            expected);
+}
+
+TEST_F(QueryServerGoldenTest, EdgeEdgeListScalarAndNullCells) {
+  EXPECT_EQ(ColumnsAndRows("START n=node:node_auto_index('short_name: cmd') "
+                           "MATCH n <-[r:writes_member]- writer "
+                           "RETURN writer, r"),
+            R"json({"columns": ["writer", "r"], "rows": [
+  ["(#14:function sr_do_ioctl)", "[#20:writes_member 14->9]"],
+  ["(#15:function stale_writer)", "[#21:writes_member 15->9]"]
+])json");
+  EXPECT_EQ(
+      ColumnsAndRows(
+          "START n=node:node_auto_index('short_name: sr_media_change') "
+          "MATCH n -[r:calls*2..2]-> m RETURN m, r"),
+      R"json({"columns": ["m", "r"], "rows": [
+  ["(#14:function sr_do_ioctl)", "[2 rels]"],
+  ["(#14:function sr_do_ioctl)", "[2 rels]"]
+])json");
+  EXPECT_EQ(ColumnsAndRows("START n=node(16) RETURN n.short_name AS name, "
+                           "n.long_name, id(n) AS id, has(n.long_name) AS has"),
+            R"json({"columns": ["name", "n.long_name", "id", "has"], "rows": [
+  ["'odd\"na\\me\nx\u0001'", "null", "16", "false"]
+])json");
+  EXPECT_EQ(ColumnsAndRows("MATCH (n:container:symbol "
+                           "{short_name: 'helper_a'}) RETURN n"),
+            R"json({"columns": ["n"], "rows": [])json");
 }
 
 TEST(QueryServerShedTest, OverBudgetSheds429WithRetryAfter) {

@@ -3,15 +3,17 @@
 //
 // Strategy (an uninstrumented build is not available at runtime to diff
 // against, so the disabled-path cost is measured directly):
-//   1. Time the disabled Span constructor/destructor in a tight loop —
-//      one relaxed atomic load + branch per span.
+//   1. Time the disabled Span constructor/destructor in a tight loop (no
+//      TraceScope installed) — one thread-local load + branch per span.
 //   2. Time a representative query (the Figure 6 closure shape, which
 //      crosses every instrumented layer: session -> executor -> fast path
 //      -> analytics) with tracing disabled.
-//   3. Enable tracing once to count how many spans that query emits, then
-//      derive: overhead_pct = spans_per_query * span_ns / query_ns * 100.
-//   4. For reference, also measure the query with tracing *enabled* (ring
-//      writes included) — the worst case an operator can switch on.
+//   3. Run it once under a TraceScope + SpanCollector to count how many
+//      spans it emits, then derive:
+//      overhead_pct = spans_per_query * span_ns / query_ns * 100.
+//   4. For reference, also measure the query with every run under its own
+//      TraceScope + SpanCollector — what the query server pays per
+//      request.
 //   5. Workload-telemetry lane: run the Table 5-ish query mix (Figure 6
 //      closure + index seek + label scan) with the structured query log
 //      off, then enabled (ring push + background writer), and require the
@@ -72,7 +74,6 @@ int main() {
 
   // --- 1. disabled Span cost ---
   constexpr uint64_t kSpanIters = 20'000'000;
-  obs::Trace::Disable();
   Clock::time_point span_start = Clock::now();
   for (uint64_t i = 0; i < kSpanIters; ++i) {
     FRAPPE_TRACE_SPAN("bench.noop");
@@ -140,19 +141,21 @@ int main() {
       .Samples(off_ms)
       .Results(static_cast<int64_t>(rows));
 
-  // --- 3. spans per query + tracing-on latency ---
-  obs::Trace::Enable();
-  obs::Trace::Clear();
-  run_query();
-  size_t spans_per_query = obs::Trace::EventCount();
+  // --- 3. spans per query + tracing-on latency, each run under its own
+  // TraceScope + SpanCollector ---
+  auto run_query_traced = [&]() -> size_t {
+    obs::SpanCollector sink;
+    obs::TraceScope scope(obs::GenerateTraceContext(), &sink);
+    run_query();
+    return sink.size();
+  };
+  size_t spans_per_query = run_query_traced();
   std::vector<double> on_ms;
   for (int i = 0; i < iters; ++i) {
     Clock::time_point start = Clock::now();
-    run_query();
+    run_query_traced();
     on_ms.push_back(MsSince(start));
   }
-  obs::Trace::Disable();
-  obs::Trace::Clear();
   double on_avg = 0;
   for (double s : on_ms) on_avg += s;
   on_avg /= static_cast<double>(on_ms.size());

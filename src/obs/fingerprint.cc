@@ -348,26 +348,12 @@ SlowQueryRing& SlowQueryRing::Global() {
 
 void SlowQueryRing::Push(Record record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < kCapacity) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[next_] = std::move(record);
-  }
-  next_ = (next_ + 1) % kCapacity;
+  ring_.Push(std::move(record));
 }
 
 std::vector<SlowQueryRing::Record> SlowQueryRing::SnapshotAll() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Record> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < kCapacity) {
-    out = ring_;
-  } else {
-    for (size_t i = 0; i < kCapacity; ++i) {
-      out.push_back(ring_[(next_ + i) % kCapacity]);
-    }
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 std::string SlowQueryRing::DumpJson() const {
@@ -392,8 +378,7 @@ std::string SlowQueryRing::DumpJson() const {
 
 void SlowQueryRing::ResetForTesting() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
+  ring_.Clear();
 }
 
 }  // namespace frappe::obs

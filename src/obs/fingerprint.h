@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/ring.h"
 
 namespace frappe::obs {
 
@@ -189,8 +190,7 @@ class SlowQueryRing {
   SlowQueryRing() = default;
 
   mutable std::mutex mu_;
-  std::vector<Record> ring_;  // ring_[next_] is the oldest once wrapped
-  size_t next_ = 0;
+  Ring<Record> ring_{kCapacity};
 };
 
 }  // namespace frappe::obs

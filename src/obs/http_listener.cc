@@ -238,16 +238,6 @@ std::string HttpResponseHead(const HttpResponse& response) {
 
 }  // namespace
 
-HttpResponse TextResponse(int code, std::string_view reason,
-                          std::string_view body) {
-  HttpResponse r;
-  r.code = code;
-  r.reason = std::string(reason);
-  r.content_type = "text/plain";
-  r.body = std::string(body);
-  return r;
-}
-
 HttpResponse JsonResponse(int code, std::string_view reason,
                           std::string body) {
   HttpResponse r;

@@ -52,8 +52,6 @@ struct HttpResponse {
   std::string body;
 };
 
-HttpResponse TextResponse(int code, std::string_view reason,
-                          std::string_view body);
 HttpResponse JsonResponse(int code, std::string_view reason,
                           std::string body);
 // Uniform JSON error shape: {"error": <detail>, "status": <code>}.

@@ -1,14 +1,15 @@
 #include "obs/log.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <mutex>
 
 #include "common/log_hook.h"
 #include "common/string_util.h"
+#include "obs/config.h"
+#include "obs/ring.h"
+#include "obs/trace.h"
 
 namespace frappe::obs {
 namespace {
@@ -17,10 +18,7 @@ constexpr int kThresholdUnset = -1;
 
 struct LogState {
   std::mutex mu;
-  // Fixed-capacity ring of recent entries for /debug/logz.
-  std::vector<LogEntry> ring;
-  size_t ring_next = 0;  // slot the next entry lands in
-  uint64_t total = 0;    // entries ever appended (ring + overwritten)
+  Ring<LogEntry> ring{Log::kRingCapacity};  // recent entries for /debug/logz
   std::FILE* file = nullptr;  // FRAPPE_LOG_FILE sink, nullptr => stderr
   bool file_probed = false;
   std::function<void(const LogEntry&)> test_sink;
@@ -31,43 +29,23 @@ LogState& State() {
   return *state;
 }
 
-// kThresholdUnset until the first Threshold() call reads the env.
+// kThresholdUnset until the first Threshold() call reads the config.
 std::atomic<int> g_threshold{kThresholdUnset};
 
-LogLevel ThresholdFromEnv() {
-  const char* env = std::getenv("FRAPPE_LOG_LEVEL");
-  LogLevel level = LogLevel::kInfo;
-  if (env != nullptr && *env != '\0' && !ParseLogLevel(env, &level)) {
-    std::fprintf(stderr,
-                 "level=warn component=log msg=\"ignoring FRAPPE_LOG_LEVEL: "
-                 "unknown level '%s'\"\n",
-                 env);
-  }
-  return level;
-}
-
-std::FILE* SinkLocked(LogState& state) {
+std::FILE* SinkLocked(LogState& state, const std::string& path) {
   if (!state.file_probed) {
     state.file_probed = true;
-    const char* path = std::getenv("FRAPPE_LOG_FILE");
-    if (path != nullptr && *path != '\0') {
-      state.file = std::fopen(path, "a");
+    if (!path.empty()) {
+      state.file = std::fopen(path.c_str(), "a");
       if (state.file == nullptr) {
         std::fprintf(stderr,
                      "level=warn component=log msg=\"cannot open "
                      "FRAPPE_LOG_FILE '%s'; logging to stderr\"\n",
-                     path);
+                     path.c_str());
       }
     }
   }
   return state.file != nullptr ? state.file : stderr;
-}
-
-uint64_t NowUnixMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
 }
 
 // Routes common-layer diagnostics (fault injector, file I/O) through the
@@ -87,46 +65,33 @@ struct HandlerRegistrar {
 };
 HandlerRegistrar g_registrar;
 
+// Indexed by LogLevel.
+constexpr const char* kLevelNames[] = {"debug", "info", "warn", "error",
+                                       "off"};
+
 }  // namespace
 
 const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "debug";
-    case LogLevel::kInfo:
-      return "info";
-    case LogLevel::kWarn:
-      return "warn";
-    case LogLevel::kError:
-      return "error";
-    case LogLevel::kOff:
-      return "off";
-  }
-  return "info";
+  return kLevelNames[static_cast<int>(level)];
 }
 
 bool ParseLogLevel(const std::string& text, LogLevel* out) {
   std::string lower = ToLower(text);
-  if (lower == "debug") {
-    *out = LogLevel::kDebug;
-  } else if (lower == "info") {
-    *out = LogLevel::kInfo;
-  } else if (lower == "warn" || lower == "warning") {
-    *out = LogLevel::kWarn;
-  } else if (lower == "error") {
-    *out = LogLevel::kError;
-  } else if (lower == "off" || lower == "none") {
-    *out = LogLevel::kOff;
-  } else {
-    return false;
+  if (lower == "warning") lower = "warn";
+  if (lower == "none") lower = "off";
+  for (int i = 0; i <= static_cast<int>(LogLevel::kOff); ++i) {
+    if (lower == kLevelNames[i]) {
+      *out = static_cast<LogLevel>(i);
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 LogLevel Log::Threshold() {
   int cached = g_threshold.load(std::memory_order_relaxed);
   if (cached == kThresholdUnset) {
-    cached = static_cast<int>(ThresholdFromEnv());
+    cached = static_cast<int>(Config().log_level);
     g_threshold.store(cached, std::memory_order_relaxed);
   }
   return static_cast<LogLevel>(cached);
@@ -160,47 +125,33 @@ void Log::Write(LogLevel level, const std::string& component,
                 const std::string& message) {
   if (!Enabled(level)) return;
   LogEntry entry;
-  entry.ts_us = NowUnixMicros();
+  entry.ts_us = Trace::UnixMicros();
   entry.level = level;
   entry.component = component;
   entry.message = message;
   std::string line = FormatLogLine(entry);
+  // Read before locking: the first Config() call may itself log.
+  const std::string& log_file = Config().log_file;
 
   LogState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  std::FILE* sink = SinkLocked(state);
+  std::FILE* sink = SinkLocked(state, log_file);
   std::fprintf(sink, "%s\n", line.c_str());
   if (sink != stderr) std::fflush(sink);
-  if (state.ring.size() < kRingCapacity) {
-    state.ring.push_back(entry);
-  } else {
-    state.ring[state.ring_next] = entry;
-  }
-  state.ring_next = (state.ring_next + 1) % kRingCapacity;
-  ++state.total;
+  state.ring.Push(entry);
   if (state.test_sink) state.test_sink(entry);
 }
 
 std::vector<LogEntry> Log::Recent() {
   LogState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  std::vector<LogEntry> out;
-  out.reserve(state.ring.size());
-  if (state.ring.size() < kRingCapacity) {
-    out = state.ring;  // not yet wrapped: stored oldest-first already
-  } else {
-    for (size_t i = 0; i < kRingCapacity; ++i) {
-      out.push_back(state.ring[(state.ring_next + i) % kRingCapacity]);
-    }
-  }
-  return out;
+  return state.ring.Snapshot();
 }
 
 uint64_t Log::Dropped() {
   LogState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  return state.total > state.ring.size() ? state.total - state.ring.size()
-                                         : 0;
+  return state.ring.evicted();
 }
 
 std::string Log::DumpJson() {
@@ -225,9 +176,7 @@ std::string Log::DumpJson() {
 void Log::ResetForTesting() {
   LogState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  state.ring.clear();
-  state.ring_next = 0;
-  state.total = 0;
+  state.ring.Clear();
   state.test_sink = nullptr;
   if (state.file != nullptr) std::fclose(state.file);
   state.file = nullptr;

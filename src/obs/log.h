@@ -17,8 +17,8 @@ namespace frappe::obs {
 // (appended). Every emitted entry is also kept in a bounded in-memory ring
 // so the stats server can serve the recent tail on /debug/logz without any
 // file I/O. The threshold comes from FRAPPE_LOG_LEVEL
-// (debug|info|warn|error|off, case-insensitive; default info) and can be
-// overridden programmatically.
+// (debug|info|warn|error|off, case-insensitive; default info), both read
+// through obs::Config(), and can be overridden programmatically.
 //
 // Emission below the threshold is a single relaxed atomic load and a
 // branch; the mutex is only taken for entries that actually pass.
@@ -50,7 +50,7 @@ class Log {
   // Entries retained for /debug/logz; older entries are overwritten.
   static constexpr size_t kRingCapacity = 256;
 
-  // The active threshold. First call reads FRAPPE_LOG_LEVEL.
+  // The active threshold. First call reads Config().log_level.
   static LogLevel Threshold();
   static void SetThreshold(LogLevel level);
 
@@ -69,11 +69,11 @@ class Log {
   // {"entries": [{"ts_us", "level", "component", "message"}, ...],
   //  "dropped": N}
   static std::string DumpJson();
-  // Entries overwritten by ring wrap-around since the last reset.
+  // Entries evicted from the ring since the last reset.
   static uint64_t Dropped();
 
-  // Clears the ring, drop counter, and test sink; re-reads the env
-  // threshold and sink on next use.
+  // Clears the ring, drop counter, and test sink; re-reads the threshold
+  // and sink from Config() on next use.
   static void ResetForTesting();
 
   // Mirror every passing entry into `sink` (called under the log mutex);

@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <vector>
 
 #include "common/string_util.h"
+#include "obs/trace.h"
 
 namespace frappe::obs {
 
@@ -36,10 +36,7 @@ void Histogram::RecordWithExemplar(uint64_t value, uint64_t trace_hi,
                                    uint64_t trace_lo) {
   Record(value);
   if ((trace_hi | trace_lo) == 0) return;
-  uint64_t now_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  const uint64_t now_us = Trace::UnixMicros();
   std::lock_guard<std::mutex> lock(exemplar_mu_);
   Exemplar& slot = exemplars_[BucketOf(value)];
   slot.value = value;

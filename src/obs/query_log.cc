@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/file_io.h"
@@ -301,17 +300,11 @@ Status QueryLog::Enable(Options options) {
 }
 
 Result<bool> QueryLog::EnableFromEnv() {
-  const char* path = std::getenv("FRAPPE_QUERY_LOG");
-  if (path == nullptr || *path == '\0') return false;
+  const RuntimeConfig& config = Config();
+  if (config.query_log.empty()) return false;
   Options options;
-  options.path = path;
-  if (const char* max = std::getenv("FRAPPE_QUERY_LOG_MAX_BYTES");
-      max != nullptr && *max != '\0') {
-    int64_t value = 0;
-    if (ParseInt64(max, &value) && value > 0) {
-      options.max_bytes = static_cast<uint64_t>(value);
-    }
-  }
+  options.path = config.query_log;
+  options.max_bytes = config.query_log_max_bytes;
   FRAPPE_RETURN_IF_ERROR(Enable(std::move(options)));
   return true;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/config.h"
 
 namespace frappe::obs {
 
@@ -75,7 +76,7 @@ class QueryLog {
  public:
   struct Options {
     std::string path;
-    uint64_t max_bytes = 64ull << 20;  // rotation threshold
+    uint64_t max_bytes = kDefaultQueryLogMaxBytes;  // rotation threshold
     size_t ring_capacity = 4096;       // rounded up to a power of two
   };
 
@@ -85,8 +86,9 @@ class QueryLog {
   // FailedPrecondition if already enabled.
   Status Enable(Options options);
 
-  // Reads FRAPPE_QUERY_LOG (path; unset/empty -> returns false, log stays
-  // off) and FRAPPE_QUERY_LOG_MAX_BYTES. True when the log was enabled.
+  // Enables the log at Config().query_log (FRAPPE_QUERY_LOG; empty ->
+  // returns false, log stays off), rotating at
+  // Config().query_log_max_bytes. True when the log was enabled.
   Result<bool> EnableFromEnv();
 
   // Drains the ring, flushes, joins the writer, closes the file. Safe to

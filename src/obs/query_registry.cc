@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/string_util.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -13,13 +12,6 @@
 
 namespace frappe::obs {
 namespace {
-
-uint64_t NowUnixMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 Gauge& ActiveGauge() {
   static Gauge& g = Registry::Global().GetGauge("query.active");
@@ -62,7 +54,7 @@ QueryRegistry::Handle QueryRegistry::Register(
   entry->fingerprint = fingerprint;
   entry->normalized = std::move(normalized);
   entry->raw = std::move(raw);
-  entry->start_unix_us = NowUnixMicros();
+  entry->start_unix_us = Trace::UnixMicros();
   entry->start_steady = std::chrono::steady_clock::now();
   entry->trace_hi = trace_hi;
   entry->trace_lo = trace_lo;
@@ -141,7 +133,7 @@ size_t QueryRegistry::size() const {
 
 std::string QueryRegistry::DumpJson() const {
   std::vector<Snapshot> snaps = SnapshotAll();
-  std::string out = "{\n  \"now_us\": " + std::to_string(NowUnixMicros());
+  std::string out = "{\n  \"now_us\": " + std::to_string(Trace::UnixMicros());
   out += ",\n  \"queries\": [";
   bool first = true;
   for (const Snapshot& s : snaps) {
@@ -190,31 +182,15 @@ void QueryRegistry::StopWatchdog() {
 }
 
 bool QueryRegistry::MaybeStartWatchdogFromEnv() {
-  const char* env = std::getenv("FRAPPE_STUCK_QUERY_MS");
-  if (env == nullptr || *env == '\0') return false;
-  int64_t ms = 0;
-  if (!ParseInt64(env, &ms) || ms <= 0) {
-    LogWarn("watchdog",
-            std::string("ignoring FRAPPE_STUCK_QUERY_MS: '") + env + "'");
-    return false;
-  }
-  // Parse the action here, on the caller thread, so the watchdog loop
-  // never touches the environment (getenv racing a test's setenv is a
-  // real TSan report).
-  WatchdogAction action = WatchdogAction::kWarn;
-  const char* action_env = std::getenv("FRAPPE_STUCK_QUERY_ACTION");
-  if (action_env != nullptr && *action_env != '\0') {
-    std::string_view v(action_env);
-    if (v == "cancel") {
-      action = WatchdogAction::kCancel;
-    } else if (v != "warn") {
-      LogWarn("watchdog", std::string("ignoring FRAPPE_STUCK_QUERY_ACTION: '") +
-                              action_env + "' (want warn|cancel)");
-    }
-  }
-  StartWatchdog(static_cast<uint64_t>(ms), 250, action);
+  const RuntimeConfig& config = Config();
+  if (config.stuck_query_ms == 0) return false;
+  const WatchdogAction action = config.stuck_query_cancel
+                                    ? WatchdogAction::kCancel
+                                    : WatchdogAction::kWarn;
+  StartWatchdog(config.stuck_query_ms, 250, action);
   LogInfo("watchdog",
-          "stuck-query watchdog armed at " + std::to_string(ms) + "ms action=" +
+          "stuck-query watchdog armed at " +
+              std::to_string(config.stuck_query_ms) + "ms action=" +
               (action == WatchdogAction::kCancel ? "cancel" : "warn"));
   return true;
 }

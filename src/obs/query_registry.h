@@ -138,9 +138,9 @@ class QueryRegistry {
   // either logs one warning (kWarn) or additionally trips the query's
   // cancel token (kCancel — enforcement, counted in
   // query.watchdog_cancelled). Both act once per query, not once per scan.
-  // MaybeStartWatchdogFromEnv reads FRAPPE_STUCK_QUERY_MS for the
-  // threshold and FRAPPE_STUCK_QUERY_ACTION ("warn" default, "cancel")
-  // for the action; unset/invalid threshold leaves the watchdog off.
+  // MaybeStartWatchdogFromEnv takes the threshold and action from
+  // Config() (FRAPPE_STUCK_QUERY_MS, FRAPPE_STUCK_QUERY_ACTION); an
+  // unset or invalid threshold leaves the watchdog off.
   enum class WatchdogAction { kWarn, kCancel };
   void StartWatchdog(uint64_t threshold_ms, uint64_t interval_ms = 250,
                      WatchdogAction action = WatchdogAction::kWarn);

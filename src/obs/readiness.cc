@@ -15,12 +15,6 @@ void Readiness::SetDegraded(std::string reason) {
   degraded_reason_ = std::move(reason);
 }
 
-void Readiness::ClearDegraded() {
-  std::lock_guard<std::mutex> lock(mu_);
-  degraded_ = false;
-  degraded_reason_.clear();
-}
-
 void Readiness::SetOverloaded(bool on, std::string reason) {
   std::lock_guard<std::mutex> lock(mu_);
   overloaded_ = on;

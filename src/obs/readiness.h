@@ -25,9 +25,9 @@ class Readiness {
 
   static Readiness& Global();
 
-  // Sticky until cleared: a fallback-generation load stays visible.
+  // Sticky for the life of the process: a fallback-generation load stays
+  // visible.
   void SetDegraded(std::string reason);
-  void ClearDegraded();
 
   void SetOverloaded(bool on, std::string reason = "shedding load");
   void SetDraining(bool on, std::string reason = "draining");

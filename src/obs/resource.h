@@ -31,28 +31,6 @@ class ResourceTracker {
   ResourceTracker(const ResourceTracker&) = delete;
   ResourceTracker& operator=(const ResourceTracker&) = delete;
 
-  // --- allocation seam (called from operator new/delete) ---------------
-  // Bytes are malloc_usable_size() on both sides, so frees are symmetric
-  // with allocations even when the allocator rounds sizes up.
-  void OnAlloc(uint64_t bytes) {
-    alloc_count_.fetch_add(1, std::memory_order_relaxed);
-    alloc_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    int64_t live = live_bytes_.fetch_add(static_cast<int64_t>(bytes),
-                                         std::memory_order_relaxed) +
-                   static_cast<int64_t>(bytes);
-    int64_t peak = peak_bytes_.load(std::memory_order_relaxed);
-    while (live > peak && !peak_bytes_.compare_exchange_weak(
-                              peak, live, std::memory_order_relaxed)) {
-    }
-  }
-  // Live bytes can go negative when a query frees memory allocated before
-  // its scope opened (caches, previous results); peak_bytes() clamps at 0.
-  void OnFree(uint64_t bytes) {
-    freed_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    live_bytes_.fetch_sub(static_cast<int64_t>(bytes),
-                          std::memory_order_relaxed);
-  }
-
   // Folds a thread's buffered deltas in at once (the allocation hook's
   // flush path). `live_peak` is the highest value the thread's buffered
   // live delta reached since its last flush — an alloc+free pair nets a
@@ -109,6 +87,8 @@ class ResourceTracker {
   uint64_t freed_bytes() const {
     return freed_bytes_.load(std::memory_order_relaxed);
   }
+  // Live bytes can go negative when a query frees memory allocated before
+  // its scope opened (caches, previous results); peak_bytes() clamps at 0.
   int64_t live_bytes() const {
     return live_bytes_.load(std::memory_order_relaxed);
   }

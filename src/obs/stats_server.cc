@@ -3,21 +3,19 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
 #include "common/string_util.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
-#include "obs/knobs.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/query_log.h"
 #include "obs/query_registry.h"
 #include "obs/readiness.h"
-#include "obs/trace.h"
 #include "obs/trace_store.h"
 
 namespace frappe::obs {
@@ -88,10 +86,7 @@ std::string Num(double v) {
 
 std::string ResolveBuildSha(std::string_view from_options) {
   if (!from_options.empty()) return std::string(from_options);
-  if (const char* env = std::getenv("FRAPPE_GIT_SHA");
-      env != nullptr && *env != '\0') {
-    return env;
-  }
+  if (!Config().git_sha.empty()) return Config().git_sha;
 #ifdef FRAPPE_GIT_SHA_DEFAULT
   return FRAPPE_GIT_SHA_DEFAULT;
 #else
@@ -274,7 +269,7 @@ std::string StatsServer::MemzJson() {
   std::string out = "{\n  \"rss_bytes\": " + std::to_string(CurrentRssBytes());
   out += ",\n  \"peak_rss_bytes\": " + std::to_string(PeakRssBytes());
   out += ",\n  \"query_mem_budget_bytes\": " +
-         std::to_string(QueryMemBudgetBytes());
+         std::to_string(Config().query_mem_bytes);
   out += ",\n  \"sections\": {";
   uint64_t total = 0;
   bool first = true;
@@ -328,7 +323,8 @@ std::string StatsServer::StatsJson(std::string_view build_sha,
                     std::to_string(qlog.written()) +
                     ", \"dropped\": " + std::to_string(qlog.dropped()) +
                     ", \"rotations\": " + std::to_string(qlog.rotations()) +
-                    "}\n}\n";
+                    "},\n  \"config\": " + RuntimeConfigJson(Config()) +
+                    "\n}\n";
   return out;
 }
 
@@ -354,14 +350,8 @@ Result<std::unique_ptr<StatsServer>> StatsServer::Start(Options options) {
 }
 
 std::unique_ptr<StatsServer> StatsServer::MaybeStartFromEnv() {
-  const char* env = std::getenv("FRAPPE_STATS_PORT");
-  if (env == nullptr || *env == '\0') return nullptr;
-  int64_t port = 0;
-  if (!ParseInt64(env, &port) || port < 0 || port > 65535) {
-    LogWarn("statsz", std::string("bad FRAPPE_STATS_PORT '") + env +
-                          "'; stats server disabled");
-    return nullptr;
-  }
+  const int port = Config().stats_port;
+  if (port < 0) return nullptr;
   Options options;
   options.port = static_cast<uint16_t>(port);
   Result<std::unique_ptr<StatsServer>> server = Start(std::move(options));
@@ -442,8 +432,7 @@ HttpResponse StatsServer::BuildResponse(const HttpRequest& request) const {
   }
   if (target == "/debug/tracez") {
     // Every form answers immediately — this endpoint never sleeps on the
-    // serving thread (it used to hold it for the whole ?ms capture window,
-    // starving every other scrape).
+    // serving thread.
     std::string_view id_raw = HttpQueryParam(params, "trace_id");
     if (!id_raw.empty()) {
       // One retained span tree by trace id (tail-sampled: slow, errored,
@@ -463,16 +452,11 @@ HttpResponse StatsServer::BuildResponse(const HttpRequest& request) const {
       }
       return Ok("application/json", TraceStore::TraceJson(trace));
     }
-    std::string_view raw = HttpQueryParam(params, "ms");
-    if (!raw.empty()) {
-      // Legacy whole-process ring view: the parameter is validated for
-      // compatibility, but the export is of whatever the rings already
-      // hold — enable tracing (Trace::Enable / FRAPPE_TRACE) and scrape.
-      int64_t window_ms = 0;
-      if (!ParseInt64(raw, &window_ms) || window_ms < 0) {
-        return HttpError(400, "Bad Request", "bad ms parameter");
-      }
-      return Ok("application/json", Trace::ExportJson());
+    if (!HttpQueryParam(params, "ms").empty()) {
+      return HttpError(400, "Bad Request",
+                       "?ms= capture windows are gone; fetch one retained "
+                       "tree with ?trace_id=<32 hex>, or the index with no "
+                       "parameters");
     }
     // No parameters: the retained-trace index.
     return Ok("application/json", TraceStore::Global().IndexJson());

@@ -24,7 +24,8 @@ namespace frappe::obs {
 //             query-log drop/write counters, and (when a storage provider
 //             is registered) frappe_storage_bytes{section=...} gauges
 //   /stats    JSON operator view: per-fingerprint query stats (top by
-//             cumulative latency), recent slow queries, build SHA, uptime
+//             cumulative latency), recent slow queries, build SHA, uptime,
+//             and the parsed runtime config (obs/config.h)
 //   /healthz  "ok" liveness probe
 //   /readyz   readiness probe: 200 ready/degraded, 503 overloaded/draining,
 //             JSON state + reason (obs::Readiness)
@@ -40,10 +41,9 @@ namespace frappe::obs {
 //   /debug/tracez        retained-trace index (tail-sampled span trees of
 //                        slow/errored/cancelled/shed/explicitly-traced
 //                        requests); ?trace_id=<32 hex> serves one tree as
-//                        Chrome trace-event JSON; ?ms=N exports the global
-//                        span rings as-is (enable tracing first). All
-//                        forms answer immediately — no capture window ever
-//                        blocks the serving thread
+//                        Chrome trace-event JSON. Both forms answer
+//                        immediately — no capture window ever blocks the
+//                        serving thread
 //   /debug/storagez      per-section storage byte breakdown (Table 4)
 //   /debug/statz         cardinality stats catalog (ANALYZE output)
 //   /debug/logz          recent structured-log entries (the in-memory ring)
@@ -60,10 +60,11 @@ namespace frappe::obs {
 //                        already running
 //
 // Opt-in: production binaries call MaybeStartFromEnv() and get a server
-// only when FRAPPE_STATS_PORT is set. Responses are built per request from
-// registry snapshots; connections are served sequentially (the responses
-// are small, the consumer is a scraper, and every endpoint — including
-// /debug/tracez — answers without blocking the serving thread). The
+// only when FRAPPE_STATS_PORT is set (read through obs::Config()).
+// Responses are built per request from registry snapshots; connections
+// are served sequentially (the responses are small, the consumer is a
+// scraper, and every endpoint — including /debug/tracez — answers without
+// blocking the serving thread). The
 // shared HttpListener enforces SO_RCVTIMEO/SO_SNDTIMEO plus an overall
 // per-request read deadline, so a stalled client cannot wedge the
 // endpoint. Errors are uniform JSON bodies {"error": ..., "status": N}
@@ -74,7 +75,7 @@ class StatsServer {
   struct Options {
     uint16_t port = 0;  // 0 = kernel-assigned (tests); port() tells which
     std::string bind_address = "127.0.0.1";
-    std::string build_sha;  // empty = FRAPPE_GIT_SHA env / compiled default
+    std::string build_sha;  // empty = Config().git_sha / compiled default
     // Socket timeout (SO_RCVTIMEO/SO_SNDTIMEO + overall request-read
     // deadline) on every accepted connection.
     int socket_timeout_ms = 5000;
@@ -87,9 +88,9 @@ class StatsServer {
     return Start(Options());
   }
 
-  // FRAPPE_STATS_PORT unset/empty -> nullptr (and no error); set ->
-  // started server, or nullptr with a stderr diagnostic when startup
-  // fails (an observability port must never take the process down).
+  // Config().stats_port unset -> nullptr (and no error); set -> started
+  // server, or nullptr with a logged diagnostic when startup fails (an
+  // observability port must never take the process down).
   static std::unique_ptr<StatsServer> MaybeStartFromEnv();
 
   ~StatsServer();

@@ -1,66 +1,11 @@
 #include "obs/trace.h"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 namespace frappe::obs {
 
-std::atomic<bool> Trace::enabled_{false};
-
 namespace {
-
-// One ring per thread that ever recorded a span. The owning thread is the
-// only writer; ExportJson/Clear/EventCount from other threads take the same
-// per-ring mutex, so access is race-free. Rings are shared_ptr-held by both
-// the thread_local handle and the global list, surviving thread exit until
-// the next export picks up the remains.
-struct ThreadRing {
-  std::mutex mu;
-  uint32_t tid = 0;
-  std::vector<TraceEvent> events;  // ring storage, capacity-bounded
-  size_t next = 0;                 // ring write cursor
-  bool wrapped = false;
-  uint64_t dropped = 0;
-
-  void Append(const TraceEvent& event) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (events.size() < Trace::kRingCapacity) {
-      events.push_back(event);
-      return;
-    }
-    events[next] = event;
-    next = (next + 1) % Trace::kRingCapacity;
-    wrapped = true;
-    ++dropped;
-  }
-};
-
-struct RingList {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  uint32_t next_tid = 1;
-};
-
-RingList& Rings() {
-  static RingList* list = new RingList();  // never destroyed
-  return *list;
-}
-
-ThreadRing& LocalRing() {
-  thread_local std::shared_ptr<ThreadRing> ring = [] {
-    auto r = std::make_shared<ThreadRing>();
-    RingList& list = Rings();
-    std::lock_guard<std::mutex> lock(list.mu);
-    r->tid = list.next_tid++;
-    list.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
-}
 
 std::chrono::steady_clock::time_point TraceEpoch() {
   static const std::chrono::steady_clock::time_point epoch =
@@ -68,18 +13,16 @@ std::chrono::steady_clock::time_point TraceEpoch() {
   return epoch;
 }
 
-// Per-thread request-trace state installed by TraceScope plus the span
-// nesting cursor shared with plain (no-scope) global tracing.
-struct ThreadTraceState {
-  uint64_t trace_hi = 0;
-  uint64_t trace_lo = 0;
-  uint64_t current_parent = 0;  // span id new spans parent under
-  SpanCollector* sink = nullptr;
-  uint64_t queue_wait_us = 0;
-  uint64_t span_counter = 0;  // feeds NextSpanId
-};
+thread_local uint64_t tls_span_counter = 0;  // feeds NextSpanId
+thread_local uint32_t tls_tid = 0;  // sequential thread number; 0 = not drawn
 
-thread_local ThreadTraceState tls_trace;
+// This thread's sequential number (1, 2, ...): the tid of its spans and
+// the tag in its span ids.
+uint32_t ThreadTid() {
+  static std::atomic<uint32_t> next_tid{1};
+  if (tls_tid == 0) tls_tid = next_tid.fetch_add(1, std::memory_order_relaxed);
+  return tls_tid;
+}
 
 uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -114,6 +57,8 @@ void AppendHex(std::string* out, uint64_t v, size_t width) {
 }
 
 }  // namespace
+
+constinit thread_local TraceScope::State tls_trace_scope;
 
 std::optional<TraceContext> ParseTraceparent(std::string_view header) {
   // "00-<32 hex>-<16 hex>-<2 hex>": 55 chars exactly.
@@ -200,191 +145,55 @@ uint64_t Trace::NowMicros() {
           .count());
 }
 
-bool Trace::HasRequestContext() { return tls_trace.sink != nullptr; }
-
-TraceContext Trace::CurrentContext() {
-  TraceContext ctx;
-  ctx.trace_hi = tls_trace.trace_hi;
-  ctx.trace_lo = tls_trace.trace_lo;
-  ctx.span_id = tls_trace.current_parent;
-  return ctx;
+uint64_t Trace::UnixMicros() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
-uint64_t Trace::CurrentQueueWaitUs() { return tls_trace.queue_wait_us; }
+TraceContext Trace::CurrentContext() { return tls_trace_scope.ctx; }
 
-SpanCollector* Trace::CurrentSink() { return tls_trace.sink; }
+uint64_t Trace::CurrentQueueWaitUs() {
+  return tls_trace_scope.queue_wait_us;
+}
 
 uint64_t Trace::NextSpanId() {
   // Thread tag in the top 24 bits, local counter below: unique and nonzero
   // (tids start at 1) without any shared-state contention.
-  uint32_t tid = LocalRing().tid;
-  uint64_t counter = ++tls_trace.span_counter;
+  uint32_t tid = ThreadTid();
+  uint64_t counter = ++tls_span_counter;
   return (static_cast<uint64_t>(tid) << 40) | (counter & 0xffffffffffULL);
 }
 
-uint64_t Trace::PushSpan(uint64_t span_id) {
-  uint64_t prev = tls_trace.current_parent;
-  tls_trace.current_parent = span_id;
-  return prev;
+void Span::Start(const char* name) {
+  name_ = name;
+  start_us_ = Trace::NowMicros();
+  span_id_ = Trace::NextSpanId();
+  parent_id_ = tls_trace_scope.ctx.span_id;
+  tls_trace_scope.ctx.span_id = span_id_;
 }
 
-void Trace::PopSpan(uint64_t previous_span_id) {
-  tls_trace.current_parent = previous_span_id;
-}
-
-void Trace::RecordSpan(const char* name, uint64_t span_id,
-                       uint64_t parent_id, uint64_t start_us,
-                       uint64_t dur_us) {
-  ThreadRing& ring = LocalRing();
-  if (enabled_.load(std::memory_order_relaxed)) {
-    TraceEvent event;
-    event.name = name;
-    event.tid = ring.tid;
-    event.start_us = start_us;
-    event.dur_us = dur_us;
-    event.trace_hi = tls_trace.trace_hi;
-    event.trace_lo = tls_trace.trace_lo;
-    event.span_id = span_id;
-    event.parent_id = parent_id;
-    ring.Append(event);
-  }
-  if (tls_trace.sink != nullptr) {
-    CollectedSpan span;
-    span.name = name;
-    span.tid = ring.tid;
-    span.span_id = span_id;
-    span.parent_id = parent_id;
-    span.start_us = start_us;
-    span.dur_us = dur_us;
-    tls_trace.sink->Add(span);
-  }
+void Span::Finish() {
+  tls_trace_scope.ctx.span_id = parent_id_;
+  // The scope may have been popped while this span was open.
+  if (tls_trace_scope.sink == nullptr) return;
+  CollectedSpan span;
+  span.name = name_;
+  span.tid = ThreadTid();
+  span.span_id = span_id_;
+  span.parent_id = parent_id_;
+  span.start_us = start_us_;
+  span.dur_us = Trace::NowMicros() - start_us_;
+  tls_trace_scope.sink->Add(span);
 }
 
 TraceScope::TraceScope(const TraceContext& ctx, SpanCollector* sink,
-                       uint64_t queue_wait_us) {
-  saved_ctx_.trace_hi = tls_trace.trace_hi;
-  saved_ctx_.trace_lo = tls_trace.trace_lo;
-  saved_ctx_.span_id = tls_trace.current_parent;
-  saved_sink_ = tls_trace.sink;
-  saved_queue_wait_us_ = tls_trace.queue_wait_us;
-  tls_trace.trace_hi = ctx.trace_hi;
-  tls_trace.trace_lo = ctx.trace_lo;
-  tls_trace.current_parent = ctx.span_id;
-  tls_trace.sink = sink;
-  tls_trace.queue_wait_us = queue_wait_us;
+                       uint64_t queue_wait_us)
+    : saved_(tls_trace_scope) {
+  tls_trace_scope = State{ctx, sink, queue_wait_us};
 }
 
-TraceScope::~TraceScope() {
-  tls_trace.trace_hi = saved_ctx_.trace_hi;
-  tls_trace.trace_lo = saved_ctx_.trace_lo;
-  tls_trace.current_parent = saved_ctx_.span_id;
-  tls_trace.sink = saved_sink_;
-  tls_trace.queue_wait_us = saved_queue_wait_us_;
-}
-
-void Trace::Clear() {
-  RingList& list = Rings();
-  std::lock_guard<std::mutex> lock(list.mu);
-  for (const std::shared_ptr<ThreadRing>& ring : list.rings) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    ring->events.clear();
-    ring->next = 0;
-    ring->wrapped = false;
-    ring->dropped = 0;
-  }
-}
-
-size_t Trace::EventCount() {
-  RingList& list = Rings();
-  std::lock_guard<std::mutex> lock(list.mu);
-  size_t total = 0;
-  for (const std::shared_ptr<ThreadRing>& ring : list.rings) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    total += ring->events.size();
-  }
-  return total;
-}
-
-uint64_t Trace::DroppedCount() {
-  RingList& list = Rings();
-  std::lock_guard<std::mutex> lock(list.mu);
-  uint64_t total = 0;
-  for (const std::shared_ptr<ThreadRing>& ring : list.rings) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    total += ring->dropped;
-  }
-  return total;
-}
-
-std::string Trace::ExportJson() {
-  // Snapshot every ring in time order (ring order within a thread, merged
-  // by start time across threads).
-  std::vector<TraceEvent> events;
-  uint64_t dropped = 0;
-  {
-    RingList& list = Rings();
-    std::lock_guard<std::mutex> lock(list.mu);
-    for (const std::shared_ptr<ThreadRing>& ring : list.rings) {
-      std::lock_guard<std::mutex> ring_lock(ring->mu);
-      if (ring->wrapped) {
-        events.insert(events.end(), ring->events.begin() + ring->next,
-                      ring->events.end());
-        events.insert(events.end(), ring->events.begin(),
-                      ring->events.begin() + ring->next);
-      } else {
-        events.insert(events.end(), ring->events.begin(),
-                      ring->events.end());
-      }
-      dropped += ring->dropped;
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start_us < b.start_us;
-                   });
-
-  std::string out = "{\"traceEvents\": [";
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n  {\"name\": \"%s\", \"cat\": \"frappe\", "
-                  "\"ph\": \"X\", \"pid\": 1, \"tid\": %u, "
-                  "\"ts\": %llu, \"dur\": %llu",
-                  i == 0 ? "" : ",", e.name, e.tid,
-                  static_cast<unsigned long long>(e.start_us),
-                  static_cast<unsigned long long>(e.dur_us));
-    out += buf;
-    if (e.span_id != 0) {
-      out += ", \"args\": {";
-      if ((e.trace_hi | e.trace_lo) != 0) {
-        out += "\"trace_id\": \"" + TraceIdHex(e.trace_hi, e.trace_lo) +
-               "\", ";
-      }
-      out += "\"span_id\": \"" + SpanIdHex(e.span_id) +
-             "\", \"parent_id\": \"" + SpanIdHex(e.parent_id) + "\"}";
-    }
-    out += "}";
-  }
-  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
-         "{\"dropped_events\": \"" +
-         std::to_string(dropped) + "\"}}\n";
-  return out;
-}
-
-Status Trace::ExportJsonToFile(const std::string& path) {
-  std::string json = ExportJson();
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open trace output file '" + path + "'");
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::Internal("short write to trace output file '" + path +
-                            "'");
-  }
-  return Status::OK();
-}
+TraceScope::~TraceScope() { tls_trace_scope = saved_; }
 
 }  // namespace frappe::obs

@@ -1,7 +1,6 @@
 #ifndef FRAPPE_OBS_TRACE_H_
 #define FRAPPE_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -9,35 +8,21 @@
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
-
 namespace frappe::obs {
 
-// Request-scoped causal tracing for the query/analytics/extractor stack,
-// exportable as Chrome trace-event JSON (open chrome://tracing or
-// https://ui.perfetto.dev and load the file — parented spans render as a
-// flame tree).
+// Request-scoped causal tracing for the query/analytics/extractor stack.
+// A unit of work (a server request, a bench iteration, a test) installs a
+// TraceScope with a TraceContext (128-bit trace id) and a SpanCollector;
+// every Span completed under it lands in the collector with its span and
+// parent ids. All span sites run on the thread that started the work, so
+// the scope sees the whole tree. TraceStore retains tail trees and its
+// TraceJson renders them as Chrome trace-event JSON (chrome://tracing,
+// ui.perfetto.dev).
 //
-// Two collection paths share the same Span RAII type:
-//   - the *global* path (Trace::Enable) appends every completed span to a
-//     fixed-capacity per-thread ring, as before — the whole-process window
-//     view served by /debug/tracez?ms=N;
-//   - the *request* path installs a TraceScope carrying a TraceContext
-//     (128-bit trace id) and a SpanCollector sink on the current thread;
-//     every span completed under it is also appended to the sink with its
-//     span id and parent id, building the per-request span tree that the
-//     tail-sampling TraceStore retains for slow/errored/shed queries.
-//
-// The fast path is the *disabled* path: a Span constructor is one relaxed
-// atomic load, one thread-local load and a branch — no clock read, no
-// allocation — cheap enough to leave in per-BFS-level and per-clause code
-// permanently (bench_obs_overhead keeps this honest: < 5% executor overhead
-// with tracing off).
-//
-// When collecting, completed spans are appended to the per-thread ring
-// (oldest events overwritten), each ring guarded by its own mutex so a
-// concurrent ExportJson is race-free (TSan-clean). Span names must be
-// string literals (they are stored as const char*).
+// With no scope installed a Span constructor is one thread-local load and
+// a branch — no clock read, no allocation — cheap enough to leave in
+// per-BFS-level code (bench_obs_overhead holds it under 5% of executor
+// time). Span names must be string literals (stored as const char*).
 
 // W3C trace-context identity: a 128-bit trace id plus the id of the span
 // that is "current" on this context (the parent for any span started under
@@ -76,18 +61,6 @@ bool ParseTraceIdHex(std::string_view hex, uint64_t* hi, uint64_t* lo);
 // A fresh context with a random non-zero 128-bit trace id and span_id 0
 // (no parent yet).
 TraceContext GenerateTraceContext();
-
-struct TraceEvent {
-  const char* name = nullptr;  // static string
-  uint32_t tid = 0;            // sequential thread number, not the OS tid
-  uint64_t start_us = 0;       // microseconds since the process trace epoch
-  uint64_t dur_us = 0;
-  // Causal identity; zero when recorded outside any span tree.
-  uint64_t trace_hi = 0;
-  uint64_t trace_lo = 0;
-  uint64_t span_id = 0;
-  uint64_t parent_id = 0;
-};
 
 // One completed span captured into a per-request SpanCollector.
 struct CollectedSpan {
@@ -143,34 +116,11 @@ class SpanCollector {
 
 class Trace {
  public:
-  // Capacity of each thread's ring. Exceeding it drops the oldest events
-  // (the export notes how many were dropped).
-  static constexpr size_t kRingCapacity = 16384;
-
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  static void Enable() { enabled_.store(true, std::memory_order_relaxed); }
-  static void Disable() { enabled_.store(false, std::memory_order_relaxed); }
-
-  // Drops every buffered event (rings stay allocated).
-  static void Clear();
-
-  // Total buffered events across all thread rings.
-  static size_t EventCount();
-  // Events overwritten by ring wrap-around since the last Clear.
-  static uint64_t DroppedCount();
-
-  // Chrome trace-event JSON: {"traceEvents": [{"name", "ph": "X", "pid",
-  // "tid", "ts", "dur", "args": {trace_id, span_id, parent_id}}, ...]}.
-  // Safe to call while other threads trace.
-  static std::string ExportJson();
-  static Status ExportJsonToFile(const std::string& path);
-
   // Microseconds since the process trace epoch (first use).
   static uint64_t NowMicros();
-
-  // --- request-scoped context (thread-local; see TraceScope) ---
+  // Wall-clock microseconds since the Unix epoch: the ts_us of log
+  // entries, query records, exemplars and retained traces.
+  static uint64_t UnixMicros();
 
   // True when a TraceScope is installed on this thread.
   static bool HasRequestContext();
@@ -180,34 +130,16 @@ class Trace {
   // The queue-wait attributed to this thread's current request, as set by
   // TraceScope (0 outside a server request).
   static uint64_t CurrentQueueWaitUs();
-  // This thread's request sink, or nullptr.
-  static SpanCollector* CurrentSink();
 
   // Process-unique non-zero span id (thread tag + local counter).
   static uint64_t NextSpanId();
-
-  // Appends a completed span for the calling thread: to the global ring
-  // when tracing is enabled, and to the thread's request sink when one is
-  // installed. Public for Span; call sites should use FRAPPE_TRACE_SPAN.
-  static void RecordSpan(const char* name, uint64_t span_id,
-                         uint64_t parent_id, uint64_t start_us,
-                         uint64_t dur_us);
-
-  // Makes `span_id` the current parent on this thread and returns the
-  // previous one. Public for Span.
-  static uint64_t PushSpan(uint64_t span_id);
-  static void PopSpan(uint64_t previous_span_id);
-
- private:
-  friend class TraceScope;
-  static std::atomic<bool> enabled_;
 };
 
 // RAII installation of a request trace context on the current thread: all
 // spans started while it is alive parent under `ctx.span_id`, carry the
-// 128-bit trace id, and (when `sink` is non-null) are appended to the
-// per-request collector in addition to the global rings. Restores the
-// previous thread state on destruction, so scopes nest.
+// 128-bit trace id, and are appended to `sink`. A null sink records
+// nothing. Restores the previous thread state on destruction, so scopes
+// nest.
 class TraceScope {
  public:
   TraceScope(const TraceContext& ctx, SpanCollector* sink,
@@ -216,32 +148,37 @@ class TraceScope {
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
+  // What a scope installs on its thread (and restores on exit).
+  struct State {
+    TraceContext ctx;  // ctx.span_id: the parent of the next span started
+    SpanCollector* sink = nullptr;
+    uint64_t queue_wait_us = 0;
+  };
+
  private:
-  TraceContext saved_ctx_;
-  SpanCollector* saved_sink_ = nullptr;
-  uint64_t saved_queue_wait_us_ = 0;
+  State saved_;
 };
 
+// What the innermost TraceScope installed on this thread (defined in
+// trace.cc). constinit lets every Span read it inline, with no TLS
+// initialization check.
+extern constinit thread_local TraceScope::State tls_trace_scope;
+
+inline bool Trace::HasRequestContext() {
+  return tls_trace_scope.sink != nullptr;
+}
+
 // RAII span: measures construction-to-destruction and records it under
-// `name` (a string literal) if tracing was enabled — globally or via a
-// request TraceScope — at construction. While alive it is the parent of
-// any span started on the same thread.
+// `name` (a string literal) if a TraceScope with a sink was installed at
+// construction. While alive it is the parent of any span started on the
+// same thread.
 class Span {
  public:
   explicit Span(const char* name) {
-    if (Trace::enabled() || Trace::HasRequestContext()) {
-      name_ = name;
-      start_us_ = Trace::NowMicros();
-      span_id_ = Trace::NextSpanId();
-      parent_id_ = Trace::PushSpan(span_id_);
-    }
+    if (Trace::HasRequestContext()) Start(name);
   }
   ~Span() {
-    if (name_ != nullptr) {
-      Trace::PopSpan(parent_id_);
-      Trace::RecordSpan(name_, span_id_, parent_id_, start_us_,
-                        Trace::NowMicros() - start_us_);
-    }
+    if (name_ != nullptr) Finish();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -249,6 +186,11 @@ class Span {
   uint64_t span_id() const { return span_id_; }
 
  private:
+  // Becomes the thread's current parent / restores the previous parent
+  // and appends the completed span to the thread's sink.
+  void Start(const char* name);
+  void Finish();
+
   const char* name_ = nullptr;
   uint64_t start_us_ = 0;
   uint64_t span_id_ = 0;

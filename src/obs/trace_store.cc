@@ -36,12 +36,9 @@ void TraceStore::Retain(StoredTrace trace) {
       return;
     }
   }
-  if (ring_.size() >= capacity_) {
-    ring_.pop_front();
-    ++evicted_;
-    EvictedCounter().Add();
-  }
-  ring_.push_back(std::move(trace));
+  const uint64_t evicted = ring_.evicted();
+  ring_.Push(std::move(trace));
+  if (ring_.evicted() != evicted) EvictedCounter().Add();
   RetainedCounter().Add();
 }
 
@@ -60,7 +57,7 @@ bool TraceStore::Lookup(uint64_t trace_hi, uint64_t trace_lo,
 std::string TraceStore::IndexJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"retained\": " + std::to_string(ring_.size()) +
-                    ", \"evicted\": " + std::to_string(evicted_) +
+                    ", \"evicted\": " + std::to_string(ring_.evicted()) +
                     ", \"traces\": [";
   bool first = true;
   // Newest first: the most recent tail event is what an operator wants.
@@ -123,13 +120,12 @@ size_t TraceStore::size() const {
 
 uint64_t TraceStore::evicted() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return evicted_;
+  return ring_.evicted();
 }
 
 void TraceStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  evicted_ = 0;
+  ring_.Clear();
 }
 
 uint64_t TraceStore::ApproxBytes() const {

@@ -2,11 +2,11 @@
 #define FRAPPE_OBS_TRACE_STORE_H_
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/ring.h"
 #include "obs/trace.h"
 
 namespace frappe::obs {
@@ -17,7 +17,7 @@ namespace frappe::obs {
 // traced by the client) and hands it here. /debug/tracez?trace_id=... then
 // serves the retained tree without any blocking capture window.
 //
-// A fixed-capacity ring of full span trees under one mutex: retention is a
+// A fixed-capacity Ring of full span trees under one mutex: retention is a
 // per-request cold path (at most one Retain per query, and only for the
 // tail), lookups come from the stats server's serving thread.
 
@@ -40,8 +40,7 @@ class TraceStore {
 
   static TraceStore& Global();
 
-  explicit TraceStore(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
+  explicit TraceStore(size_t capacity = kDefaultCapacity) : ring_(capacity) {}
 
   // Keeps `trace`, evicting the oldest retained trace when full. A second
   // Retain with the same trace id replaces the first (retries reuse ids).
@@ -53,8 +52,11 @@ class TraceStore {
   //  fingerprint, ts_us, latency_ms, spans}, ...]} newest first.
   std::string IndexJson() const;
 
-  // One retained trace as Chrome trace-event JSON (same shape as
-  // Trace::ExportJson, with span/parent ids in args).
+  // One span tree as Chrome trace-event JSON: {"traceEvents": [{"name",
+  // "ph": "X", "pid", "tid", "ts", "dur", "args": {trace_id, span_id,
+  // parent_id}}, ...]} in start order, with the retention metadata in
+  // "otherData". The one trace-event writer: /debug/tracez serves it, and
+  // any TraceScope's collected spans export through it.
   static std::string TraceJson(const StoredTrace& trace);
 
   size_t size() const;
@@ -66,10 +68,8 @@ class TraceStore {
   uint64_t ApproxBytes() const;
 
  private:
-  size_t capacity_;
   mutable std::mutex mu_;
-  std::deque<StoredTrace> ring_;  // oldest at front
-  uint64_t evicted_ = 0;
+  Ring<StoredTrace> ring_;
 };
 
 }  // namespace frappe::obs

@@ -5,8 +5,8 @@
 
 #include "common/string_util.h"
 #include "graph/stats_catalog.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
-#include "obs/knobs.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/query_registry.h"
@@ -31,12 +31,6 @@ void EmitSlowQueryLog(const std::string& message) {
   } else {
     std::fputs(message.c_str(), stderr);
   }
-}
-
-int64_t NowUnixMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
 }
 
 // Workload telemetry for one finished (or parse-failed) execution: the
@@ -82,7 +76,7 @@ void RecordWorkloadTelemetry(const obs::NormalizedQuery& normalized,
   obs::QueryLog& qlog = obs::QueryLog::Global();
   if (qlog.enabled()) {
     obs::QueryLogRecord record;
-    record.ts_us = NowUnixMicros();
+    record.ts_us = obs::Trace::UnixMicros();
     record.fingerprint = normalized.fingerprint;
     record.trace_id = obs::TraceIdHex(trace);
     record.query = normalized.text;
@@ -214,8 +208,9 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   // tracker through TLS, so the allocation seam, the executor's budget
   // poll, and the analytics kernel all charge this query. The budget itself
   // comes from FRAPPE_QUERY_MEM_BYTES (0 = unlimited).
+  const obs::RuntimeConfig& config = obs::Config();
   obs::ResourceTracker resources;
-  resources.set_budget_bytes(obs::QueryMemBudgetBytes());
+  resources.set_budget_bytes(config.query_mem_bytes);
   obs::ResourceScope resource_scope(&resources);
 
   // The workload identity of this query: literals stripped, case folded,
@@ -226,7 +221,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   // via TraceScope, or mint a fresh id for direct callers (shell, replay,
   // tests) so the query log, /stats and the slow-query ring still carry a
   // joinable trace id. Minting does NOT activate span collection — the
-  // disabled-span fast path stays one atomic + one TLS load.
+  // disabled-span fast path stays one TLS load.
   obs::TraceContext trace = obs::Trace::CurrentContext();
   if (!trace.valid()) trace = obs::GenerateTraceContext();
   Timeline timeline;
@@ -384,7 +379,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   // Identified by fingerprint + normalized text (not the raw query):
   // that's the key the /stats fingerprint table and the query log use, so
   // the three views join on `fp` — and literals stay out of the log.
-  int64_t threshold_ms = obs::SlowQueryThresholdMs();
+  const int64_t threshold_ms = config.slow_query_ms;
   if (threshold_ms >= 0 && elapsed_ms >= static_cast<double>(threshold_ms)) {
     slow_queries.Add();
     std::string message = "[frappe] slow query (" +
@@ -403,7 +398,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
     }
     EmitSlowQueryLog(message);
     obs::SlowQueryRing::Record slow;
-    slow.ts_us = NowUnixMicros();
+    slow.ts_us = obs::Trace::UnixMicros();
     slow.fingerprint = normalized.fingerprint;
     slow.trace_id = obs::TraceIdHex(trace);
     slow.normalized = normalized.text;

@@ -39,9 +39,9 @@ class Session {
   // Parses and executes `query_text`. `EXPLAIN <query>` returns the plan
   // in QueryResult::plan without executing; `PROFILE <query>` executes for
   // real and returns rows plus the plan annotated with per-operator stats.
-  // When the FRAPPE_SLOW_QUERY_MS environment variable is set (read per
-  // call), any execution at or over that many milliseconds is logged with
-  // its plan — to stderr, or to the sink installed below.
+  // When FRAPPE_SLOW_QUERY_MS is set (obs::Config().slow_query_ms), any
+  // execution at or over that many milliseconds is logged with its plan —
+  // to stderr, or to the sink installed below.
   Result<QueryResult> Run(std::string_view query_text,
                           const ExecOptions& options = {}) const;
 

@@ -9,8 +9,8 @@
 
 #include "common/fault_injector.h"
 #include "common/string_util.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
-#include "obs/knobs.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -80,13 +80,6 @@ obs::Histogram& QueueWaitHistogram() {
   static obs::Histogram& h =
       obs::Registry::Global().GetHistogram("server.queue_wait_us");
   return h;
-}
-
-uint64_t NowUnixMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
 }
 
 // HTTP status for a failed query. 499 is the nginx convention for
@@ -197,7 +190,7 @@ void RetainShedTrace(const AdmissionQueue::Item& item) {
   trace.status = "ResourceExhausted";
   trace.fingerprint = obs::FingerprintHex(
       obs::NormalizeQuery(item.conn.request().body).fingerprint);
-  trace.ts_us = NowUnixMicros();
+  trace.ts_us = obs::Trace::UnixMicros();
   obs::CollectedSpan span;
   span.name = "server.shed";
   span.span_id = item.trace.span_id;
@@ -501,7 +494,7 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
   } else {
     // The session's slow-query threshold doubles as the retention bar, so
     // "it was logged slow" and "its trace was retained" agree.
-    int64_t slow_ms = obs::SlowQueryThresholdMs();
+    const int64_t slow_ms = obs::Config().slow_query_ms;
     if (slow_ms >= 0 && latency_ms >= static_cast<double>(slow_ms)) {
       reason = "slow";
     } else if (item.trace_requested) {
@@ -517,7 +510,7 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
         result.ok() ? "ok" : StatusCodeName(result.status().code());
     stored.fingerprint = obs::FingerprintHex(
         obs::NormalizeQuery(request.body).fingerprint);
-    stored.ts_us = NowUnixMicros();
+    stored.ts_us = obs::Trace::UnixMicros();
     stored.latency_ms = latency_ms;
     stored.dropped_spans = item.sink->dropped();
     stored.spans = item.sink->TakeSpans();

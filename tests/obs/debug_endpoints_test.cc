@@ -25,6 +25,7 @@
 #include "extractor/synthetic.h"
 #include "gtest/gtest.h"
 #include "model/code_graph.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/log.h"
 #include "obs/query_registry.h"
@@ -81,7 +82,9 @@ class DebugEndpointsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // Structured log output goes to a scratch file, not the test output.
-    ::setenv("FRAPPE_LOG_FILE", "debug_endpoints_scratch.log", 1);
+    RuntimeConfig config;
+    config.log_file = "debug_endpoints_scratch.log";
+    SetConfigForTesting(config);
     Log::ResetForTesting();
     auto server = StatsServer::Start();
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -91,8 +94,8 @@ class DebugEndpointsTest : public ::testing::Test {
   void TearDown() override {
     server_.reset();
     StatsServer::SetStorageStatsProvider(nullptr);
+    SetConfigForTesting(RuntimeConfig());
     Log::ResetForTesting();
-    ::unsetenv("FRAPPE_LOG_FILE");
     std::remove("debug_endpoints_scratch.log");
   }
 
@@ -208,23 +211,32 @@ TEST_F(DebugEndpointsTest, LogzServesTheRecentRing) {
   ExportFixtureFile("debugz_logz.json", body);
 }
 
-TEST_F(DebugEndpointsTest, TracezServesTheRingWithoutBlocking) {
-  // Capture spans in-process first: the endpoint answers from whatever the
-  // ring already holds. (The old semantics — enable, sleep the requested
-  // window, export — wedged the single serving thread for the duration.)
-  Trace::Clear();
-  Trace::Enable();
+TEST_F(DebugEndpointsTest, TracezServesARetainedSessionTree) {
+  // A real Session::Run under a TraceScope + SpanCollector, retained the
+  // way the query server retains a tail request.
   query::testing::PaperFixture fixture;
   query::Session session(fixture.graph);
-  ASSERT_TRUE(session.Run("MATCH (f:function) RETURN f").ok());
-  Trace::Disable();
+  SpanCollector sink;
+  const TraceContext ctx = GenerateTraceContext();
+  {
+    TraceScope scope(ctx, &sink);
+    ASSERT_TRUE(session.Run("MATCH (f:function) RETURN f").ok());
+  }
+  StoredTrace retained;
+  retained.trace_hi = ctx.trace_hi;
+  retained.trace_lo = ctx.trace_lo;
+  retained.reason = "requested";
+  retained.status = "ok";
+  retained.spans = sink.TakeSpans();
+  ASSERT_FALSE(retained.spans.empty());
+  TraceStore::Global().Retain(retained);
 
   auto start = std::chrono::steady_clock::now();
-  std::string response = HttpGet(port(), "/debug/tracez?ms=5000");
+  std::string response =
+      HttpGet(port(), "/debug/tracez?trace_id=" + TraceIdHex(ctx));
   double waited_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-  // Far under the requested window: the serving thread never slept.
   EXPECT_LT(waited_ms, 2000.0) << "tracez blocked the serving thread";
   EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("application/json"), std::string::npos);
@@ -234,11 +246,11 @@ TEST_F(DebugEndpointsTest, TracezServesTheRingWithoutBlocking) {
   // Chrome-trace validity is checked by tools/trace_check.py from ctest.
   ExportFixtureFile("tracez_export.json", body);
 
-  // A bad window is rejected, and tracez never toggles tracing itself.
-  std::string bad = HttpGet(port(), "/debug/tracez?ms=banana");
-  EXPECT_NE(bad.find("400"), std::string::npos) << bad;
-  EXPECT_FALSE(Trace::enabled());
-  Trace::Clear();
+  // The old ?ms= capture window is gone: 400, pointing at ?trace_id=.
+  std::string gone = HttpGet(port(), "/debug/tracez?ms=5000");
+  EXPECT_NE(gone.find("400"), std::string::npos) << gone;
+  EXPECT_NE(gone.find("?trace_id="), std::string::npos) << gone;
+  TraceStore::Global().Clear();
 }
 
 TEST_F(DebugEndpointsTest, TracezServesRetainedTracesById) {

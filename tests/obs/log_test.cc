@@ -1,7 +1,6 @@
 #include "obs/log.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -10,6 +9,7 @@
 
 #include "common/log_hook.h"
 #include "gtest/gtest.h"
+#include "obs/config.h"
 
 namespace frappe::obs {
 namespace {
@@ -20,15 +20,19 @@ namespace {
 class LogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::setenv("FRAPPE_LOG_FILE", kScratchPath, 1);
-    ::unsetenv("FRAPPE_LOG_LEVEL");
+    SetConfigForTesting(ScratchConfig());
     Log::ResetForTesting();
   }
   void TearDown() override {
+    SetConfigForTesting(RuntimeConfig());
     Log::ResetForTesting();
-    ::unsetenv("FRAPPE_LOG_FILE");
-    ::unsetenv("FRAPPE_LOG_LEVEL");
     std::remove(kScratchPath);
+  }
+
+  static RuntimeConfig ScratchConfig() {
+    RuntimeConfig config;
+    config.log_file = kScratchPath;
+    return config;
   }
 
   static constexpr const char* kScratchPath = "log_test_scratch.log";
@@ -64,19 +68,17 @@ TEST_F(LogTest, ParseLogLevelAcceptsAliasesAndCase) {
   EXPECT_EQ(level, LogLevel::kDebug);  // untouched on failure
 }
 
-TEST_F(LogTest, ThresholdComesFromEnv) {
-  ::setenv("FRAPPE_LOG_LEVEL", "error", 1);
+// Unknown FRAPPE_LOG_LEVEL values are covered by obs_config_test.
+TEST_F(LogTest, ThresholdComesFromConfig) {
+  RuntimeConfig config = ScratchConfig();
+  config.log_level = LogLevel::kError;
+  SetConfigForTesting(config);
   Log::ResetForTesting();
   EXPECT_EQ(Log::Threshold(), LogLevel::kError);
   EXPECT_FALSE(Log::Enabled(LogLevel::kWarn));
   EXPECT_TRUE(Log::Enabled(LogLevel::kError));
 
-  // Unknown values warn and fall back to the default.
-  ::setenv("FRAPPE_LOG_LEVEL", "shouty", 1);
-  Log::ResetForTesting();
-  EXPECT_EQ(Log::Threshold(), LogLevel::kInfo);
-
-  ::unsetenv("FRAPPE_LOG_LEVEL");
+  SetConfigForTesting(ScratchConfig());
   Log::ResetForTesting();
   EXPECT_EQ(Log::Threshold(), LogLevel::kInfo);
   EXPECT_FALSE(Log::Enabled(LogLevel::kDebug));

@@ -1,12 +1,12 @@
 #include "obs/query_registry.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -20,7 +20,7 @@ namespace {
 class QueryRegistryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::setenv("FRAPPE_LOG_FILE", "registry_test_scratch.log", 1);
+    SetConfigForTesting(ScratchConfig());
     Log::ResetForTesting();
     registry().set_enabled(true);
     ASSERT_EQ(registry().size(), 0u);
@@ -29,9 +29,15 @@ class QueryRegistryTest : public ::testing::Test {
     registry().StopWatchdog();
     registry().set_enabled(true);
     EXPECT_EQ(registry().size(), 0u);
+    SetConfigForTesting(RuntimeConfig());
     Log::ResetForTesting();
-    ::unsetenv("FRAPPE_LOG_FILE");
     std::remove("registry_test_scratch.log");
+  }
+
+  static RuntimeConfig ScratchConfig() {
+    RuntimeConfig config;
+    config.log_file = "registry_test_scratch.log";
+    return config;
   }
 
   static QueryRegistry& registry() { return QueryRegistry::Global(); }
@@ -230,34 +236,33 @@ TEST_F(QueryRegistryTest, WatchdogCancelActionTripsTheToken) {
   EXPECT_NE(warnings[1].message.find("cancelled"), std::string::npos);
 }
 
-TEST_F(QueryRegistryTest, WatchdogActionFromEnv) {
-  ::setenv("FRAPPE_STUCK_QUERY_MS", "30000", 1);
-  ::setenv("FRAPPE_STUCK_QUERY_ACTION", "cancel", 1);
+// Invalid FRAPPE_STUCK_QUERY_MS / _ACTION values are covered by
+// obs_config_test: they parse to the defaults used here.
+TEST_F(QueryRegistryTest, WatchdogActionFromConfig) {
+  RuntimeConfig config = ScratchConfig();
+  config.stuck_query_ms = 30000;
+  config.stuck_query_cancel = true;
+  SetConfigForTesting(config);
   EXPECT_TRUE(registry().MaybeStartWatchdogFromEnv());
   EXPECT_TRUE(registry().watchdog_running());
   registry().StopWatchdog();
 
-  // Unknown action values warn and fall back to warn-only.
-  ::setenv("FRAPPE_STUCK_QUERY_ACTION", "explode", 1);
+  config.stuck_query_cancel = false;
+  SetConfigForTesting(config);
   EXPECT_TRUE(registry().MaybeStartWatchdogFromEnv());
   registry().StopWatchdog();
-  ::unsetenv("FRAPPE_STUCK_QUERY_ACTION");
-  ::unsetenv("FRAPPE_STUCK_QUERY_MS");
 }
 
-TEST_F(QueryRegistryTest, WatchdogFromEnv) {
-  ::unsetenv("FRAPPE_STUCK_QUERY_MS");
+TEST_F(QueryRegistryTest, WatchdogFromConfig) {
   EXPECT_FALSE(registry().MaybeStartWatchdogFromEnv());
   EXPECT_FALSE(registry().watchdog_running());
 
-  ::setenv("FRAPPE_STUCK_QUERY_MS", "not-a-number", 1);
-  EXPECT_FALSE(registry().MaybeStartWatchdogFromEnv());
-
-  ::setenv("FRAPPE_STUCK_QUERY_MS", "30000", 1);
+  RuntimeConfig config = ScratchConfig();
+  config.stuck_query_ms = 30000;
+  SetConfigForTesting(config);
   EXPECT_TRUE(registry().MaybeStartWatchdogFromEnv());
   EXPECT_TRUE(registry().watchdog_running());
   registry().StopWatchdog();
-  ::unsetenv("FRAPPE_STUCK_QUERY_MS");
 }
 
 TEST_F(QueryRegistryTest, ConcurrentRegisterCancelSnapshot) {

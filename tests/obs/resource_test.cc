@@ -10,14 +10,15 @@
 
 #include "obs/resource.h"
 
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "extractor/synthetic.h"
 #include "gtest/gtest.h"
 #include "model/code_graph.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/stats_server.h"
 #include "query/session.h"
@@ -156,6 +157,14 @@ TEST(ResourceQueryTest, RunQueryFillsResourceStats) {
 
 // `MATCH n -[:calls*]-> m RETURN distinct m` from the first function with
 // a call edge.
+// Sets the FRAPPE_QUERY_MEM_BYTES knob (0 = unlimited) for the sessions
+// that run next.
+void SetQueryMemBytes(uint64_t bytes) {
+  RuntimeConfig config;
+  config.query_mem_bytes = bytes;
+  SetConfigForTesting(config);
+}
+
 std::string ClosureQuery(const model::CodeGraph& graph) {
   graph::TypeId calls = graph.schema().edge_type(model::EdgeKind::kCalls);
   graph::KeyId short_name = graph.schema().key(model::PropKey::kShortName);
@@ -196,12 +205,12 @@ TEST(ResourceQueryTest, MemoryBudgetTripsResourceExhausted) {
   extractor::GenerateKernelGraph(scale, &graph);
   query::Session session(graph);
 
-  ::setenv("FRAPPE_QUERY_MEM_BYTES", "262144", 1);
+  SetQueryMemBytes(262144);
   query::ExecOptions options;
   options.use_csr_fast_path = false;  // the unbounded enumeration path
   options.deadline_ms = 60000;        // a broken budget fails, not hangs
   auto result = session.Run(ClosureQuery(graph), options);
-  ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+  SetQueryMemBytes(0);
 
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
@@ -222,9 +231,9 @@ TEST(ResourceQueryTest, MemoryBudgetReachesAnalyticsKernels) {
   // A budget of 1 byte: the first flush after any allocation trips it.
   // (The CSR build itself happens outside the scan loops; what matters
   // here is the status code surfacing through the executor unmangled.)
-  ::setenv("FRAPPE_QUERY_MEM_BYTES", "1", 1);
+  SetQueryMemBytes(1);
   auto result = session.Run(ClosureQuery(graph));
-  ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+  SetQueryMemBytes(0);
 
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
@@ -241,12 +250,12 @@ TEST(ResourceQueryTest, MemoryBudgetReachesReachabilityFilter) {
   extractor::GenerateKernelGraph(scale, &graph);
   query::Session session(graph);
 
-  ::setenv("FRAPPE_QUERY_MEM_BYTES", "1", 1);
+  SetQueryMemBytes(1);
   query::ExecOptions options;
   options.deadline_ms = 60000;  // a broken budget fails, not hangs
   auto result = session.Run(query::testing::ReachabilityFilterQuery(graph),
                             options);
-  ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+  SetQueryMemBytes(0);
 
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
@@ -275,11 +284,17 @@ TEST(ResourceQueryTest, SessionBudgetMatchesMemz) {
   };
   for (const char* value : {"64MB", "64"}) {
     SCOPED_TRACE(value);
-    ::setenv("FRAPPE_QUERY_MEM_BYTES", value, 1);
+    std::vector<std::string> warnings;
+    SetConfigForTesting(ParseRuntimeConfig(
+        [value](const char* name) {
+          return std::string_view(name) == "FRAPPE_QUERY_MEM_BYTES" ? value
+                                                                    : nullptr;
+        },
+        &warnings));
     long long reported = number_after(StatsServer::MemzJson(),
                                       "\"query_mem_budget_bytes\": ");
     auto result = session.Run(ClosureQuery(graph));
-    ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+    SetConfigForTesting(RuntimeConfig());
 
     long long enforced =
         result.ok() ? 0

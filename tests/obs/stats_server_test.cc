@@ -8,8 +8,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/readiness.h"
 #include "query/session.h"
@@ -195,6 +198,12 @@ TEST_F(StatsServerTest, StatsServesFingerprintTableJson) {
       << body;
   EXPECT_NE(body.find("\"slow_queries\": ["), std::string::npos) << body;
   EXPECT_NE(body.find("\"query_log\":"), std::string::npos) << body;
+  // The parsed runtime config, one key per knob.
+  EXPECT_NE(body.find("\"config\": {\"log_level\": "), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\"stuck_query_action\": \"warn\"}"),
+            std::string::npos)
+      << body;
 }
 
 TEST_F(StatsServerTest, ServesSequentialRequests) {
@@ -297,22 +306,31 @@ TEST(StatsServerTimeoutTest, StallingClientCannotWedgeTheServer) {
 }
 
 TEST(StatsServerEnvTest, MaybeStartFromEnvIsOffByDefault) {
-  ::unsetenv("FRAPPE_STATS_PORT");
+  SetConfigForTesting(RuntimeConfig());
   EXPECT_EQ(StatsServer::MaybeStartFromEnv(), nullptr);
 }
 
 TEST(StatsServerEnvTest, MaybeStartFromEnvHonorsPort) {
-  ::setenv("FRAPPE_STATS_PORT", "0", 1);
+  RuntimeConfig config;
+  config.stats_port = 0;
+  SetConfigForTesting(config);
   auto server = StatsServer::MaybeStartFromEnv();
   ASSERT_NE(server, nullptr);
   EXPECT_GT(server->port(), 0);
-  ::unsetenv("FRAPPE_STATS_PORT");
+  SetConfigForTesting(RuntimeConfig());
 }
 
 TEST(StatsServerEnvTest, MaybeStartFromEnvToleratesGarbage) {
-  ::setenv("FRAPPE_STATS_PORT", "not-a-port", 1);
-  EXPECT_EQ(StatsServer::MaybeStartFromEnv(), nullptr);  // stderr warning
-  ::unsetenv("FRAPPE_STATS_PORT");
+  std::vector<std::string> warnings;
+  SetConfigForTesting(ParseRuntimeConfig(
+      [](const char* name) {
+        return std::string_view(name) == "FRAPPE_STATS_PORT" ? "not-a-port"
+                                                             : nullptr;
+      },
+      &warnings));
+  EXPECT_EQ(warnings.size(), 1u);
+  EXPECT_EQ(StatsServer::MaybeStartFromEnv(), nullptr);
+  SetConfigForTesting(RuntimeConfig());
 }
 
 }  // namespace

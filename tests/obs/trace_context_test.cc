@@ -148,8 +148,8 @@ TEST(TraceScopeTest, InstallsContextAndCollectsParentedSpans) {
   EXPECT_EQ(spans[0].parent_id, spans[1].span_id);  // inner under outer
 }
 
-TEST(TraceScopeTest, NoSpansRecordedWithoutScopeOrGlobalEnable) {
-  ASSERT_FALSE(Trace::enabled());
+TEST(TraceScopeTest, NoSpansRecordedWithoutScope) {
+  ASSERT_FALSE(Trace::HasRequestContext());
   SpanCollector sink;
   {
     Span span("ignored");

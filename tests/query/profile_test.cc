@@ -7,12 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "graph/analytics.h"
+#include "obs/config.h"
 #include "query/executor.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
@@ -374,14 +374,16 @@ TEST_F(ProfileTest, ExecStatsAlwaysPopulated) {
 }
 
 TEST_F(ProfileTest, SlowQueryLogFiresAtThresholdZero) {
-  ::setenv("FRAPPE_SLOW_QUERY_MS", "0", 1);
+  obs::RuntimeConfig config;
+  config.slow_query_ms = 0;
+  obs::SetConfigForTesting(config);
   std::vector<std::string> logged;
   SetSlowQueryLogSinkForTesting(
       [&logged](const std::string& line) { logged.push_back(line); });
   auto result = session_.Run(
       "START n=node:node_auto_index('short_name: cmd') RETURN n");
   SetSlowQueryLogSinkForTesting(nullptr);
-  ::unsetenv("FRAPPE_SLOW_QUERY_MS");
+  obs::SetConfigForTesting(obs::RuntimeConfig());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(logged.size(), 1u);
   EXPECT_NE(logged[0].find("slow query"), std::string::npos) << logged[0];
@@ -400,7 +402,7 @@ TEST_F(ProfileTest, SlowQueryLogFiresAtThresholdZero) {
 }
 
 TEST_F(ProfileTest, SlowQueryLogSilentWhenUnset) {
-  ::unsetenv("FRAPPE_SLOW_QUERY_MS");
+  obs::SetConfigForTesting(obs::RuntimeConfig());
   std::vector<std::string> logged;
   SetSlowQueryLogSinkForTesting(
       [&logged](const std::string& line) { logged.push_back(line); });

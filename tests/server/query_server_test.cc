@@ -21,6 +21,7 @@
 
 #include "extractor/synthetic.h"
 #include "model/code_graph.h"
+#include "obs/config.h"
 #include "obs/http_listener.h"
 #include "obs/metrics.h"
 #include "obs/readiness.h"
@@ -330,11 +331,13 @@ TEST_F(QueryServerTest, MemoryBudgetMapsTo413) {
   // executor's budget poll trips kResourceExhausted, mapped to 413
   // Payload Too Large at the front door. The deadline is a backstop so a
   // broken budget fails, not hangs.
-  ::setenv("FRAPPE_QUERY_MEM_BYTES", "262144", 1);
+  obs::RuntimeConfig config;
+  config.query_mem_bytes = 262144;
+  obs::SetConfigForTesting(config);
   std::string response =
       HttpFetch(port_, "POST", "/query?deadline_ms=60000&fast_path=0",
                 SlowClosureQuery(), /*timeout_ms=*/90000);
-  ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+  obs::SetConfigForTesting(obs::RuntimeConfig());
   EXPECT_EQ(HttpStatusOf(response), 413) << response;
   EXPECT_NE(HttpBodyOf(response).find("ResourceExhausted"),
             std::string::npos)

@@ -313,10 +313,12 @@ int main(int argc, char** argv) {
               {"properties", m.properties}};
           if (csr != nullptr) {
             // Packed-adjacency bytes: the transpose section stays 0 until
-            // the first pull-direction traversal lazily builds it.
+            // the first pull-direction traversal lazily builds it, the
+            // condensation until the first unbounded reachability query.
             graph::CsrCache::Stats cs = csr->GetStats();
             sections.emplace_back("csr_forward", cs.forward_bytes);
             sections.emplace_back("csr_reverse", cs.reverse_bytes);
+            sections.emplace_back("csr_condensation", cs.condensation_bytes);
           }
           if (stats != nullptr) {
             // 0 until ANALYZE runs (or a snapshot carried a catalog).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <functional>
+#include <limits>
 #include <string>
 
 #include "obs/metrics.h"
@@ -460,6 +462,281 @@ Result<std::vector<uint32_t>> ParallelBfsDepths(
     const CsrView& csr, const std::vector<NodeId>& seeds,
     const EdgeFilter& filter, const Options& options, Metrics* metrics) {
   return LocalEngine().BfsDepths(csr, seeds, filter, options, metrics);
+}
+
+namespace {
+
+// Bytes one DAG edge scan reads: a component id.
+constexpr uint64_t kBytesPerDagScan = sizeof(uint32_t);
+
+void FinishMetrics(const Budget& budget, uint64_t bytes_per_step,
+                   Metrics* metrics) {
+  if (metrics == nullptr) return;
+  metrics->steps = budget.steps;
+  metrics->scanned_bytes = budget.steps * bytes_per_step;
+}
+
+void NormalizeTypes(std::vector<TypeId>* types) {
+  std::sort(types->begin(), types->end());
+  types->erase(std::unique(types->begin(), types->end()), types->end());
+}
+
+// Tarjan's algorithm without recursion (the call graph's giant component
+// would overflow the stack), then the members and the DAG of the
+// components it found.
+Result<Condensation> BuildCondensation(const CsrView& csr,
+                                       const std::vector<TypeId>& types,
+                                       const Options& options,
+                                       Metrics* metrics) {
+  FRAPPE_TRACE_SPAN("analytics.condense");
+  Budget budget(options, obs::ResourceTracker::Current());
+  budget.Poll();
+  const EdgeFilter filter{types, Direction::kOut};
+  const TypeId single_type = types.size() == 1 ? types[0] : kInvalidType;
+  auto allowed = [&](TypeId t) {
+    return types.size() == 1 ? t == single_type : filter.Allows(t);
+  };
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  const size_t upper = csr.NodeIdUpperBound();
+  // Fills `metrics`; the status is OK unless a budget tripped.
+  auto finish = [&] {
+    FinishMetrics(budget, CsrView::kBytesPerEdgeScan, metrics);
+    return StatusFor(budget.reason, options, budget.tracker);
+  };
+
+  Condensation c;
+  c.types = types;
+  c.component.assign(upper, kNone);
+  std::vector<uint32_t> index(upper, kNone);
+  std::vector<uint32_t> low(upper);
+  std::vector<NodeId> stack;
+  struct Frame {
+    NodeId node;
+    size_t next;  // the next out-edge of `node` to scan
+  };
+  std::vector<Frame> calls;
+  uint32_t next_index = 0;
+  uint32_t components = 0;
+  auto visit = [&](NodeId v) {
+    index[v] = low[v] = next_index++;
+    stack.push_back(v);
+    calls.push_back({v, 0});
+  };
+  for (NodeId root = 0; root < upper && !budget.stopped(); ++root) {
+    if (index[root] != kNone) continue;
+    visit(root);
+    while (!calls.empty() && !budget.stopped()) {
+      const NodeId v = calls.back().node;
+      const CsrView::Neighbors nbrs = csr.Out(v);
+      bool descended = false;
+      while (!descended && calls.back().next < nbrs.count) {
+        const size_t j = calls.back().next++;
+        if (budget.Step()) break;
+        if (!allowed(nbrs.begin_types[j])) continue;
+        const NodeId w = nbrs.begin_nodes[j];
+        if (index[w] == kNone) {
+          visit(w);
+          descended = true;
+        } else if (c.component[w] == kNone) {  // w is on the stack
+          low[v] = std::min(low[v], index[w]);
+        }
+      }
+      if (descended || budget.stopped()) continue;
+      if (low[v] == index[v]) {
+        NodeId member;
+        do {
+          member = stack.back();
+          stack.pop_back();
+          c.component[member] = components;
+        } while (member != v);
+        ++components;
+      }
+      calls.pop_back();
+      if (!calls.empty()) {
+        NodeId parent = calls.back().node;
+        low[parent] = std::min(low[parent], low[v]);
+      }
+    }
+  }
+  if (budget.stopped()) return finish();
+  index = {};
+  low = {};
+
+  // Members, grouped by component and ascending within each.
+  c.member_offsets.assign(components + 1, 0);
+  for (uint32_t comp : c.component) ++c.member_offsets[comp + 1];
+  for (uint32_t k = 0; k < components; ++k) {
+    c.member_offsets[k + 1] += c.member_offsets[k];
+  }
+  c.members.resize(upper);
+  {
+    std::vector<uint64_t> cursor(c.member_offsets.begin(),
+                                 c.member_offsets.end() - 1);
+    for (NodeId v = 0; v < upper; ++v) {
+      c.members[cursor[c.component[v]]++] = v;
+    }
+  }
+
+  // The DAG: each component's distinct successors, and its cyclic flag
+  // from any edge that stays inside it.
+  c.cyclic.assign(components, 0);
+  c.out_offsets.assign(components + 1, 0);
+  std::vector<uint32_t> linked_from(components, kNone);
+  for (uint32_t k = 0; k < components && !budget.stopped(); ++k) {
+    const size_t begin = c.out.size();
+    for (uint64_t m = c.member_offsets[k]; m < c.member_offsets[k + 1]; ++m) {
+      const CsrView::Neighbors nbrs = csr.Out(c.members[m]);
+      for (size_t j = 0; j < nbrs.count; ++j) {
+        if (budget.Step()) break;
+        if (!allowed(nbrs.begin_types[j])) continue;
+        const uint32_t d = c.component[nbrs.begin_nodes[j]];
+        if (d == k) {
+          c.cyclic[k] = 1;
+        } else if (linked_from[d] != k) {
+          linked_from[d] = k;
+          c.out.push_back(d);
+        }
+      }
+    }
+    std::sort(c.out.begin() + begin, c.out.end(), std::greater<uint32_t>());
+    c.out_offsets[k + 1] = c.out.size();
+  }
+  if (budget.stopped()) return finish();
+
+  // The reverse DAG, a transpose that scans no graph edge. Walking sources
+  // in ascending order leaves each predecessor list ascending.
+  c.in_offsets.assign(components + 1, 0);
+  for (uint32_t d : c.out) ++c.in_offsets[d + 1];
+  for (uint32_t k = 0; k < components; ++k) {
+    c.in_offsets[k + 1] += c.in_offsets[k];
+  }
+  c.in.resize(c.out.size());
+  {
+    std::vector<uint64_t> cursor(c.in_offsets.begin(),
+                                 c.in_offsets.end() - 1);
+    for (uint32_t k = 0; k < components; ++k) {
+      for (uint64_t e = c.out_offsets[k]; e < c.out_offsets[k + 1]; ++e) {
+        c.in[cursor[c.out[e]]++] = k;
+      }
+    }
+  }
+  FRAPPE_RETURN_IF_ERROR(finish());
+  return c;
+}
+
+}  // namespace
+
+Result<const Condensation*> Condense(const CsrView& csr,
+                                     std::vector<TypeId> types,
+                                     const Options& options,
+                                     Metrics* metrics) {
+  NormalizeTypes(&types);
+  if (metrics != nullptr) *metrics = Metrics{};
+  return csr.Condensed(types, [&] {
+    return BuildCondensation(csr, types, options, metrics);
+  });
+}
+
+const Condensation* FindCondensation(const CsrView& csr,
+                                     std::vector<TypeId> types) {
+  NormalizeTypes(&types);
+  return csr.FindCondensation(types);
+}
+
+Result<bool> DagReaches(const Condensation& condensation, uint32_t from,
+                        uint32_t to, const Options& options,
+                        Metrics* metrics) {
+  if (metrics != nullptr) *metrics = Metrics{};
+  Budget budget(options, obs::ResourceTracker::Current());
+  budget.Poll();
+  thread_local VisitedBitmap visited;  // scratch reused across calls
+  visited.Reset(condensation.ComponentCount());
+  std::vector<uint32_t> stack{from};
+  visited.Set(from);
+  bool reached = false;
+  while (!stack.empty() && !reached && !budget.stopped()) {
+    const uint32_t c = stack.back();
+    stack.pop_back();
+    // Successors are descending: the first one below `to` ends the scan.
+    for (uint64_t e = condensation.out_offsets[c];
+         e < condensation.out_offsets[c + 1]; ++e) {
+      if (budget.Step()) break;
+      const uint32_t d = condensation.out[e];
+      if (d <= to) {
+        reached = d == to;
+        break;
+      }
+      if (visited.TestAndSet(d)) stack.push_back(d);
+    }
+  }
+  FinishMetrics(budget, kBytesPerDagScan, metrics);
+  FRAPPE_RETURN_IF_ERROR(StatusFor(budget.reason, options, budget.tracker));
+  return reached;
+}
+
+Result<std::vector<NodeId>> CondensedClosure(const Condensation& condensation,
+                                             NodeId seed, Direction direction,
+                                             const Options& options,
+                                             Metrics* metrics) {
+  FRAPPE_TRACE_SPAN("analytics.run");
+  if (metrics != nullptr) *metrics = Metrics{};
+  Budget budget(options, obs::ResourceTracker::Current());
+  budget.Poll();
+  const bool forward = direction == Direction::kOut;
+  const std::vector<uint64_t>& offsets =
+      forward ? condensation.out_offsets : condensation.in_offsets;
+  const std::vector<uint32_t>& next_of =
+      forward ? condensation.out : condensation.in;
+  const size_t upper = condensation.component.size();
+  thread_local VisitedBitmap visited;  // components; scratch reused
+  thread_local VisitedBitmap member;   // nodes
+  visited.Reset(condensation.ComponentCount());
+  member.Reset(upper);
+
+  auto add_members = [&](uint32_t c) {
+    for (uint64_t m = condensation.member_offsets[c];
+         m < condensation.member_offsets[c + 1]; ++m) {
+      member.Set(condensation.members[m]);
+    }
+  };
+  std::vector<uint32_t> frontier;
+  std::vector<uint32_t> next;
+  if (seed < upper) {
+    const uint32_t start = condensation.component[seed];
+    visited.Set(start);
+    frontier.push_back(start);
+    if (condensation.cyclic[start] != 0) add_members(start);
+  }
+  while (!frontier.empty() && !budget.stopped()) {
+    FRAPPE_TRACE_SPAN("analytics.level");
+    if (metrics != nullptr) {
+      metrics->frontier_peak = std::max(metrics->frontier_peak,
+                                        frontier.size());
+      metrics->frontier_sizes.push_back(frontier.size());
+      metrics->level_pull.push_back(0);
+      metrics->level_bitmap.push_back(0);
+      metrics->lanes_used = 1;
+      ++metrics->levels;
+    }
+    next.clear();
+    for (uint32_t c : frontier) {
+      for (uint64_t e = offsets[c]; e < offsets[c + 1]; ++e) {
+        if (budget.Step()) break;
+        const uint32_t d = next_of[e];
+        if (visited.TestAndSet(d)) {
+          next.push_back(d);
+          add_members(d);
+        }
+      }
+      if (budget.stopped()) break;
+    }
+    frontier.swap(next);
+  }
+  FinishMetrics(budget, kBytesPerDagScan, metrics);
+  FRAPPE_RETURN_IF_ERROR(StatusFor(budget.reason, options, budget.tracker));
+  std::vector<NodeId> out;
+  member.AppendSetBits(&out);
+  return out;
 }
 
 }  // namespace frappe::graph::analytics

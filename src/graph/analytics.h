@@ -221,6 +221,45 @@ Result<std::vector<uint32_t>> ParallelBfsDepths(
     const EdgeFilter& filter, const Options& options = {},
     Metrics* metrics = nullptr);
 
+// --- Reachability on the condensation (see graph::Condensation) ---
+
+// The condensation of `csr` under `types` (any order; empty: every type),
+// cached on the view: built on the first call for that type set, returned
+// as is afterwards. The build runs an iterative Tarjan over the matching
+// out-edges, then collects the component DAG, under `options`' budgets
+// polled at the kernel's cadence. metrics->steps counts its edge scans
+// (every live edge twice, once in Tarjan and once collecting the DAG,
+// whatever the type set) and stays 0 when the condensation was already
+// built. An aborted build caches nothing. Returns nullptr,
+// building nothing, when the view already holds
+// CsrView::kMaxCondensations other type sets.
+Result<const Condensation*> Condense(const CsrView& csr,
+                                     std::vector<TypeId> types,
+                                     const Options& options = {},
+                                     Metrics* metrics = nullptr);
+
+// The condensation of `csr` under `types` when one is built, else nullptr.
+const Condensation* FindCondensation(const CsrView& csr,
+                                     std::vector<TypeId> types);
+
+// Whether component `from` reaches component `to` on the DAG, for
+// from > to: a depth-first search that skips every component below `to`
+// (ids fall along DAG edges) and stops once `to` is reached.
+// metrics->steps counts the DAG edges it scanned.
+Result<bool> DagReaches(const Condensation& condensation, uint32_t from,
+                        uint32_t to, const Options& options = {},
+                        Metrics* metrics = nullptr);
+
+// Unbounded transitive closure of `seed` along `direction` (kOut or kIn):
+// the members of every component a level-synchronous search reaches on
+// the DAG, plus the seed's own component when it is cyclic. Sorted
+// ascending; the same set as Closure without max_depth. metrics->steps
+// counts DAG edge scans and frontier_sizes the components per level.
+Result<std::vector<NodeId>> CondensedClosure(const Condensation& condensation,
+                                             NodeId seed, Direction direction,
+                                             const Options& options = {},
+                                             Metrics* metrics = nullptr);
+
 }  // namespace frappe::graph::analytics
 
 #endif  // FRAPPE_GRAPH_ANALYTICS_H_

@@ -126,6 +126,71 @@ uint64_t CsrView::ReverseByteSize() const {
          rev.types.size() * sizeof(TypeId);
 }
 
+const Condensation* CsrView::FindCondensation(
+    const std::vector<TypeId>& types) const {
+  Condensations& set = *condensations_;
+  std::lock_guard<std::mutex> lock(set.mu);
+  for (const auto& slot : set.slots) {
+    if (slot->types == types) {
+      return slot->built.load(std::memory_order_acquire);
+    }
+  }
+  return nullptr;
+}
+
+Result<const Condensation*> CsrView::Condensed(
+    const std::vector<TypeId>& types, const CondensationBuilder& build) const {
+  Condensations& set = *condensations_;
+  Condensations::Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(set.mu);
+    for (const auto& candidate : set.slots) {
+      if (candidate->types == types) slot = candidate.get();
+    }
+    if (slot == nullptr) {
+      if (set.slots.size() >= kMaxCondensations) return nullptr;
+      slot = set.slots.emplace_back(
+          std::make_unique<Condensations::Slot>()).get();
+      slot->types = types;
+    }
+  }
+  if (const Condensation* built =
+          slot->built.load(std::memory_order_acquire)) {
+    return built;
+  }
+  std::lock_guard<std::mutex> building(slot->build_mu);
+  if (const Condensation* built =
+          slot->built.load(std::memory_order_acquire)) {
+    return built;  // another caller built it while this one waited
+  }
+  FRAPPE_ASSIGN_OR_RETURN(Condensation condensation, build());
+  slot->owned = std::make_unique<const Condensation>(std::move(condensation));
+  slot->built.store(slot->owned.get(), std::memory_order_release);
+  return slot->owned.get();
+}
+
+uint64_t CsrView::CondensationByteSize() const {
+  Condensations& set = *condensations_;
+  std::lock_guard<std::mutex> lock(set.mu);
+  uint64_t bytes = 0;
+  for (const auto& slot : set.slots) {
+    if (const Condensation* built =
+            slot->built.load(std::memory_order_acquire)) {
+      bytes += built->ByteSize();
+    }
+  }
+  return bytes;
+}
+
+uint64_t Condensation::ByteSize() const {
+  return types.size() * sizeof(TypeId) +
+         component.size() * sizeof(uint32_t) + cyclic.size() +
+         (member_offsets.size() + out_offsets.size() + in_offsets.size()) *
+             sizeof(uint64_t) +
+         members.size() * sizeof(NodeId) +
+         (out.size() + in.size()) * sizeof(uint32_t);
+}
+
 const CsrView& CsrCache::Get(const GraphView& base) {
   if (&base != owner_) return base.Packed();
   std::lock_guard<std::mutex> lock(mu_);
@@ -148,6 +213,7 @@ CsrCache::Stats CsrCache::GetStats() const {
   if (view_ != nullptr) {
     stats.forward_bytes = view_->ForwardByteSize();
     stats.reverse_bytes = view_->ReverseByteSize();
+    stats.condensation_bytes = view_->CondensationByteSize();
     stats.reverse_build_ms = view_->ReverseBuildMs();
   }
   return stats;

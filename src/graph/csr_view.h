@@ -2,13 +2,46 @@
 #define FRAPPE_GRAPH_CSR_VIEW_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/status.h"
 #include "graph/graph_view.h"
 
 namespace frappe::graph {
+
+// The strongly connected components of a CsrView's edges of some types,
+// and the DAG between them: the condensation. Unbounded directed
+// reachability reads component ids instead of walking cycles, so a probe
+// that would exhaust a giant cycle's closure is decided in O(1), and a
+// closure walks DAG edges instead of graph edges. Built by
+// analytics::Condense and cached on the CsrView it condenses.
+struct Condensation {
+  // Sorted, distinct edge types the components follow; empty: every type.
+  std::vector<TypeId> types;
+  // Component id per NodeId, in Tarjan's completion order, which is
+  // reverse-topological: a DAG edge c1 -> c2 has c1 > c2, so the id doubles
+  // as the rank. Ids with no live node are singleton components.
+  std::vector<uint32_t> component;
+  // Per component: 1 when each member reaches itself over >= 1 edges (more
+  // than one member, or a self-loop of a matching type).
+  std::vector<uint8_t> cyclic;
+  // Members of component c, ascending:
+  // members[member_offsets[c] .. member_offsets[c + 1]).
+  std::vector<uint64_t> member_offsets;
+  std::vector<NodeId> members;
+  // The DAG in CSR form. Successors of c, descending, at
+  // out[out_offsets[c] ..); predecessors, ascending, at in[in_offsets[c] ..).
+  std::vector<uint64_t> out_offsets;
+  std::vector<uint32_t> out;
+  std::vector<uint64_t> in_offsets;
+  std::vector<uint32_t> in;
+
+  size_t ComponentCount() const { return cyclic.size(); }
+  uint64_t ByteSize() const;
+};
 
 // Read-optimized compressed-sparse-row snapshot of a GraphView. The
 // mutable GraphStore keeps one heap-allocated adjacency vector per node
@@ -146,6 +179,28 @@ class CsrView final : public GraphView {
     return ReverseBuilt() ? reverse_->build_ms : 0.0;
   }
 
+  // Type sets one view keeps a condensation for. Each is O(nodes) and the
+  // sets come from query text, so the first few to be asked for hold the
+  // slots until the next topology change; other sets are answered without
+  // one.
+  static constexpr size_t kMaxCondensations = 4;
+
+  // The condensation under the sorted, distinct `types` (empty: every
+  // type), or nullptr while none is built. Never waits for a build.
+  const Condensation* FindCondensation(const std::vector<TypeId>& types) const;
+  // As FindCondensation, but `build` makes the missing one. Each type set
+  // builds under its own lock: concurrent first callers of one set build
+  // it once, and lookups and builds of other sets do not wait for it. A
+  // failed build caches nothing and its status is returned. Returns
+  // nullptr, building nothing, when kMaxCondensations other sets hold the
+  // slots. Use analytics::Condense, which supplies the builder.
+  using CondensationBuilder = std::function<Result<Condensation>()>;
+  Result<const Condensation*> Condensed(
+      const std::vector<TypeId>& types,
+      const CondensationBuilder& build) const;
+  // Resident bytes of every condensation built so far.
+  uint64_t CondensationByteSize() const;
+
  private:
   // Lazily-materialized transpose. Heap-allocated so CsrView stays movable
   // (std::once_flag is neither movable nor copyable).
@@ -159,7 +214,22 @@ class CsrView final : public GraphView {
     double build_ms = 0.0;
   };
 
-  CsrView() : reverse_(std::make_unique<ReverseCsr>()) {}
+  // One slot per type set asked for, at most kMaxCondensations. `mu`
+  // guards the slot list and is never held across a build.
+  struct Condensations {
+    struct Slot {
+      std::vector<TypeId> types;
+      std::mutex build_mu;  // held while this set builds
+      std::unique_ptr<const Condensation> owned;
+      std::atomic<const Condensation*> built{nullptr};  // set once owned is
+    };
+    std::mutex mu;
+    std::vector<std::unique_ptr<Slot>> slots;
+  };
+
+  CsrView()
+      : reverse_(std::make_unique<ReverseCsr>()),
+        condensations_(std::make_unique<Condensations>()) {}
 
   void EnsureReverse() const;
 
@@ -171,6 +241,7 @@ class CsrView final : public GraphView {
   std::vector<TypeId> out_types_;
   std::vector<uint64_t> type_counts_;  // live edges per TypeId
   std::unique_ptr<ReverseCsr> reverse_;
+  std::unique_ptr<Condensations> condensations_;
 };
 
 // Thread-safe lazy CsrView cache: the one packed adjacency of its owner
@@ -188,11 +259,12 @@ class CsrCache {
   void Invalidate();
 
   // Storage accounting for /debug/storagez: bytes of the cached view's
-  // forward and reverse sections (0 when absent / not yet built) and the
-  // reverse transpose's lazy build time.
+  // forward and reverse sections and condensations (0 when absent / not yet
+  // built) and the reverse transpose's lazy build time.
   struct Stats {
     uint64_t forward_bytes = 0;
     uint64_t reverse_bytes = 0;
+    uint64_t condensation_bytes = 0;
     double reverse_build_ms = 0.0;
   };
   Stats GetStats() const;

@@ -268,10 +268,12 @@ struct MatchStep {
 };
 
 // A pattern predicate bound once per clause. For the reachability shape
-// (see CollectReachabilityPatterns) it also caches one closure: the kernel runs
-// from one endpoint, the anchor, and keeps only the latest anchor's member
-// set, so rows evaluated in anchor-grouped order pay one closure per
-// distinct anchor while memory stays O(nodes).
+// (see CollectReachabilityPatterns) it also caches what answers it. An
+// unbounded directed pattern keeps its edge types' condensation when one
+// is built. Otherwise it keeps one closure: the kernel runs from one
+// endpoint, the anchor, and keeps only the latest anchor's member set, so
+// rows evaluated in anchor-grouped order pay one closure per distinct
+// anchor while memory stays O(nodes).
 struct PatternProbe {
   BoundChain chain;
   // Closures run from the pattern's target endpoint, against the arrow.
@@ -284,6 +286,8 @@ struct PatternProbe {
   // early-exit targets are known to be members.
   bool complete = false;
   std::vector<NodeId> members;  // sorted
+  // Set by ProbeFor when the view has one, or by PlanReachProbes's build.
+  const graph::Condensation* condensation = nullptr;
 };
 
 class Engine {
@@ -342,6 +346,7 @@ class Engine {
         fp_level_pull_.clear();
         fp_level_bitmap_.clear();
         fp_direction_switches_ = 0;
+        dag_scans_ = 0;
         reach_op_ = {};
         clause_start = std::chrono::steady_clock::now();
       }
@@ -379,10 +384,14 @@ class Engine {
         op.level_pull = fp_level_pull_;
         op.level_bitmap = fp_level_bitmap_;
         op.direction_switches = fp_direction_switches_;
-        op.reach_kernel = reach_op_.anchors > 0;
+        op.dag_scans = dag_scans_;
+        op.reach_kernel =
+            reach_op_.anchors + reach_op_.scc + reach_op_.order > 0;
         op.reach_from_target = reach_op_.from_target;
         op.reach_anchors = reach_op_.anchors;
         op.reach_early_exits = reach_op_.early_exits;
+        op.reach_scc = reach_op_.scc;
+        op.reach_order = reach_op_.order;
         out.stats.operators.push_back(std::move(op));
       }
     }
@@ -607,9 +616,16 @@ class Engine {
     if (!rel.any_type) filter.types = rel.types;
 
     graph::analytics::Metrics metrics;
-    FRAPPE_ASSIGN_OR_RETURN(
-        std::vector<NodeId> members,
-        CsrClosure(seed, filter, rel.max_length, nullptr, &metrics));
+    std::vector<NodeId> members;
+    if (const graph::Condensation* condensation = BuiltCondensation(rel)) {
+      FRAPPE_ASSIGN_OR_RETURN(
+          members, CondensedClosure(*condensation, seed, filter.direction,
+                                    &metrics));
+    } else {
+      FRAPPE_ASSIGN_OR_RETURN(
+          members,
+          CsrClosure(seed, filter, rel.max_length, nullptr, &metrics));
+    }
     fast_path_taken_ = true;
     fast_path_op_ = true;
     // Frontier trajectory of the widest run this clause dispatched (one
@@ -642,20 +658,12 @@ class Engine {
     return true;
   }
 
-  // Runs the CSR closure kernel from `seed` under what is left of the
-  // query's budgets: remaining steps, the deadline and the cancel token
-  // go into the kernel, which also polls the memory budget of the query's
-  // resource tracker. Its edge scans are charged to steps, db_hits and
-  // scanned_bytes, and its budget errors come back in the executor's
-  // wording.
-  Result<std::vector<NodeId>> CsrClosure(
-      NodeId seed, const graph::EdgeFilter& filter, uint32_t max_length,
-      const std::vector<NodeId>* stop_targets,
-      graph::analytics::Metrics* metrics) {
+  // What is left of the query's budgets, as kernel options: remaining
+  // steps, the deadline and the cancel token (the kernel also polls the
+  // memory budget of the query's resource tracker).
+  Result<graph::analytics::Options> KernelOptions() const {
     graph::analytics::Options opt;
     opt.cancel = options_.cancel;
-    opt.stop_targets = stop_targets;
-    if (max_length != kUnboundedLength) opt.max_depth = max_length;
     if (options_.max_steps > 0) {
       opt.max_steps =
           options_.max_steps > steps_ ? options_.max_steps - steps_ : 1;
@@ -671,22 +679,22 @@ class Engine {
               .count();
       opt.deadline_ms = std::max<int64_t>(remaining_ms, 1);
     }
+    return opt;
+  }
 
-    const graph::CsrView& csr = db_.csr->Get(*db_.view);
-    auto members = [&] {
-      FRAPPE_TRACE_SPAN("executor.csr_closure");
-      return graph::analytics::ParallelClosure(csr, {seed}, filter, opt,
-                                               metrics);
-    }();
-    steps_ += metrics->steps;
-    hits_.edges += metrics->steps;  // each kernel step scans one edge
-    csr_edge_hits_ += metrics->steps;
-    csr_scanned_bytes_ += metrics->scanned_bytes;
-    if (members.ok()) return members;
+  // Charges a kernel call's edge scans to steps, db_hits and
+  // scanned_bytes, and returns its budget errors in the executor's
+  // wording.
+  Status Charge(const graph::analytics::Metrics& metrics,
+                const Status& status) {
+    steps_ += metrics.steps;
+    hits_.edges += metrics.steps;  // each kernel step scans one edge
+    csr_edge_hits_ += metrics.steps;
+    csr_scanned_bytes_ += metrics.scanned_bytes;
+    if (status.ok()) return status;
     // Memory-budget breaches pass through untouched: their message already
     // names the cap, and rewriting them as a step-budget error would
     // misattribute the failure.
-    const Status& status = members.status();
     if (status.code() == StatusCode::kResourceExhausted) {
       if (status.message().find("memory") != std::string::npos) {
         return status;
@@ -703,10 +711,92 @@ class Engine {
     return status;
   }
 
+  // Runs the CSR closure kernel from `seed` under what is left of the
+  // query's budgets.
+  Result<std::vector<NodeId>> CsrClosure(
+      NodeId seed, const graph::EdgeFilter& filter, uint32_t max_length,
+      const std::vector<NodeId>* stop_targets,
+      graph::analytics::Metrics* metrics) {
+    FRAPPE_ASSIGN_OR_RETURN(graph::analytics::Options opt, KernelOptions());
+    opt.stop_targets = stop_targets;
+    if (max_length != kUnboundedLength) opt.max_depth = max_length;
+    const graph::CsrView& csr = db_.csr->Get(*db_.view);
+    auto members = [&] {
+      FRAPPE_TRACE_SPAN("executor.csr_closure");
+      return graph::analytics::ParallelClosure(csr, {seed}, filter, opt,
+                                               metrics);
+    }();
+    FRAPPE_RETURN_IF_ERROR(Charge(*metrics, members.status()));
+    return members;
+  }
+
+  // Unbounded directed reachability can run on the condensation of the
+  // relationship's edge types; bounded patterns need path lengths and
+  // undirected ones ignore the arrows, so both stay on the kernel.
+  static bool Condensable(const BoundRelPattern& rel) {
+    return rel.max_length == kUnboundedLength &&
+           rel.direction != Direction::kBoth;
+  }
+
+  static std::vector<TypeId> TypesOf(const BoundRelPattern& rel) {
+    return rel.any_type ? std::vector<TypeId>{} : rel.types;
+  }
+
+  // The view's condensation for a condensable `rel`, when one is built.
+  const graph::Condensation* BuiltCondensation(const BoundRelPattern& rel) {
+    if (!UseReachKernel() || !Condensable(rel)) return nullptr;
+    return graph::analytics::FindCondensation(db_.csr->Get(*db_.view),
+                                              TypesOf(rel));
+  }
+
+  // Builds the condensation for a condensable `rel` and charges the build
+  // to this query; nullptr means "answer on the kernel". The build scans
+  // every edge twice whatever the answer needs, so a query with a step cap
+  // never starts one: the cap was set against the kernel's work. The
+  // build gets half the time left, so one that overruns leaves the kernel
+  // the other half. A build stopped by the deadline or the memory budget
+  // caches nothing and the query goes on on the kernel; a cancelled one
+  // fails the query. Also nullptr when the view's condensation slots are
+  // taken by other type sets.
+  Result<const graph::Condensation*> BuildCondensation(
+      const BoundRelPattern& rel) {
+    if (options_.max_steps > 0) return nullptr;
+    FRAPPE_ASSIGN_OR_RETURN(graph::analytics::Options opt, KernelOptions());
+    if (opt.deadline_ms > 0) {
+      opt.deadline_ms = std::max<int64_t>(opt.deadline_ms / 2, 1);
+    }
+    graph::analytics::Metrics metrics;
+    auto condensation = graph::analytics::Condense(
+        db_.csr->Get(*db_.view), TypesOf(rel), opt, &metrics);
+    if (!condensation.ok() &&
+        condensation.status().code() != StatusCode::kCancelled) {
+      FRAPPE_RETURN_IF_ERROR(Charge(metrics, Status::OK()));
+      return nullptr;
+    }
+    FRAPPE_RETURN_IF_ERROR(Charge(metrics, condensation.status()));
+    return condensation;
+  }
+
+  // The Fig. 6 closure on the condensation: the members of the components
+  // `seed` reaches along `direction`.
+  Result<std::vector<NodeId>> CondensedClosure(
+      const graph::Condensation& condensation, NodeId seed,
+      Direction direction, graph::analytics::Metrics* metrics) {
+    FRAPPE_ASSIGN_OR_RETURN(graph::analytics::Options opt, KernelOptions());
+    auto members = [&] {
+      FRAPPE_TRACE_SPAN("executor.csr_closure");
+      return graph::analytics::CondensedClosure(condensation, seed,
+                                                direction, opt, metrics);
+    }();
+    FRAPPE_RETURN_IF_ERROR(Charge(*metrics, members.status()));
+    dag_scans_ += metrics->steps;
+    return members;
+  }
+
   Status ExecWhere(const WhereClause& clause) {
-    // Reachability predicates on the CSR kernel evaluate rows grouped by
-    // anchor, so each anchor's closure runs once; rows keep their order.
-    // A predicate without one skips the pre-scan entirely.
+    // Reachability predicates on the closure kernel evaluate rows grouped
+    // by anchor, so each anchor's closure runs once; rows keep their
+    // order. A predicate without one skips the pre-scan entirely.
     std::vector<size_t> order;
     if (UseReachKernel()) {
       std::vector<const PatternChain*> patterns;
@@ -734,11 +824,14 @@ class Engine {
     return options_.use_csr_fast_path && db_.csr != nullptr;
   }
 
-  // The WHERE pre-scan. For each reachability pattern, anchors on the
-  // endpoint with fewer distinct bound nodes across the rows and records,
-  // per anchor, the other endpoints its rows ask about. `order` receives
-  // the row indices grouped by the first pattern's anchor (rows it cannot
-  // answer last), stable within a group.
+  // The WHERE pre-scan. A condensable pattern with a row to probe runs
+  // on its condensation, built here when the view has none (see
+  // BuildCondensation), and needs nothing more. For each pattern left to
+  // kernel closures, anchors on the endpoint with fewer distinct bound
+  // nodes across the rows and records, per anchor, the other endpoints its
+  // rows ask about. `order` receives the row indices grouped by the first
+  // such pattern's anchor (rows it cannot answer last), stable within a
+  // group.
   Status PlanReachProbes(const std::vector<const PatternChain*>& patterns,
                          std::vector<size_t>* order) {
     for (const PatternChain* chain : patterns) {
@@ -748,10 +841,18 @@ class Engine {
       const int to_slot = probe->chain.nodes[1].slot;
       std::vector<std::pair<NodeId, NodeId>> pairs;  // (from, to) per row
       pairs.reserve(rows_.size());
+      bool any_probe = false;
       for (const Row& row : rows_) {
-        pairs.emplace_back(BoundNodeOf(row, from_slot),
-                           BoundNodeOf(row, to_slot));
+        const auto& pair = pairs.emplace_back(BoundNodeOf(row, from_slot),
+                                              BoundNodeOf(row, to_slot));
+        any_probe = any_probe || (pair.first != graph::kInvalidNode &&
+                                  pair.second != graph::kInvalidNode);
       }
+      const BoundRelPattern& rel = probe->chain.rels[0];
+      if (any_probe && probe->condensation == nullptr && Condensable(rel)) {
+        FRAPPE_ASSIGN_OR_RETURN(probe->condensation, BuildCondensation(rel));
+      }
+      if (probe->condensation != nullptr) continue;
       auto distinct = [&](bool second) {
         std::vector<NodeId> nodes;
         for (const auto& [from, to] : pairs) {
@@ -1548,6 +1649,9 @@ class Engine {
     if (it == pattern_probes_.end()) {
       FRAPPE_ASSIGN_OR_RETURN(BoundChain bound, BindChain(chain));
       it = pattern_probes_.emplace(&chain, PatternProbe{}).first;
+      if (IsReachKernelShape(bound)) {
+        it->second.condensation = BuiltCondensation(bound.rels[0]);
+      }
       it->second.chain = std::move(bound);
     }
     return &it->second;
@@ -1611,6 +1715,9 @@ class Engine {
   Result<bool> ProbeReach(PatternProbe* probe, NodeId from, NodeId to) {
     const BoundRelPattern& rel = probe->chain.rels[0];
     if (from == to && rel.min_length == 0) return db_.view->NodeExists(from);
+    if (probe->condensation != nullptr) {
+      return ProbeCondensed(probe, from, to);
+    }
     const NodeId anchor = probe->reversed ? to : from;
     const NodeId other = probe->reversed ? from : to;
     auto member = [&] {
@@ -1644,6 +1751,35 @@ class Engine {
     ++reach_op_.anchors;
     if (metrics.stopped_early) ++reach_op_.early_exits;
     return member();
+  }
+
+  // ProbeReach on the condensation: endpoints in one component reach each
+  // other exactly when it is cyclic, and Tarjan's ids rule out every pair
+  // whose source id is the smaller. Only the rest search the DAG.
+  Result<bool> ProbeCondensed(PatternProbe* probe, NodeId from, NodeId to) {
+    const graph::Condensation& condensation = *probe->condensation;
+    if (probe->chain.rels[0].direction == Direction::kIn) {
+      std::swap(from, to);
+    }
+    const uint32_t source = condensation.component[from];
+    const uint32_t target = condensation.component[to];
+    if (source == target) {
+      ++reach_op_.scc;
+      return condensation.cyclic[source] != 0;
+    }
+    if (source < target) {
+      ++reach_op_.order;
+      return false;
+    }
+    FRAPPE_ASSIGN_OR_RETURN(graph::analytics::Options opt, KernelOptions());
+    graph::analytics::Metrics metrics;
+    Result<bool> reached = graph::analytics::DagReaches(
+        condensation, source, target, opt, &metrics);
+    FRAPPE_RETURN_IF_ERROR(Charge(metrics, reached.status()));
+    ++reach_op_.anchors;
+    dag_scans_ += metrics.steps;
+    if (*reached) ++reach_op_.early_exits;
+    return reached;
   }
 
   // The store-walking answer to ProbeReach, one BFS per row: used when the
@@ -1858,6 +1994,8 @@ class Engine {
   std::vector<uint8_t> fp_level_pull_;
   std::vector<uint8_t> fp_level_bitmap_;
   size_t fp_direction_switches_ = 0;
+  // DAG edges the current clause scanned on a condensation (PROFILE).
+  uint64_t dag_scans_ = 0;
   // The current clause's bound pattern predicates, keyed by AST node.
   std::unordered_map<const PatternChain*, PatternProbe> pattern_probes_;
   // Reachability-kernel detail of the current clause (PROFILE).
@@ -1865,6 +2003,8 @@ class Engine {
     bool from_target = false;
     uint64_t anchors = 0;
     uint64_t early_exits = 0;
+    uint64_t scc = 0;
+    uint64_t order = 0;
   } reach_op_;
 };
 

@@ -78,15 +78,25 @@ struct OperatorStats {
   std::vector<uint8_t> level_pull;
   std::vector<uint8_t> level_bitmap;
   size_t direction_switches = 0;
+  // DAG edges the clause scanned on a condensation (unbounded directed
+  // patterns), in the fast path's closures or the Filter's DAG searches.
+  // On the condensation, frontier sizes count components.
+  uint64_t dag_scans = 0;
   // Reachability-predicate detail (a WHERE `a -[:t*]-> b` answered by the
-  // CSR closure kernel): whether the closures ran from the pattern's target
-  // endpoint (against the arrow) or its source, how many closures ran (one
-  // per distinct anchor node), and how many stopped early once every
-  // endpoint their rows asked about was reached.
+  // CSR): whether the kernel closures ran from the pattern's target
+  // endpoint (against the arrow) or its source, how many searches ran (a
+  // kernel closure per distinct anchor node, or a DAG search per probe the
+  // condensation could not decide at once), and how many stopped early
+  // once every endpoint their rows asked about was reached. Probes on the
+  // condensation are decided by a shared component (`reach_scc`), by the
+  // components' order (`reach_order`), or by a DAG search (counted in
+  // `reach_anchors`, its scans in `dag_scans`).
   bool reach_kernel = false;
   bool reach_from_target = false;
   uint64_t reach_anchors = 0;
   uint64_t reach_early_exits = 0;
+  uint64_t reach_scc = 0;
+  uint64_t reach_order = 0;
 };
 
 // Per-query latency attribution: microseconds spent in each stage of the

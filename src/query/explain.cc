@@ -428,14 +428,17 @@ std::string RenderPlan(const std::vector<PlanStep>& steps,
             out += op->level_pull[i] != 0 ? "pull" : "push";
             out += op->level_bitmap[i] != 0 ? ":bitmap" : ":array";
           }
-          out += "] switches=" + std::to_string(op->direction_switches);
+          out += "] switches=" + std::to_string(op->direction_switches) +
+                 " dag_scans=" + std::to_string(op->dag_scans);
         }
         if (op->reach_kernel) {
           out += std::string(" [reachability kernel: side=") +
                  (op->reach_from_target ? "target" : "source") +
                  " anchors=" + std::to_string(op->reach_anchors) +
                  " early_exits=" + std::to_string(op->reach_early_exits) +
-                 "]";
+                 " scc=" + std::to_string(op->reach_scc) +
+                 " order=" + std::to_string(op->reach_order) +
+                 " dag_scans=" + std::to_string(op->dag_scans) + "]";
         }
       }
     }

@@ -55,8 +55,9 @@ FastPathDecision ChainEligibleForCsrClosure(const Query& query,
 // looking through AND / OR / NOT only (the operators EvalPredicate itself
 // walks). The shape: one variable-length relationship with no variable or
 // property map, min length <= 1, and both endpoints named. When both
-// endpoints are bound to nodes at run time, the CSR closure kernel answers
-// it, one closure per distinct anchor node.
+// endpoints are bound to nodes at run time, the CSR answers it: its
+// condensation when the pattern is unbounded and directed, otherwise the
+// closure kernel, one closure per distinct anchor node.
 void CollectReachabilityPatterns(const Expr& predicate,
                                  std::vector<const PatternChain*>* out);
 

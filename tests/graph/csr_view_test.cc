@@ -4,8 +4,11 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "graph/analytics.h"
 #include "graph/graph_store.h"
 #include "graph/stats.h"
 #include "graph/traversal.h"
@@ -234,6 +237,107 @@ TEST(CsrViewTest, EdgeTypeCountsMatchLiveEdges) {
   EXPECT_EQ(view.LiveEdgeCount(), 3u);
 }
 
+// --- Condensation (built by analytics::Condense, cached on the view) ---
+
+TEST(CsrCacheTest, CondensationBytesCountOnceBuiltPerTypeSet) {
+  GraphStore store;
+  NodeId a = store.AddNode("n");
+  NodeId b = store.AddNode("n");
+  NodeId c = store.AddNode("n");
+  store.AddEdge(a, b, "e");
+  store.AddEdge(b, a, "e");
+  store.AddEdge(b, c, "e");
+  store.AddEdge(c, c, "f");
+  const TypeId e = store.edge_types().Find("e");
+  const CsrView& csr = store.Packed();
+  EXPECT_EQ(store.PackedCache()->GetStats().condensation_bytes, 0u);
+
+  analytics::Metrics metrics;
+  auto by_e = analytics::Condense(csr, {e}, {}, &metrics);
+  ASSERT_TRUE(by_e.ok()) << by_e.status();
+  const Condensation& cond = **by_e;
+  // Tarjan order: {c} completes first, then {a, b}.
+  EXPECT_EQ(cond.ComponentCount(), 2u);
+  EXPECT_EQ(cond.component[a], cond.component[b]);
+  EXPECT_EQ(cond.component[c], 0u);
+  EXPECT_EQ(cond.component[a], 1u);
+  EXPECT_EQ(cond.cyclic, (std::vector<uint8_t>{0, 1}));  // `f` loop ignored
+  EXPECT_EQ(cond.out, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(cond.in, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(cond.members, (std::vector<NodeId>{c, a, b}));
+  // Every live edge twice.
+  EXPECT_EQ(metrics.steps, 2 * csr.LiveEdgeCount());
+  EXPECT_EQ(analytics::FindCondensation(csr, {e}), &cond);
+  EXPECT_GT(cond.ByteSize(), 0u);
+  EXPECT_EQ(store.PackedCache()->GetStats().condensation_bytes,
+            cond.ByteSize());
+
+  // The same type set, in any order and with repeats, is not rebuilt.
+  auto again = analytics::Condense(csr, {e, e}, {}, &metrics);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *by_e);
+  EXPECT_EQ(metrics.steps, 0u);
+
+  // Another type set is its own condensation: every type makes {c} cyclic.
+  EXPECT_EQ(analytics::FindCondensation(csr, {}), nullptr);
+  auto any = analytics::Condense(csr, {});
+  ASSERT_TRUE(any.ok());
+  EXPECT_NE(*any, *by_e);
+  EXPECT_EQ((*any)->cyclic[(*any)->component[c]], 1u);
+  EXPECT_EQ(store.PackedCache()->GetStats().condensation_bytes,
+            cond.ByteSize() + (*any)->ByteSize());
+
+  // A mutation rebuilds the view, which starts without one.
+  store.AddEdge(c, a, "e");
+  store.Packed();
+  EXPECT_EQ(store.PackedCache()->GetStats().condensation_bytes, 0u);
+}
+
+// Type sets come from query text, so a view keeps a condensation for the
+// first kMaxCondensations sets asked for only: any other set builds
+// nothing and its bytes never count.
+TEST(CsrCacheTest, CondensationsAreCappedPerView) {
+  GraphStore store;
+  std::vector<TypeId> types;
+  NodeId prev = store.AddNode("n");
+  for (int i = 0; i < 12; ++i) {
+    NodeId next = store.AddNode("n");
+    store.AddEdge(prev, next, "t" + std::to_string(i));
+    store.AddEdge(next, prev, "t" + std::to_string(i));
+    types.push_back(store.edge_types().Find("t" + std::to_string(i)));
+    prev = next;
+  }
+  const CsrView& csr = store.Packed();
+  uint64_t capped_bytes = 0;
+  for (size_t i = 0; i < types.size(); ++i) {
+    analytics::Metrics metrics;
+    auto built = analytics::Condense(csr, {types[i]}, {}, &metrics);
+    ASSERT_TRUE(built.ok()) << built.status();
+    const uint64_t bytes = store.PackedCache()->GetStats().condensation_bytes;
+    if (i < CsrView::kMaxCondensations) {
+      ASSERT_NE(*built, nullptr);
+      EXPECT_EQ(metrics.steps, 2 * csr.LiveEdgeCount());
+      EXPECT_GT(bytes, capped_bytes);
+      capped_bytes = bytes;
+    } else {
+      EXPECT_EQ(*built, nullptr);
+      EXPECT_EQ(metrics.steps, 0u);
+      EXPECT_EQ(analytics::FindCondensation(csr, {types[i]}), nullptr);
+      EXPECT_EQ(bytes, capped_bytes);
+    }
+  }
+  // The sets that hold a slot are still answered.
+  auto first = analytics::Condense(csr, {types[0]});
+  ASSERT_TRUE(first.ok());
+  EXPECT_NE(*first, nullptr);
+
+  // A topology change frees every slot.
+  store.AddEdge(0, 1, "t11");
+  auto last = analytics::Condense(store.Packed(), {types[11]});
+  ASSERT_TRUE(last.ok());
+  EXPECT_NE(*last, nullptr);
+}
+
 // Property sweep: traversal over a CSR view agrees with the store.
 class CsrRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -269,6 +373,64 @@ TEST_P(CsrRandomTest, ClosureAndMetricsAgreeWithStore) {
     EXPECT_EQ(store.OutDegree(n), view.OutDegree(n)) << n;
     EXPECT_EQ(store.InDegree(n), view.InDegree(n)) << n;
   }
+}
+
+// Two nodes share a component exactly when each reaches the other, every
+// edge between components descends in id, and the DAG holds exactly the
+// component pairs those edges link.
+TEST_P(CsrRandomTest, CondensationMatchesMutualReachability) {
+  frappe::Rng rng(GetParam());
+  GraphStore store;
+  TypeId nt = store.InternNodeType("n");
+  TypeId et = store.InternEdgeType("e");
+  TypeId other = store.InternEdgeType("other");
+  const size_t kNodes = 40;
+  for (size_t i = 0; i < kNodes; ++i) store.AddNode(nt);
+  for (size_t i = 0; i < kNodes * 2; ++i) {
+    store.AddEdge(static_cast<NodeId>(rng.Uniform(kNodes)),
+                  static_cast<NodeId>(rng.Uniform(kNodes)),
+                  rng.Uniform(3) == 0 ? other : et);
+  }
+  const CsrView& csr = store.Packed();
+  auto built = analytics::Condense(csr, {et});
+  ASSERT_TRUE(built.ok()) << built.status();
+  const Condensation& cond = **built;
+  const EdgeFilter filter = EdgeFilter::Of({et});
+  std::set<std::pair<uint32_t, uint32_t>> linked;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    auto closure = TransitiveClosure(store, u, filter);
+    std::set<NodeId> reach(closure.begin(), closure.end());
+    EXPECT_EQ(cond.cyclic[cond.component[u]] != 0, reach.count(u) == 1) << u;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      bool mutual = u == v || (reach.count(v) != 0 &&
+                               IsReachable(store, v, u, filter));
+      EXPECT_EQ(cond.component[u] == cond.component[v], mutual) << u << v;
+    }
+    CsrView::Neighbors out = csr.Out(u);
+    for (size_t j = 0; j < out.count; ++j) {
+      if (out.begin_types[j] != et) continue;
+      uint32_t from = cond.component[u];
+      uint32_t to = cond.component[out.begin_nodes[j]];
+      EXPECT_GE(from, to);
+      if (from != to) linked.insert({from, to});
+    }
+  }
+  std::set<std::pair<uint32_t, uint32_t>> dag, reverse;
+  for (uint32_t c = 0; c < cond.ComponentCount(); ++c) {
+    for (uint64_t i = cond.out_offsets[c]; i < cond.out_offsets[c + 1]; ++i) {
+      dag.insert({c, cond.out[i]});
+    }
+    for (uint64_t i = cond.in_offsets[c]; i < cond.in_offsets[c + 1]; ++i) {
+      reverse.insert({cond.in[i], c});
+    }
+    for (uint64_t m = cond.member_offsets[c]; m < cond.member_offsets[c + 1];
+         ++m) {
+      EXPECT_EQ(cond.component[cond.members[m]], c);
+    }
+  }
+  EXPECT_EQ(dag, linked);
+  EXPECT_EQ(reverse, linked);
+  EXPECT_EQ(cond.members.size(), kNodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrRandomTest,

@@ -265,6 +265,67 @@ TEST(ResourceQueryTest, MemoryBudgetReachesReachabilityFilter) {
       << result.status().ToString();
 }
 
+// ...and the condensation build behind an unbounded one, which then
+// caches nothing and leaves the query to the kernel, which trips too.
+TEST(ResourceQueryTest, MemoryBudgetReachesCondensationBuild) {
+  model::CodeGraph graph;
+  extractor::GraphScale scale;
+  scale.factor = 0.02;
+  extractor::GenerateKernelGraph(scale, &graph);
+  query::Session session(graph);
+
+  SetQueryMemBytes(1);
+  query::ExecOptions options;
+  options.deadline_ms = 60000;  // a broken budget fails, not hangs
+  auto result = session.Run(
+      query::testing::ReachabilityFilterQuery(graph, "*"), options);
+  SetQueryMemBytes(0);
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("memory budget"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(graph.view().PackedCache()->GetStats().condensation_bytes, 0u);
+}
+
+// A memory budget the kernel fits in but the condensation build does not:
+// the build stops, caches nothing, and the kernel answers the query.
+TEST(ResourceQueryTest, MemoryBudgetBelowTheBuildFallsBackToTheKernel) {
+  model::CodeGraph graph;
+  extractor::GraphScale scale;
+  scale.factor = 0.05;
+  extractor::GenerateKernelGraph(scale, &graph);
+  query::Session session(graph);
+  const std::string query =
+      query::testing::ReachabilityFilterQuery(graph, "*", /*max_rows=*/2);
+
+  graph.view().Packed();  // the CSR itself, outside every query
+  // A step cap keeps the first run on the kernel, building nothing.
+  query::ExecOptions capped;
+  capped.max_steps = uint64_t{1} << 40;
+  auto kernel = session.Run(query, capped);
+  ASSERT_TRUE(kernel.ok()) << kernel.status();
+  const uint64_t kernel_peak = kernel->stats.peak_bytes;
+  ASSERT_GT(kernel_peak, 0u);
+
+  SetQueryMemBytes(4 * kernel_peak);
+  query::ExecOptions options;
+  options.deadline_ms = 60000;  // a broken budget fails, not hangs
+  auto fallback = session.Run(query, options);
+  SetQueryMemBytes(0);
+  ASSERT_TRUE(fallback.ok()) << fallback.status();
+  EXPECT_EQ(fallback->rows.size(), kernel->rows.size());
+  EXPECT_EQ(graph.view().PackedCache()->GetStats().condensation_bytes, 0u);
+
+  auto built = session.Run(query);
+  ASSERT_TRUE(built.ok()) << built.status();
+  // The premise: the build needs more than the budget above.
+  EXPECT_GT(built->stats.peak_bytes, 4 * kernel_peak);
+  EXPECT_GT(graph.view().PackedCache()->GetStats().condensation_bytes, 0u);
+}
+
 // One parser for FRAPPE_QUERY_MEM_BYTES: the budget a session enforces is
 // the query_mem_budget_bytes /debug/memz reports, also for a value with
 // trailing garbage, which both read as unset (0 = unlimited).

@@ -4,14 +4,17 @@
 // registry must be empty afterwards — on every exit path, under
 // concurrency included (run under TSan via the `parallel` label).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "extractor/synthetic.h"
+#include "graph/csr_view.h"
 #include "gtest/gtest.h"
 #include "model/code_graph.h"
 #include "obs/fingerprint.h"
@@ -192,7 +195,8 @@ TEST(CancelTest, CancelledAndDeadlineStatusesReachTheQueryLog) {
 }
 
 // The reachability predicate's kernel closures obey every budget: the
-// Filter of testing::ReachabilityFilterQuery is the only place one can trip.
+// Filter of testing::ReachabilityFilterQuery (bounded, so the kernel
+// answers it) is the only place one can trip.
 TEST(CancelTest, StepBudgetTripsInsideReachabilityFilter) {
   Session session(KernelGraph());
   const std::string query = testing::ReachabilityFilterQuery(KernelGraph());
@@ -239,6 +243,125 @@ TEST(CancelTest, PreTrippedTokenCancelsReachabilityFilter) {
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
       << result.status().ToString();
   EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+}
+
+// An unbounded reachability Filter builds the condensation on first use,
+// under the query's budgets. A first query cancelled in the build fails
+// with the executor's usual error; one out of time in the build goes on
+// on the kernel, which runs out of time too. Neither caches anything. The
+// next query builds it, is charged for it and answers like the fast path
+// off; the query after that is charged no build.
+TEST(CancelTest, AbortedCondensationBuildCachesNothing) {
+  model::CodeGraph graph;  // its own graph: no condensation built yet
+  extractor::GraphScale scale;
+  scale.factor = 0.05;
+  extractor::GenerateKernelGraph(scale, &graph);
+  Session session(graph);
+  const std::string query =
+      testing::ReachabilityFilterQuery(graph, "*", /*max_rows=*/40);
+  auto condensation_bytes = [&] {
+    return graph.view().PackedCache()->GetStats().condensation_bytes;
+  };
+
+  std::atomic<bool> cancel{true};
+  ExecOptions cancelled;
+  cancelled.cancel = &cancel;
+  cancelled.deadline_ms = 60000;  // backstop: broken cancel still ends
+  auto first = session.Run(query, cancelled);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kCancelled)
+      << first.status().ToString();
+  EXPECT_EQ(first.status().message(), "query cancelled");
+  EXPECT_EQ(condensation_bytes(), 0u);
+
+  // The build scans every live edge twice (~420k scans at this scale):
+  // far past a 1 ms deadline.
+  ExecOptions late;
+  late.deadline_ms = 1;
+  auto second = session.Run(query, late);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kDeadlineExceeded)
+      << second.status().ToString();
+  EXPECT_EQ(second.status().message(), "query exceeded deadline of 1ms");
+  EXPECT_EQ(condensation_bytes(), 0u);
+  EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+
+  ExecOptions off;
+  off.use_csr_fast_path = false;
+  auto expected = session.Run(query, off);
+  auto built = session.Run("PROFILE " + query);
+  auto cached = session.Run("PROFILE " + query);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_TRUE(cached.ok()) << cached.status();
+  EXPECT_FALSE(expected->rows.empty());
+  for (const QueryResult* got : {&*built, &*cached}) {
+    ASSERT_EQ(got->rows.size(), expected->rows.size());
+    for (size_t i = 0; i < got->rows.size(); ++i) {
+      EXPECT_EQ(got->rows[i][0].node, expected->rows[i][0].node);
+    }
+  }
+  EXPECT_GT(condensation_bytes(), 0u);
+
+  ASSERT_EQ(built->stats.operators.size(), 3u);
+  ASSERT_EQ(cached->stats.operators.size(), 3u);
+  const OperatorStats& building = built->stats.operators[1];
+  const OperatorStats& reading = cached->stats.operators[1];
+  ASSERT_TRUE(reading.reach_kernel) << cached->plan;
+  // Every probe asks whether a caller is on a cycle: its component's
+  // cyclic flag says, with no DAG search and no edge scan.
+  EXPECT_EQ(reading.reach_scc, cached->stats.operators[0].rows);
+  EXPECT_EQ(reading.reach_order + reading.reach_anchors, 0u);
+  EXPECT_EQ(reading.steps, 0u);
+  EXPECT_EQ(building.steps, 2 * graph.view().Packed().LiveEdgeCount());
+}
+
+// Four threads send the first Fig. 5 query to one fresh graph at once: the
+// condensation is built once, the one query that built it is charged for
+// it, and every answer is the same (run under TSan via the `parallel`
+// label).
+TEST(CancelTest, ConcurrentFirstFigure5QueriesBuildOnce) {
+  testing::PaperFixture fixture;
+  const std::string fig5 = "PROFILE " + testing::Figure5Query();
+  constexpr int kThreads = 4;
+  std::vector<std::optional<Result<QueryResult>>> results(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Session session(fixture.graph);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[t] = session.Run(fig5);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  Session session(fixture.graph);
+  ExecOptions off;
+  off.use_csr_fast_path = false;
+  auto expected = session.Run(testing::Figure5Query(), off);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(expected->rows.size(), 1u);
+  auto filter_steps = [](const QueryResult& r) {
+    for (const OperatorStats& op : r.stats.operators) {
+      if (op.reach_kernel) return op.steps;
+    }
+    return ~uint64_t{0};
+  };
+  std::vector<uint64_t> steps;
+  for (const auto& result : results) {
+    ASSERT_TRUE(result->ok()) << result->status();
+    const QueryResult& r = **result;
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].node, expected->rows[0][0].node);
+    EXPECT_EQ(r.rows[0][1].value.AsInt(), expected->rows[0][1].value.AsInt());
+    steps.push_back(filter_steps(r));
+  }
+  std::sort(steps.begin(), steps.end());
+  const uint64_t build = 2 * fixture.graph.view().Packed().LiveEdgeCount();
+  EXPECT_EQ(steps[0], steps[kThreads - 2]);
+  EXPECT_EQ(steps[kThreads - 1], steps[0] + build);
 }
 
 TEST(CancelTest, ConcurrentRunsLeaveNoRegistryEntriesBehind) {

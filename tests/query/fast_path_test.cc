@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/analytics.h"
 #include "query/executor.h"
 #include "query/explain.h"
 #include "query/parser.h"
@@ -120,17 +121,42 @@ TEST_F(FastPathTest, ZeroMinLengthSeedAheadOfSmallerMembersIsSorted) {
 
 // Figure 6's work accounting: the kernel's edge scans plus one step per
 // emitted and projected row. DISTINCT's sorted-run shortcut skips the sort
-// but none of these charges.
+// but none of these charges. A closure never builds the condensation
+// (the build scans every edge twice, more than one closure can), so on a
+// fresh graph Fig. 6 runs on the kernel, before and after.
 TEST_F(FastPathTest, Figure6StepsAndDbHitsPinned) {
+  for (int run = 0; run < 2; ++run) {
+    auto result = session_.Run(kFigure6);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->stats.fast_path_taken);
+    EXPECT_EQ(result->rows.size(), 4u);
+    // 1 index seek + 1 anchor check + 7 kernel edge scans + 4 emitted rows
+    // + 4 projected rows.
+    EXPECT_EQ(result->stats.steps, 17u);
+    EXPECT_EQ(result->stats.db_hits.nodes, 6u);  // seek, anchor, 4 targets
+    EXPECT_EQ(result->stats.db_hits.edges, 7u);  // the kernel's edge scans
+    EXPECT_EQ(result->stats.db_hits.properties, 0u);
+  }
+  const Database& db = session_.database();
+  const graph::CsrView& csr = db.csr->Get(*db.view);
+  EXPECT_EQ(graph::analytics::FindCondensation(
+                csr, {fixture_.graph.type_id(model::EdgeKind::kCalls)}),
+            nullptr);
+}
+
+// Once Fig. 5's reachability Filter has built the `calls` condensation,
+// Fig. 6 reads it: its DAG edge scans replace the kernel's edge scans.
+TEST_F(FastPathTest, Figure6StepsOnTheCondensationPinned) {
+  ASSERT_TRUE(session_.Run(testing::Figure5Query()).ok());
   auto result = session_.Run(kFigure6);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_TRUE(result->stats.fast_path_taken);
   EXPECT_EQ(result->rows.size(), 4u);
-  // 1 index seek + 1 anchor check + 7 kernel edge scans + 4 emitted rows
-  // + 4 projected rows.
-  EXPECT_EQ(result->stats.steps, 17u);
+  // 1 index seek + 1 anchor check + 5 DAG edge scans (3 from the seed's
+  // component, 1 from each helper's) + 4 emitted rows + 4 projected rows.
+  EXPECT_EQ(result->stats.steps, 15u);
   EXPECT_EQ(result->stats.db_hits.nodes, 6u);  // seek, anchor, 4 targets
-  EXPECT_EQ(result->stats.db_hits.edges, 7u);  // the kernel's edge scans
+  EXPECT_EQ(result->stats.db_hits.edges, 5u);  // the DAG edge scans
   EXPECT_EQ(result->stats.db_hits.properties, 0u);
 }
 

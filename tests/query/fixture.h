@@ -115,13 +115,16 @@ struct PaperFixture {
   }
 };
 
-// `START a=node(...) WHERE a -[:calls*]-> a RETURN a` over up to
-// `max_rows` distinct callers of `graph`: one reachability-kernel closure
-// per row, each walking the caller's call closure until a cycle leads back
-// to it. With fewer rows than the executor's 1024-step poll cadence, START
-// never polls a budget, so a step, deadline, cancel or memory budget can
-// only trip inside the Filter.
+// `START a=node(...) WHERE a -[:calls<length>]-> a RETURN a` over up to
+// `max_rows` distinct callers of `graph`. Under the default bounded length
+// the kernel answers it: one closure per row, each walking the caller's
+// call closure until a cycle leads back to it. Under `*` the condensation
+// answers it, and its build is the Filter's only heavy work. With fewer
+// rows than the executor's 1024-step poll cadence, START never polls a
+// budget, so a step, deadline, cancel or memory budget can only trip
+// inside the Filter.
 inline std::string ReachabilityFilterQuery(const model::CodeGraph& graph,
+                                           const std::string& length = "*..64",
                                            size_t max_rows = 150) {
   const graph::GraphView& view = graph.view();
   const graph::TypeId calls = graph.type_id(model::EdgeKind::kCalls);
@@ -136,7 +139,23 @@ inline std::string ReachabilityFilterQuery(const model::CodeGraph& graph,
   for (graph::NodeId id : callers) {
     ids += (ids.empty() ? "" : ", ") + std::to_string(id);
   }
-  return "START a=node(" + ids + ") WHERE a -[:calls*]-> a RETURN a";
+  return "START a=node(" + ids + ") WHERE a -[:calls" + length +
+         "]-> a RETURN a";
+}
+
+// Figure 5 (debugging) on PaperFixture: the writers of packet_command.cmd
+// reachable from the calls sr_media_change makes before get_sectorsize.
+inline std::string Figure5Query() {
+  return "START from=node:node_auto_index('short_name: sr_media_change'), "
+         "to=node:node_auto_index('short_name: get_sectorsize'), "
+         "b=node:node_auto_index('short_name: packet_command') "
+         "MATCH writer -[write:writes_member]-> ({SHORT_NAME:'cmd'}) "
+         "<-[:contains]- b "
+         "WITH to, from, writer, write "
+         "MATCH direct <-[s:calls]- from -[r:calls{use_start_line: 236}]-> to "
+         "WHERE r.use_start_line >= s.use_start_line AND "
+         "direct -[:calls*]-> writer "
+         "RETURN distinct writer, write.use_start_line";
 }
 
 }  // namespace frappe::query::testing

@@ -39,16 +39,7 @@ std::vector<std::string> PaperQueries(const PaperFixture& fixture) {
           std::to_string(fixture.NodeFile()) +
           ", NAME_START_LINE: 104, NAME_START_COLUMN: 16}]- () RETURN n",
       // Figure 5: debugging — writers of packet_command.cmd.
-      "START from=node:node_auto_index('short_name: sr_media_change'), "
-      "to=node:node_auto_index('short_name: get_sectorsize'), "
-      "b=node:node_auto_index('short_name: packet_command') "
-      "MATCH writer -[write:writes_member]-> ({SHORT_NAME:'cmd'}) "
-      "<-[:contains]- b "
-      "WITH to, from, writer, write "
-      "MATCH direct <-[s:calls]- from -[r:calls{use_start_line: 236}]-> to "
-      "WHERE r.use_start_line >= s.use_start_line AND "
-      "direct -[:calls*]-> writer "
-      "RETURN distinct writer, write.use_start_line",
+      testing::Figure5Query(),
       // Figure 6: transitive closure of outgoing calls.
       "START n=node:node_auto_index('short_name: sr_media_change') "
       "MATCH n -[:calls*]-> m RETURN distinct m",
@@ -173,10 +164,13 @@ TEST_F(ProfileTest, EveryPaperQueryProfilesOnBothPaths) {
 }
 
 // db-hits and per-operator rows are execution facts, not timing artifacts:
-// they must be identical when the same query runs twice.
+// they must be identical when the same query runs twice. The first run of
+// an unbounded reachability query also builds the condensation and is
+// charged for it, so the runs compared follow one warm-up run.
 TEST_F(ProfileTest, StatsDeterministicAcrossRuns) {
   for (const std::string& query : PaperQueries(fixture_)) {
     SCOPED_TRACE(query);
+    Run(query);
     QueryResult first = Run("PROFILE " + query);
     QueryResult second = Run("PROFILE " + query);
     EXPECT_EQ(OperatorDigest(second.stats), OperatorDigest(first.stats));
@@ -236,6 +230,8 @@ TEST_F(ProfileTest, Figure6FastPathReportsFrontiersAndLanes) {
   const std::string fig6 =
       "START n=node:node_auto_index('short_name: sr_media_change') "
       "MATCH n -[:calls*]-> m RETURN distinct m";
+  // Fig. 5's Filter builds the `calls` condensation the closure reads.
+  Run(testing::Figure5Query());
   QueryResult r = Run("PROFILE " + fig6);
   EXPECT_TRUE(r.stats.fast_path_taken);
   const OperatorStats* fp = nullptr;
@@ -254,6 +250,12 @@ TEST_F(ProfileTest, Figure6FastPathReportsFrontiersAndLanes) {
   EXPECT_EQ(fp->level_bitmap.size(), fp->frontier_sizes.size());
   EXPECT_NE(r.plan.find("direction=["), std::string::npos) << r.plan;
   EXPECT_NE(r.plan.find("switches="), std::string::npos) << r.plan;
+  // The unbounded closure ran on the condensation: one component per BFS
+  // level of the DAG, 3 + 1 + 1 DAG edges scanned.
+  EXPECT_EQ(fp->frontier_sizes, (std::vector<uint64_t>{1, 3, 1}));
+  EXPECT_EQ(fp->dag_scans, 5u);
+  EXPECT_NE(r.plan.find(" switches=0 dag_scans=5"), std::string::npos)
+      << r.plan;
 
   // Forcing enumeration must produce the same rows without the fast path.
   ExecOptions options;
@@ -263,9 +265,10 @@ TEST_F(ProfileTest, Figure6FastPathReportsFrontiersAndLanes) {
   EXPECT_EQ(RowDigest(slow), RowDigest(r));
 }
 
-// Fig. 5's `direct -[:calls*]-> writer` runs on the closure kernel, one
-// closure per distinct anchor: the Filter is annotated, and its steps are
-// the kernel's edge scans (each also an edge db-hit), not a probe count.
+// Fig. 5's `direct -[:calls*]-> writer` runs on the condensation: the
+// Filter is annotated with how its probes were decided, and its steps are
+// the condensation build's edge scans plus the DAG scans (each also an
+// edge db-hit), not a probe count.
 TEST_F(ProfileTest, Figure5FilterRunsOnReachabilityKernel) {
   const std::string fig5 = PaperQueries(fixture_)[2];
   QueryResult r = Run("PROFILE " + fig5);
@@ -274,12 +277,20 @@ TEST_F(ProfileTest, Figure5FilterRunsOnReachabilityKernel) {
     if (op.reach_kernel) filter = &op;
   }
   ASSERT_NE(filter, nullptr) << r.plan;
-  EXPECT_GE(filter->reach_anchors, 1u);
-  EXPECT_GT(filter->steps, 0u);
-  EXPECT_EQ(filter->steps, filter->db_hits.edges);
-  EXPECT_NE(r.plan.find("[reachability kernel: side="), std::string::npos)
+  // Probes (helper_a, sr_do_ioctl) and (helper_a, stale_writer): the first
+  // searches the DAG and finds its target, the second is ruled out by the
+  // components' order.
+  EXPECT_NE(r.plan.find("[reachability kernel: side=source anchors=1 "
+                        "early_exits=1 scc=0 order=1 dag_scans=1]"),
+            std::string::npos)
       << r.plan;
-  EXPECT_NE(r.plan.find(" early_exits="), std::string::npos) << r.plan;
+  EXPECT_EQ(filter->reach_anchors, 1u);
+  EXPECT_EQ(filter->reach_early_exits, 1u);
+  EXPECT_EQ(filter->reach_scc, 0u);
+  EXPECT_EQ(filter->reach_order, 1u);
+  EXPECT_EQ(filter->dag_scans, 1u);
+  EXPECT_GT(filter->steps, filter->dag_scans);  // the build
+  EXPECT_EQ(filter->steps, filter->db_hits.edges);
   QueryResult explained = Run("EXPLAIN " + fig5);
   EXPECT_NE(explained.plan.find("[reachability kernel]"), std::string::npos)
       << explained.plan;
@@ -294,13 +305,21 @@ TEST_F(ProfileTest, Figure5FilterRunsOnReachabilityKernel) {
   }
   EXPECT_EQ(slow.plan.find("[reachability kernel:"), std::string::npos);
 
-  // A step budget below the Filter's edge scans now trips inside it.
+  // A step budget below the Filter's steps trips inside it. With the
+  // condensation built, those are the DAG scans alone.
+  QueryResult cached = Run("PROFILE " + fig5);
+  const OperatorStats* reading = nullptr;
+  for (const OperatorStats& op : cached.stats.operators) {
+    if (op.reach_kernel) reading = &op;
+  }
+  ASSERT_NE(reading, nullptr) << cached.plan;
+  EXPECT_EQ(reading->steps, reading->dag_scans);
   uint64_t before_filter = 0;
-  for (const OperatorStats& op : r.stats.operators) {
-    if (op.clause_index < filter->clause_index) before_filter += op.steps;
+  for (const OperatorStats& op : cached.stats.operators) {
+    if (op.clause_index < reading->clause_index) before_filter += op.steps;
   }
   ExecOptions budget;
-  budget.max_steps = before_filter + filter->steps - 1;
+  budget.max_steps = before_filter + reading->steps - 1;
   auto tripped = session_.Run(fig5, budget);
   ASSERT_FALSE(tripped.ok());
   EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
@@ -309,13 +328,82 @@ TEST_F(ProfileTest, Figure5FilterRunsOnReachabilityKernel) {
       << tripped.status().ToString();
 }
 
-// A miss walks its anchor's whole closure: the Filter charges exactly the
-// edge scans of that closure run directly on the CSR.
+// A miss on the condensation: the query that builds it is charged the
+// build, and every later one only its DAG scans.
+TEST_F(ProfileTest, CondensedReachabilityChargesTheBuildOnce) {
+  const std::string miss =
+      "PROFILE START a=node(" + std::to_string(fixture_.sr_media_change) +
+      "), b=node(" + std::to_string(fixture_.stale_writer) +
+      ") WHERE a -[:calls*]-> b RETURN a";
+  QueryResult first = Run(miss);
+  QueryResult second = Run(miss);
+  EXPECT_TRUE(second.rows.empty());
+  ASSERT_EQ(second.stats.operators.size(), 3u);
+  const OperatorStats& filter = second.stats.operators[1];
+  ASSERT_TRUE(filter.reach_kernel) << second.plan;
+  EXPECT_EQ(filter.reach_anchors + filter.reach_scc + filter.reach_order, 1u);
+  EXPECT_EQ(filter.steps, filter.dag_scans);
+
+  const graph::CsrView& csr =
+      session_.database().csr->Get(*session_.database().view);
+  EXPECT_EQ(first.stats.operators[1].steps,
+            filter.steps + 2 * csr.LiveEdgeCount());
+}
+
+// A query with a step cap never builds the condensation: the build scans
+// every edge twice, more than Fig. 3, 5 or 6 need on the kernel. On a
+// fresh graph each runs on the kernel under a cap of exactly the kernel's
+// steps, and nothing is built. Once an uncapped Fig. 5 has built it,
+// capped queries read it.
+TEST_F(ProfileTest, CappedQueriesOnAFreshGraphRunOnTheKernel) {
+  const std::vector<std::string> queries = PaperQueries(fixture_);
+  const graph::CsrView& csr =
+      session_.database().csr->Get(*session_.database().view);
+  auto condensation_bytes = [&] {
+    return fixture_.graph.view().PackedCache()->GetStats().condensation_bytes;
+  };
+  ExecOptions unreachable_cap;
+  unreachable_cap.max_steps = uint64_t{1} << 40;
+  uint64_t fig5_kernel_steps = 0;
+  for (size_t i : {0, 2, 3}) {  // Fig. 3, 5 and 6
+    SCOPED_TRACE(queries[i]);
+    auto kernel = session_.Run(queries[i], unreachable_cap);
+    ASSERT_TRUE(kernel.ok()) << kernel.status();
+    const uint64_t steps = kernel->stats.steps;
+    EXPECT_LT(steps, 2 * csr.LiveEdgeCount());  // the build's scans
+    if (i == 2) fig5_kernel_steps = steps;
+    ExecOptions cap;
+    cap.max_steps = steps;
+    auto capped = session_.Run(queries[i], cap);
+    ASSERT_TRUE(capped.ok()) << capped.status();
+    EXPECT_EQ(capped->stats.steps, steps);
+    EXPECT_EQ(RowDigest(*capped), RowDigest(*kernel));
+    cap.max_steps = steps - 1;
+    auto tripped = session_.Run(queries[i], cap);
+    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted)
+        << tripped.status();
+  }
+  EXPECT_EQ(condensation_bytes(), 0u);
+
+  ASSERT_TRUE(session_.Run(queries[2]).ok());
+  EXPECT_GT(condensation_bytes(), 0u);
+  ExecOptions cap;
+  cap.max_steps = fig5_kernel_steps;
+  auto condensed = session_.Run("PROFILE " + queries[2], cap);
+  ASSERT_TRUE(condensed.ok()) << condensed.status();
+  EXPECT_LT(condensed->stats.steps, fig5_kernel_steps);
+  EXPECT_NE(condensed->plan.find(" dag_scans=1]"), std::string::npos)
+      << condensed->plan;
+}
+
+// A bounded pattern stays on the kernel. A miss walks its anchor's whole
+// closure: the Filter charges exactly the edge scans of that closure run
+// directly on the CSR.
 TEST_F(ProfileTest, ReachabilityFilterStepsEqualKernelEdgeScans) {
   QueryResult r = Run(
       "PROFILE START a=node(" + std::to_string(fixture_.sr_media_change) +
       "), b=node(" + std::to_string(fixture_.stale_writer) +
-      ") WHERE a -[:calls*]-> b RETURN a");
+      ") WHERE a -[:calls*..8]-> b RETURN a");
   EXPECT_TRUE(r.rows.empty());
   ASSERT_EQ(r.stats.operators.size(), 3u);
   const OperatorStats& filter = r.stats.operators[1];
@@ -323,26 +411,31 @@ TEST_F(ProfileTest, ReachabilityFilterStepsEqualKernelEdgeScans) {
   EXPECT_FALSE(filter.reach_from_target);  // one node each side: source
   EXPECT_EQ(filter.reach_anchors, 1u);
   EXPECT_EQ(filter.reach_early_exits, 0u);
+  EXPECT_EQ(filter.reach_scc + filter.reach_order + filter.dag_scans,
+            0u);
 
   const graph::CsrView& csr =
       session_.database().csr->Get(*session_.database().view);
   graph::analytics::Metrics metrics;
+  graph::analytics::Options options;
+  options.max_depth = 8;
   auto closure = graph::analytics::ParallelClosure(
       csr, {fixture_.sr_media_change},
       graph::EdgeFilter::Of(
           {fixture_.graph.type_id(model::EdgeKind::kCalls)}),
-      {}, &metrics);
+      options, &metrics);
   ASSERT_TRUE(closure.ok());
   EXPECT_GT(metrics.steps, 1u);
   EXPECT_EQ(filter.steps, metrics.steps);
 }
 
-// The closure anchors on the endpoint with fewer distinct nodes, and stops
-// once every endpoint its rows ask about is reached.
+// Bounded patterns: the closure anchors on the endpoint with fewer
+// distinct nodes, and stops once every endpoint its rows ask about is
+// reached.
 TEST_F(ProfileTest, ReachabilityKernelSideChoiceAndEarlyExit) {
   QueryResult callers = Run(
       "PROFILE START b=node(" + std::to_string(fixture_.sr_do_ioctl) +
-      ") MATCH (a:function) WHERE a -[:calls*]-> b RETURN a");
+      ") MATCH (a:function) WHERE a -[:calls*..8]-> b RETURN a");
   std::set<NodeId> got;
   for (const auto& row : callers.rows) got.insert(row[0].node);
   EXPECT_EQ(got, (std::set<NodeId>{fixture_.sr_media_change,
@@ -352,14 +445,14 @@ TEST_F(ProfileTest, ReachabilityKernelSideChoiceAndEarlyExit) {
   EXPECT_TRUE(filter.reach_from_target);
   EXPECT_EQ(filter.reach_anchors, 1u);
   EXPECT_NE(callers.plan.find("[reachability kernel: side=target anchors=1 "
-                              "early_exits=0]"),
+                              "early_exits=0 scc=0 order=0 dag_scans=0]"),
             std::string::npos)
       << callers.plan;
 
   QueryResult hit = Run(
       "PROFILE START a=node(" + std::to_string(fixture_.helper_a) +
       "), b=node(" + std::to_string(fixture_.sr_do_ioctl) +
-      ") WHERE a -[:calls*]-> b RETURN a");
+      ") WHERE a -[:calls*..8]-> b RETURN a");
   ASSERT_EQ(hit.rows.size(), 1u);
   ASSERT_EQ(hit.stats.operators.size(), 3u);
   EXPECT_EQ(hit.stats.operators[1].reach_early_exits, 1u) << hit.plan;

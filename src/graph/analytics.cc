@@ -82,7 +82,7 @@ Status StatusFor(int reason, const Options& options,
   }
 }
 
-// Budget bookkeeping shared by the push and pull loops: counts edge scans
+// Budget bookkeeping shared by every kernel below: counts edge scans
 // and polls the cancel token, step budget, deadline and memory budget every
 // kPollInterval edges. `reason` stays kNone until one of them trips.
 struct Budget {
@@ -143,25 +143,12 @@ Status FrontierEngine::Run(const CsrView& csr,
                         filter.direction == Direction::kBoth;
   const bool scan_in = filter.direction == Direction::kIn ||
                        filter.direction == Direction::kBoth;
-  // Scan-direction degree of a node: how many edges a push expansion of it
-  // reads. Drives the Beamer heuristic; uses untyped degrees (type filters
-  // shrink push and pull costs roughly proportionally). Never touches
-  // InDegree unless push itself would scan in-edges, so pure-out
-  // traversals defer the reverse-CSR build until the first pull level.
-  auto scan_degree = [&](NodeId id) -> uint64_t {
-    uint64_t deg = 0;
-    if (scan_out) deg += csr.OutDegree(id);
-    if (scan_in) deg += csr.InDegree(id);
-    return deg;
-  };
 
   frontier_.clear();
-  uint64_t frontier_deg = 0;
   for (NodeId seed : seeds) {
     if (!csr.NodeExists(seed)) continue;
     if (visited_.TestAndSet(seed)) {
       frontier_.push_back(seed);
-      frontier_deg += scan_degree(seed);
       if (depths != nullptr) (*depths)[seed] = 0;
     }
   }
@@ -169,35 +156,12 @@ Status FrontierEngine::Run(const CsrView& csr,
   Budget budget(options, tracker);
   const bool typed = !filter.types.empty();
   // The overwhelmingly common filter is a single edge type (calls,
-  // includes); hoist it so the inner loops compare one register.
+  // includes); hoist it so the inner loop compares one register.
   const TypeId single_type =
       filter.types.size() == 1 ? filter.types[0] : kInvalidType;
   auto type_allowed = [&](TypeId t) {
     return filter.types.size() == 1 ? t == single_type : filter.Allows(t);
   };
-
-  // Inputs for the per-level push/pull cost model (see the direction
-  // decision below). `scannable` is the total edge count a direction scan
-  // can touch; `selectivity` the fraction of edges a typed filter accepts
-  // — a selective filter delays pull's first-parent early exit by
-  // ~1/selectivity, which the model charges pull for.
-  const double scannable =
-      static_cast<double>(csr.LiveEdgeCount()) *
-      ((scan_out ? 1 : 0) + (scan_in ? 1 : 0));
-  double selectivity = 1.0;
-  if (typed && csr.LiveEdgeCount() > 0) {
-    uint64_t matching = 0;
-    for (TypeId t : filter.types) matching += csr.EdgeTypeCount(t);
-    selectivity = static_cast<double>(matching) /
-                  static_cast<double>(csr.LiveEdgeCount());
-  }
-  const double avg_degree =
-      upper > 0 ? scannable / static_cast<double>(upper) : 0.0;
-  size_t visited_total = frontier_.size();
-
-  size_t frontier_count = frontier_.size();
-  bool frontier_is_bitmap = false;
-  bool pull_mode = false;
 
   // Early-exit targets not yet in the result; checked between levels.
   std::vector<NodeId> pending;
@@ -206,9 +170,9 @@ Status FrontierEngine::Run(const CsrView& csr,
   const VisitedBitmap& reached = track_member ? member_ : visited_;
 
   // A pre-tripped cancel token expands nothing.
-  if (frontier_count > 0) budget.Poll();
+  if (!frontier_.empty()) budget.Poll();
   size_t depth = 0;
-  while (frontier_count > 0 && depth < options.max_depth &&
+  while (!frontier_.empty() && depth < options.max_depth &&
          !budget.stopped()) {
     if (stop_armed) {
       std::erase_if(pending, [&](NodeId t) {
@@ -222,167 +186,33 @@ Status FrontierEngine::Run(const CsrView& csr,
     // One span per BFS level, parented under the executor's span: the
     // per-level breakdown a retained trace shows.
     FRAPPE_TRACE_SPAN("analytics.level");
-
-    // --- direction decision ---
-    // Beamer-style switching, but via an explicit cost model rather than
-    // the mf > mu/alpha rule: classic BFS eventually visits every node, so
-    // mu ("unexplored edges") approximates bottom-up's work. A filtered
-    // closure reaching a fraction of the graph breaks that — the
-    // forever-unreached majority rescans its whole in-bucket on every pull
-    // level. Model both sides directly instead:
-    //
-    //   push  ~ frontier_deg            (scan each frontier edge once)
-    //   pull  ~ unvisited * (E[probes until a matching frontier parent]
-    //                        + 1)       (+1 = per-node bitmap overhead)
-    //
-    // where the expected probe count is scannable / (frontier_deg *
-    // selectivity) — the chance a random in-edge hits a frontier parent
-    // through a matching type — capped by the average degree (a node with
-    // no frontier parent scans its whole bucket). Pull is taken when its
-    // modelled cost is under alpha * push (alpha>1 credits pull's
-    // sequential, read-mostly, early-exiting scan); beta adds hysteresis
-    // so a marginal flip doesn't thrash the frontier representation.
-    bool want_pull;
-    {
-      double unvisited = static_cast<double>(
-          upper > visited_total ? upper - visited_total : 0);
-      double hit_rate =
-          std::max(static_cast<double>(frontier_deg) * selectivity, 1.0);
-      double expected_probes =
-          std::min(avg_degree, scannable / hit_rate);
-      double pull_cost = unvisited * (expected_probes + 1.0);
-      double push_cost = static_cast<double>(frontier_deg);
-      switch (options.mode) {
-        case DirectionMode::kPushOnly:
-          want_pull = false;
-          break;
-        case DirectionMode::kPullOnly:
-          want_pull = true;
-          break;
-        default:
-          want_pull = pull_cost < options.alpha * push_cost;
-          if (pull_mode && !want_pull) {
-            want_pull = static_cast<double>(frontier_count) >=
-                        static_cast<double>(upper) / options.beta;
-          }
-          break;
-      }
-    }
-    if (depth > 0 && want_pull != pull_mode && metrics != nullptr) {
-      ++metrics->direction_switches;
-    }
-    pull_mode = want_pull;
-
-    // --- frontier representation conversion ---
-    if (pull_mode && !frontier_is_bitmap) {
-      frontier_bits_.Reset(upper);
-      for (NodeId id : frontier_) frontier_bits_.Set(id);
-      frontier_is_bitmap = true;
-    } else if (!pull_mode && frontier_is_bitmap) {
-      frontier_.clear();
-      frontier_bits_.AppendSetBits(&frontier_);
-      frontier_is_bitmap = false;
-    }
-
     if (metrics != nullptr) {
       metrics->frontier_peak = std::max(metrics->frontier_peak,
-                                        frontier_count);
-      metrics->frontier_sizes.push_back(frontier_count);
-      metrics->level_pull.push_back(pull_mode ? 1 : 0);
-      metrics->level_bitmap.push_back(frontier_is_bitmap ? 1 : 0);
+                                        frontier_.size());
+      metrics->frontier_sizes.push_back(frontier_.size());
       metrics->lanes_used = 1;
     }
 
-    obs::Span level_span(pull_mode ? "analytics.level.pull"
-                                   : "analytics.level.push");
-    uint32_t next_depth = static_cast<uint32_t>(depth) + 1;
-    uint64_t next_count = 0;
-    uint64_t next_deg = 0;
-
-    if (!pull_mode) {
-      // ---- push (top-down): scan each frontier node's edges ----
-      next_.clear();
-      for (size_t i = 0; i < frontier_count && !budget.stopped(); ++i) {
-        NodeId node = frontier_[i];
-        auto scan = [&](CsrView::Neighbors nbrs) {
-          for (size_t j = 0; j < nbrs.count; ++j) {
-            if (budget.Step()) return;
-            if (typed && !type_allowed(nbrs.begin_types[j])) continue;
-            NodeId neighbor = nbrs.begin_nodes[j];
-            if (track_member) member_.Set(neighbor);
-            if (visited_.TestAndSet(neighbor)) {
-              if (depths != nullptr) (*depths)[neighbor] = next_depth;
-              next_deg += scan_degree(neighbor);
-              next_.push_back(neighbor);
-            }
-          }
-        };
-        if (scan_out) scan(csr.Out(node));
-        if (scan_in) scan(csr.In(node));
-      }
-      frontier_.swap(next_);
-      next_count = frontier_.size();
-      frontier_is_bitmap = false;
-    } else {
-      // ---- pull (bottom-up): every unvisited node looks for a parent ----
-      // The frontier bitmap is read-only here; discoveries go to next_bits_.
-      next_bits_.Reset(upper);
-      constexpr uint64_t kFullWord =
-          (uint64_t{1} << VisitedBitmap::kBitsPerWord) - 1;
-      NodeId v = 0;
-      while (v < upper && !budget.stopped()) {
-        if ((v % VisitedBitmap::kBitsPerWord) == 0 &&
-            v + VisitedBitmap::kBitsPerWord <= upper) {
-          // Whole-word skip: 48 ids at a time where every node is already
-          // visited (and, for closures, already a member).
-          uint64_t done = visited_.WordPayload(v);
-          if (track_member) done &= member_.WordPayload(v);
-          if (done == kFullWord) {
-            v += VisitedBitmap::kBitsPerWord;
-            continue;
+    const uint32_t next_depth = static_cast<uint32_t>(depth) + 1;
+    next_.clear();
+    for (size_t i = 0; i < frontier_.size() && !budget.stopped(); ++i) {
+      NodeId node = frontier_[i];
+      auto scan = [&](CsrView::Neighbors nbrs) {
+        for (size_t j = 0; j < nbrs.count; ++j) {
+          if (budget.Step()) return;
+          if (typed && !type_allowed(nbrs.begin_types[j])) continue;
+          NodeId neighbor = nbrs.begin_nodes[j];
+          if (track_member) member_.Set(neighbor);
+          if (visited_.TestAndSet(neighbor)) {
+            if (depths != nullptr) (*depths)[neighbor] = next_depth;
+            next_.push_back(neighbor);
           }
         }
-        bool vis = visited_.Test(v);
-        bool memb = track_member && member_.Test(v);
-        if (vis && (!track_member || memb)) {
-          ++v;
-          continue;
-        }
-        // Scan v's reverse-direction adjacency for a frontier parent.
-        bool hit = false;
-        auto probe = [&](CsrView::Neighbors nbrs) {
-          for (size_t j = 0; j < nbrs.count; ++j) {
-            if (budget.Step()) return;
-            if (typed && !type_allowed(nbrs.begin_types[j])) continue;
-            if (frontier_bits_.Test(nbrs.begin_nodes[j])) {
-              hit = true;
-              return;
-            }
-          }
-        };
-        // A traversal that follows out-edges discovers v from its
-        // in-neighbors, and vice versa.
-        if (scan_out) probe(csr.In(v));
-        if (scan_in && !hit) probe(csr.Out(v));
-        if (hit) {
-          if (track_member) member_.Set(v);
-          if (!vis) {
-            visited_.Set(v);
-            next_bits_.Set(v);
-            if (depths != nullptr) (*depths)[v] = next_depth;
-            ++next_count;
-            next_deg += scan_degree(v);
-          }
-        }
-        ++v;
-      }
-      std::swap(frontier_bits_, next_bits_);
-      frontier_is_bitmap = true;
+      };
+      if (scan_out) scan(csr.Out(node));
+      if (scan_in) scan(csr.In(node));
     }
-
-    frontier_count = next_count;
-    frontier_deg = next_deg;
-    visited_total += next_count;
+    frontier_.swap(next_);
     ++depth;
     if (metrics != nullptr) metrics->levels = depth;
     budget.Poll();
@@ -713,8 +543,6 @@ Result<std::vector<NodeId>> CondensedClosure(const Condensation& condensation,
       metrics->frontier_peak = std::max(metrics->frontier_peak,
                                         frontier.size());
       metrics->frontier_sizes.push_back(frontier.size());
-      metrics->level_pull.push_back(0);
-      metrics->level_bitmap.push_back(0);
       metrics->lanes_used = 1;
       ++metrics->levels;
     }

@@ -13,27 +13,13 @@
 
 namespace frappe::graph::analytics {
 
-// Direction-optimizing frontier analytics over the packed CsrView arrays —
-// the PGX/LLAMA-style fast path the paper points at in Section 7, with the
-// Beamer-style push/pull switch layered on top. The kernels are
-// level-synchronous and run on the calling thread; each level runs in one
-// of two directions:
-//
-//   push (top-down)   the frontier is a flat NodeId array; each frontier
-//                     node's edges are scanned and discoveries marked in
-//                     the VisitedBitmap. Cheap while the frontier is sparse.
-//
-//   pull (bottom-up)  the frontier is a bitmap; every still-unvisited node
-//                     scans its reverse edges (the lazily-built transpose
-//                     CSR), stopping at the first parent found in the
-//                     frontier. Wins on dense levels, where push would
-//                     re-scan a majority of already-visited targets and the
-//                     early exit skips most of each in-edge bucket.
-//
-// The per-level choice is heuristic (see Options::alpha / beta) and is
-// recorded in Metrics for PROFILE / bench output. Results are identical
-// for every direction policy: the newly-visited set of a level is
-// frontier-neighbors minus already-visited, independent of scan direction.
+// Frontier analytics over the packed CsrView arrays — the PGX/LLAMA-style
+// fast path the paper points at in Section 7. The kernels are
+// level-synchronous and run on the calling thread: each level scans the
+// edges of every node in the frontier (a flat NodeId array) along the
+// filter's direction and marks discoveries in a VisitedBitmap, so each
+// reached node's edges are read once. An out-direction run never touches
+// the reverse CSR.
 
 // Reusable visited set: one bit per NodeId, cleared in O(1) by bumping an
 // epoch. Each 64-bit word packs 48 payload bits with a 16-bit epoch tag, so
@@ -64,18 +50,12 @@ class VisitedBitmap {
   void Set(NodeId id) { TestAndSet(id); }
 
   bool Test(NodeId id) const {
-    return (WordPayload(id) & (uint64_t{1} << (id % kBitsPerWord))) != 0;
+    uint64_t word = words_[id / kBitsPerWord];
+    return (word >> kBitsPerWord) == epoch_ &&
+           (word & (uint64_t{1} << (id % kBitsPerWord))) != 0;
   }
 
   size_t universe() const { return size_; }
-
-  // Payload bits of the word containing `id` (0 when the word's epoch is
-  // stale). Lets dense scans skip 48 ids at a time when all are set.
-  uint64_t WordPayload(NodeId id) const {
-    uint64_t cur = words_[id / kBitsPerWord];
-    if ((cur >> kBitsPerWord) != epoch_) return 0;
-    return cur & ((uint64_t{1} << kBitsPerWord) - 1);
-  }
 
   // Appends every set id in ascending order.
   void AppendSetBits(std::vector<NodeId>* out) const;
@@ -85,13 +65,6 @@ class VisitedBitmap {
   size_t capacity_words_ = 0;
   size_t size_ = 0;
   uint16_t epoch_ = 0;
-};
-
-// Per-level traversal direction policy.
-enum class DirectionMode : uint8_t {
-  kAuto,      // Beamer-style heuristic switching (the default)
-  kPushOnly,  // always top-down (the pre-direction-optimizing kernel)
-  kPullOnly,  // always bottom-up (reference / testing)
 };
 
 struct Options {
@@ -105,46 +78,25 @@ struct Options {
   // poll interval.
   uint64_t max_steps = 0;   // 0 = unlimited
   int64_t deadline_ms = 0;  // 0 = none
-  // External cancel token, polled on the same cadence as the budgets (in
-  // both directions) and once per level; reading true aborts the traversal
-  // with Status::Cancelled. The kernel never writes the token.
+  // External cancel token, polled on the same cadence as the budgets and
+  // once per level; reading true aborts the traversal with
+  // Status::Cancelled. The kernel never writes the token.
   std::atomic<bool>* cancel = nullptr;
   // Target-aware early exit: when set and non-empty, the run stops at the
   // end of the first level after which every listed node is in its result
   // (a closure member for Closure, visited otherwise). The result is then
   // partial but exact for the listed nodes; Metrics::stopped_early says so.
   const std::vector<NodeId>* stop_targets = nullptr;
-
-  // Direction policy. kAuto compares per-level cost estimates — push ~
-  // frontier edge sum, pull ~ unvisited nodes x expected in-edge probes
-  // until a matching frontier parent — and takes pull when its estimate is
-  // below alpha x push (alpha > 1 credits pull's sequential, read-mostly,
-  // early-exiting scan; see analytics.cc for the full model). beta is
-  // hysteresis: once in pull mode, stay while the frontier still holds >=
-  // universe/beta nodes even if the estimate flips marginally, avoiding
-  // frontier-representation thrash. kPushOnly reproduces the previous
-  // kernel's behavior exactly.
-  DirectionMode mode = DirectionMode::kAuto;
-  double alpha = 1.5;
-  double beta = 24.0;
 };
 
 struct Metrics {
-  uint64_t steps = 0;   // edges scanned (both directions count)
+  uint64_t steps = 0;   // edges scanned (in and out, for kBoth)
   size_t levels = 0;    // BFS levels expanded
   size_t frontier_peak = 0;
   // Observability detail (PROFILE): frontier size at the start of each
-  // expanded level (direction independent). All fields are cleared at
-  // traversal entry, so a Metrics struct can be reused across runs without
-  // stale accumulation.
+  // expanded level. All fields are cleared at traversal entry, so a Metrics
+  // struct can be reused across runs without stale accumulation.
   std::vector<uint64_t> frontier_sizes;
-  // Parallel to frontier_sizes: 1 when the level ran bottom-up (pull over
-  // the reverse CSR), 0 top-down; and 1 when the level consumed a bitmap
-  // frontier, 0 a flat array.
-  std::vector<uint8_t> level_pull;
-  std::vector<uint8_t> level_bitmap;
-  // Number of push<->pull transitions across the run.
-  size_t direction_switches = 0;
   // 1 once a level is expanded, else 0. Kept for the benchmark's
   // graph.analytics.lanes_used metric.
   size_t lanes_used = 0;
@@ -200,8 +152,6 @@ class FrontierEngine {
   VisitedBitmap visited_;
   VisitedBitmap member_;
   std::vector<NodeId> frontier_;
-  VisitedBitmap frontier_bits_;
-  VisitedBitmap next_bits_;
   std::vector<NodeId> next_;
 };
 

@@ -40,10 +40,6 @@ CsrView CsrView::Build(const GraphView& base) {
     view.out_edges_[out_pos] = e;
     view.out_targets_[out_pos] = edge.dst;
     view.out_types_[out_pos] = edge.type;
-    if (edge.type >= view.type_counts_.size()) {
-      view.type_counts_.resize(edge.type + 1, 0);
-    }
-    ++view.type_counts_[edge.type];
   }
   return view;
 }
@@ -67,9 +63,7 @@ void CsrView::EnsureReverse() const {
     rev.types.resize(live_edges);
     std::vector<uint64_t> cursor(rev.offsets.begin(), rev.offsets.end() - 1);
     // Walking the forward CSR in ascending source order leaves every
-    // destination bucket sorted by source id — the pull phase scans each
-    // bucket front-to-back probing the frontier bitmap, so sorted sources
-    // turn those probes into a monotonic walk over the bitmap words.
+    // destination bucket sorted by source id.
     for (NodeId src = 0; src < node_upper; ++src) {
       for (uint64_t pos = out_offsets_[src]; pos < out_offsets_[src + 1];
            ++pos) {

@@ -58,9 +58,8 @@ struct Condensation {
 //     Edge structs at random EdgeId offsets.
 //
 //   * The reverse CSR (the in-direction transpose) is built lazily, on
-//     the first traversal that actually scans in-edges — the
-//     direction-optimizing kernel's pull phase, an explicit `<-` match,
-//     or an undirected sweep. Forward-only workloads skip its build time
+//     the first traversal that actually scans in-edges — an explicit
+//     `<-` match or an undirected sweep. Forward-only workloads skip its build time
 //     and memory entirely. The build is thread-safe (std::call_once) and
 //     its cost/bytes are queryable for /debug/storagez.
 //
@@ -145,8 +144,7 @@ class CsrView final : public GraphView {
   }
   // Triggers the lazy reverse-CSR build on first use. Within each node's
   // bucket the sources are sorted ascending (the transpose is built by
-  // walking the forward CSR in source order), which keeps the pull phase's
-  // frontier-bitmap probes monotonic in memory.
+  // walking the forward CSR in source order).
   Neighbors In(NodeId id) const {
     EnsureReverse();
     size_t begin = reverse_->offsets[id];
@@ -158,13 +156,6 @@ class CsrView final : public GraphView {
 
   // Number of live (existing) edges in the packed arrays.
   size_t LiveEdgeCount() const { return out_edges_.size(); }
-  // Live edges of one type (0 for types past the observed range). The
-  // direction-optimizing kernel uses these to estimate a type filter's
-  // selectivity: low-selectivity filters weaken the pull phase's
-  // first-parent early exit, shifting the push/pull break-even point.
-  uint64_t EdgeTypeCount(TypeId type) const {
-    return type < type_counts_.size() ? type_counts_[type] : 0;
-  }
 
   // Resident bytes of the packed arrays (forward + reverse-if-built).
   uint64_t ByteSize() const { return ForwardByteSize() + ReverseByteSize(); }
@@ -239,7 +230,6 @@ class CsrView final : public GraphView {
   std::vector<EdgeId> out_edges_;
   std::vector<NodeId> out_targets_;
   std::vector<TypeId> out_types_;
-  std::vector<uint64_t> type_counts_;  // live edges per TypeId
   std::unique_ptr<ReverseCsr> reverse_;
   std::unique_ptr<Condensations> condensations_;
 };

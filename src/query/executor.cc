@@ -343,9 +343,6 @@ class Engine {
       if (profile) {
         fast_path_op_ = false;
         fp_frontier_sizes_.clear();
-        fp_level_pull_.clear();
-        fp_level_bitmap_.clear();
-        fp_direction_switches_ = 0;
         dag_scans_ = 0;
         reach_op_ = {};
         clause_start = std::chrono::steady_clock::now();
@@ -381,9 +378,6 @@ class Engine {
                          .count();
         op.fast_path = fast_path_op_;
         op.frontier_sizes = fp_frontier_sizes_;
-        op.level_pull = fp_level_pull_;
-        op.level_bitmap = fp_level_bitmap_;
-        op.direction_switches = fp_direction_switches_;
         op.dag_scans = dag_scans_;
         op.reach_kernel =
             reach_op_.anchors + reach_op_.scc + reach_op_.order > 0;
@@ -632,11 +626,6 @@ class Engine {
     // kernel call per input row; typically exactly one).
     if (metrics.frontier_sizes.size() > fp_frontier_sizes_.size()) {
       fp_frontier_sizes_ = metrics.frontier_sizes;
-      // Direction decisions ride with the frontier trajectory they
-      // annotate, so PROFILE shows one consistent run.
-      fp_level_pull_ = metrics.level_pull;
-      fp_level_bitmap_ = metrics.level_bitmap;
-      fp_direction_switches_ = metrics.direction_switches;
     }
 
     auto emit = [&](NodeId node) -> Status {
@@ -1991,9 +1980,6 @@ class Engine {
   bool fast_path_taken_ = false;
   bool fast_path_op_ = false;
   std::vector<uint64_t> fp_frontier_sizes_;
-  std::vector<uint8_t> fp_level_pull_;
-  std::vector<uint8_t> fp_level_bitmap_;
-  size_t fp_direction_switches_ = 0;
   // DAG edges the current clause scanned on a condensation (PROFILE).
   uint64_t dag_scans_ = 0;
   // The current clause's bound pattern predicates, keyed by AST node.

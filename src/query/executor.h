@@ -70,14 +70,9 @@ struct OperatorStats {
   uint64_t steps = 0;    // step-budget units the clause consumed
   double time_ms = 0.0;  // wall time inside the clause
   // CSR fast-path detail (variable-length MATCH answered by the closure
-  // kernel): frontier size per BFS level, the direction-optimizing
-  // kernel's per-level choices (parallel to frontier_sizes: pull vs push,
-  // bitmap vs array frontier), and the switch count.
+  // kernel): frontier size per BFS level.
   bool fast_path = false;
   std::vector<uint64_t> frontier_sizes;
-  std::vector<uint8_t> level_pull;
-  std::vector<uint8_t> level_bitmap;
-  size_t direction_switches = 0;
   // DAG edges the clause scanned on a condensation (unbounded directed
   // patterns), in the fast path's closures or the Filter's DAG searches.
   // On the condensation, frontier sizes count components.

@@ -420,16 +420,7 @@ std::string RenderPlan(const std::vector<PlanStep>& steps,
             if (i > 0) out += ",";
             out += std::to_string(op->frontier_sizes[i]);
           }
-          // Per-level push/pull decisions of the direction-optimizing
-          // kernel, with the frontier representation each level consumed.
-          out += "] direction=[";
-          for (size_t i = 0; i < op->level_pull.size(); ++i) {
-            if (i > 0) out += ",";
-            out += op->level_pull[i] != 0 ? "pull" : "push";
-            out += op->level_bitmap[i] != 0 ? ":bitmap" : ":array";
-          }
-          out += "] switches=" + std::to_string(op->direction_switches) +
-                 " dag_scans=" + std::to_string(op->dag_scans);
+          out += "] dag_scans=" + std::to_string(op->dag_scans);
         }
         if (op->reach_kernel) {
           out += std::string(" [reachability kernel: side=") +

@@ -37,8 +37,8 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
 // carries " // est_rows=E" from the cardinality estimator. With `stats`
 // (PROFILE), each clause's primary step additionally gains " rows=...
 // db_hits=... steps=... time=...ms q=Q" (q = per-step q-error of est vs
-// actual rows), plus "frontier=[...] direction=[...] switches=N" when the
-// operator ran on the CSR closure fast path. Annotations never alter
+// actual rows), plus "frontier=[...] dag_scans=G" when the operator ran on
+// the CSR closure fast path. Annotations never alter
 // operator text — strip everything from " // " to end-of-line (and
 // trailing padding spaces) to recover the bare operator tree exactly.
 std::string RenderPlan(const std::vector<PlanStep>& steps,

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "graph/graph_store.h"
 #include "graph/traversal.h"
+#include "tests/graph/chain_into_clique.h"
 
 namespace frappe::graph::analytics {
 namespace {
@@ -132,19 +133,6 @@ TEST(VisitedBitmapTest, StaleAndFreshWordPaths) {
   EXPECT_TRUE(bitmap.TestAndSet(0));
 }
 
-TEST(VisitedBitmapTest, WordPayloadReflectsEpochAndBits) {
-  VisitedBitmap bitmap;
-  bitmap.Reset(96);
-  EXPECT_EQ(bitmap.WordPayload(0), 0u);  // stale word reads as empty
-  bitmap.Set(0);
-  bitmap.Set(47);
-  EXPECT_EQ(bitmap.WordPayload(13),  // any id in the first word
-            (uint64_t{1} << 0) | (uint64_t{1} << 47));
-  EXPECT_EQ(bitmap.WordPayload(48), 0u);
-  bitmap.Reset(96);
-  EXPECT_EQ(bitmap.WordPayload(0), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Determinism: the kernels agree with the store-walking traversals on
 // random graphs.
@@ -250,6 +238,80 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
                          ::testing::Values(11, 42, 1234, 98765));
 
 // ---------------------------------------------------------------------------
+// Work: an uncapped run scans each reached node's edges along the filter's
+// direction exactly once, whatever the type filter or graph shape.
+// ---------------------------------------------------------------------------
+
+// Edges a run reads expanding `nodes` along `direction`.
+uint64_t ScanDegreeSum(const CsrView& csr, const std::vector<NodeId>& nodes,
+                       Direction direction) {
+  uint64_t sum = 0;
+  for (NodeId id : nodes) {
+    if (direction != Direction::kIn) sum += csr.OutDegree(id);
+    if (direction != Direction::kOut) sum += csr.InDegree(id);
+  }
+  return sum;
+}
+
+// Runs Reachable and BfsDepths from `seeds` under `filter` and checks both
+// report exactly the scan-direction degree sum of the nodes they reached.
+void ExpectStepsAreScanDegreeSum(const CsrView& csr,
+                                 const std::vector<NodeId>& seeds,
+                                 const EdgeFilter& filter) {
+  FrontierEngine engine;
+  Metrics metrics;
+  auto reached = engine.Reachable(csr, seeds, filter, {}, &metrics);
+  ASSERT_TRUE(reached.ok()) << reached.status();
+  EXPECT_EQ(metrics.steps, ScanDegreeSum(csr, *reached, filter.direction))
+      << "Reachable dir=" << static_cast<int>(filter.direction);
+
+  auto depths = engine.BfsDepths(csr, seeds, filter, {}, &metrics);
+  ASSERT_TRUE(depths.ok()) << depths.status();
+  std::vector<NodeId> visited;
+  for (NodeId id = 0; id < depths->size(); ++id) {
+    if ((*depths)[id] != kUnreachedDepth) visited.push_back(id);
+  }
+  EXPECT_EQ(visited, *reached);
+  EXPECT_EQ(metrics.steps, ScanDegreeSum(csr, visited, filter.direction))
+      << "BfsDepths dir=" << static_cast<int>(filter.direction);
+}
+
+class ScanWorkTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ScanWorkTest, StepsEqualScanDegreeOfVisitedNodes) {
+  RandomGraph g = MakeRandomGraph(GetParam(), /*node_count=*/300,
+                                  /*edges_per_node=*/5);
+  CsrView csr = CsrView::Build(g.store);
+  frappe::Rng rng(GetParam() ^ 0xd1c);
+  for (Direction dir : {Direction::kOut, Direction::kIn, Direction::kBoth}) {
+    for (const EdgeFilter& filter :
+         {EdgeFilter::Of({g.edge_a}, dir), EdgeFilter::Any(dir)}) {
+      ExpectStepsAreScanDegreeSum(
+          csr,
+          {g.nodes[rng.Uniform(g.nodes.size())],
+           g.nodes[rng.Uniform(g.nodes.size())]},
+          filter);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScanWorkTest,
+                         ::testing::Values(7, 91, 4242, 131071));
+
+// The clique level reaches nothing new, and its out-edges are still read
+// once each: the level is a plain scan, not a search for parents.
+TEST(FrontierEngineTest, ChainIntoCliqueStepsEqualScanDegreeOfVisitedNodes) {
+  testing::ChainIntoClique g = testing::MakeChainIntoClique();
+  CsrView csr = CsrView::Build(g.store);
+  for (Direction dir : {Direction::kOut, Direction::kIn, Direction::kBoth}) {
+    for (NodeId seed : {g.chain[0], g.clique[0]}) {
+      ExpectStepsAreScanDegreeSum(csr, {seed},
+                                  EdgeFilter::Of({g.edge_type}, dir));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Engine semantics on a hand-built graph
 // ---------------------------------------------------------------------------
 
@@ -340,8 +402,7 @@ TEST(FrontierEngineTest, MetricsReportWork) {
 }
 
 TEST(FrontierEngineTest, MetricsFullyResetBetweenRuns) {
-  // Regression: frontier_sizes (and the per-level direction vectors) were
-  // appended to across runs when the caller reused one Metrics struct, so a
+  // Regression: frontier_sizes was appended to across runs when the caller reused one Metrics struct, so a
   // second traversal reported the concatenation of both frontier
   // trajectories. Every field must describe the latest run only.
   RandomGraph g = MakeRandomGraph(13, 150, 4);
@@ -353,8 +414,6 @@ TEST(FrontierEngineTest, MetricsFullyResetBetweenRuns) {
   ASSERT_TRUE(first.ok());
   Metrics first_metrics = metrics;
   ASSERT_EQ(first_metrics.frontier_sizes.size(), first_metrics.levels);
-  ASSERT_EQ(first_metrics.level_pull.size(), first_metrics.levels);
-  ASSERT_EQ(first_metrics.level_bitmap.size(), first_metrics.levels);
 
   // Same query, same struct: every field must come out identical, not
   // doubled.
@@ -365,9 +424,6 @@ TEST(FrontierEngineTest, MetricsFullyResetBetweenRuns) {
   EXPECT_EQ(metrics.levels, first_metrics.levels);
   EXPECT_EQ(metrics.frontier_peak, first_metrics.frontier_peak);
   EXPECT_EQ(metrics.frontier_sizes, first_metrics.frontier_sizes);
-  EXPECT_EQ(metrics.level_pull, first_metrics.level_pull);
-  EXPECT_EQ(metrics.level_bitmap, first_metrics.level_bitmap);
-  EXPECT_EQ(metrics.direction_switches, first_metrics.direction_switches);
 
   // A smaller follow-up query must shrink the vectors, not append to them.
   Options shallow;
@@ -377,8 +433,6 @@ TEST(FrontierEngineTest, MetricsFullyResetBetweenRuns) {
   ASSERT_TRUE(third.ok());
   EXPECT_LE(metrics.levels, 1u);
   EXPECT_EQ(metrics.frontier_sizes.size(), metrics.levels);
-  EXPECT_EQ(metrics.level_pull.size(), metrics.levels);
-  EXPECT_EQ(metrics.level_bitmap.size(), metrics.levels);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "graph/graph_store.h"
 #include "graph/stats.h"
 #include "graph/traversal.h"
+#include "tests/graph/chain_into_clique.h"
 
 namespace frappe::graph {
 namespace {
@@ -75,6 +76,7 @@ TEST(CsrViewTest, DeadEdgesExcluded) {
   store.RemoveEdge(e1);
   CsrView view = CsrView::Build(store);
   EXPECT_EQ(view.OutDegree(a), 1u);
+  EXPECT_EQ(view.LiveEdgeCount(), 1u);
   EXPECT_FALSE(view.EdgeExists(e1));
 }
 
@@ -129,6 +131,31 @@ TEST(CsrViewTest, ReverseCsrBuildsLazily) {
   EXPECT_GT(view.ReverseByteSize(), 0u);
   EXPECT_EQ(view.ByteSize(),
             view.ForwardByteSize() + view.ReverseByteSize());
+
+  // Out-direction kernel runs read forward edges only, also on a graph
+  // whose last level reaches a dense clique.
+  testing::ChainIntoClique g = testing::MakeChainIntoClique();
+  EdgeFilter out = EdgeFilter::Of({g.edge_type}, Direction::kOut);
+  analytics::FrontierEngine engine;
+  auto expect_forward_only = [](const CsrView& csr) {
+    EXPECT_FALSE(csr.ReverseBuilt());
+    EXPECT_EQ(csr.ReverseByteSize(), 0u);
+  };
+  {
+    CsrView csr = CsrView::Build(g.store);
+    ASSERT_TRUE(engine.Closure(csr, {g.chain[0]}, out).ok());
+    expect_forward_only(csr);
+  }
+  {
+    CsrView csr = CsrView::Build(g.store);
+    ASSERT_TRUE(engine.Reachable(csr, {g.chain[0]}, out).ok());
+    expect_forward_only(csr);
+  }
+  {
+    CsrView csr = CsrView::Build(g.store);
+    ASSERT_TRUE(engine.BfsDepths(csr, {g.chain[0]}, out).ok());
+    expect_forward_only(csr);
+  }
 }
 
 // --- The view's own packed adjacency (GraphView::Packed / CsrCache) ---
@@ -216,25 +243,6 @@ TEST(CsrViewTest, ReverseBucketsSortedBySourceWithMatchingTypes) {
   CsrView::Neighbors out = view.Out(sources[0]);
   ASSERT_EQ(out.count, 1u);
   EXPECT_EQ(out.begin_types[0], view.GetEdge(out.begin_edges[0]).type);
-}
-
-TEST(CsrViewTest, EdgeTypeCountsMatchLiveEdges) {
-  GraphStore store;
-  TypeId nt = store.InternNodeType("n");
-  TypeId e1 = store.InternEdgeType("e1");
-  TypeId e2 = store.InternEdgeType("e2");
-  NodeId a = store.AddNode(nt);
-  NodeId b = store.AddNode(nt);
-  store.AddEdge(a, b, e1);
-  store.AddEdge(a, b, e1);
-  EdgeId dead = store.AddEdge(a, b, e2);
-  store.AddEdge(b, a, e2);
-  store.RemoveEdge(dead);
-  CsrView view = CsrView::Build(store);
-  EXPECT_EQ(view.EdgeTypeCount(e1), 2u);
-  EXPECT_EQ(view.EdgeTypeCount(e2), 1u);  // dead edge excluded
-  EXPECT_EQ(view.EdgeTypeCount(static_cast<TypeId>(999)), 0u);
-  EXPECT_EQ(view.LiveEdgeCount(), 3u);
 }
 
 // --- Condensation (built by analytics::Condense, cached on the view) ---

@@ -451,6 +451,9 @@ Result<Condensation> BuildCondensation(const CsrView& csr,
     }
   }
   FRAPPE_RETURN_IF_ERROR(finish());
+  static obs::Counter& builds_counter =
+      obs::Registry::Global().GetCounter("analytics.condensations");
+  builds_counter.Add();
   return c;
 }
 
@@ -505,7 +508,8 @@ Result<bool> DagReaches(const Condensation& condensation, uint32_t from,
 }
 
 Result<std::vector<NodeId>> CondensedClosure(const Condensation& condensation,
-                                             NodeId seed, Direction direction,
+                                             const std::vector<NodeId>& seeds,
+                                             Direction direction,
                                              const Options& options,
                                              Metrics* metrics) {
   FRAPPE_TRACE_SPAN("analytics.run");
@@ -529,12 +533,18 @@ Result<std::vector<NodeId>> CondensedClosure(const Condensation& condensation,
       member.Set(condensation.members[m]);
     }
   };
+  // The seeds' components are expanded first but not marked visited: one
+  // that another seed's search reaches is then marked, joins the result
+  // and is expanded again (finding its successors already visited).
   std::vector<uint32_t> frontier;
   std::vector<uint32_t> next;
-  if (seed < upper) {
-    const uint32_t start = condensation.component[seed];
-    visited.Set(start);
-    frontier.push_back(start);
+  for (NodeId seed : seeds) {
+    if (seed < upper) frontier.push_back(condensation.component[seed]);
+  }
+  std::sort(frontier.begin(), frontier.end());
+  frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                 frontier.end());
+  for (uint32_t start : frontier) {
     if (condensation.cyclic[start] != 0) add_members(start);
   }
   while (!frontier.empty() && !budget.stopped()) {

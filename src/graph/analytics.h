@@ -200,13 +200,16 @@ Result<bool> DagReaches(const Condensation& condensation, uint32_t from,
                         uint32_t to, const Options& options = {},
                         Metrics* metrics = nullptr);
 
-// Unbounded transitive closure of `seed` along `direction` (kOut or kIn):
-// the members of every component a level-synchronous search reaches on
-// the DAG, plus the seed's own component when it is cyclic. Sorted
-// ascending; the same set as Closure without max_depth. metrics->steps
+// Unbounded multi-source transitive closure of `seeds` along `direction`
+// (kOut or kIn): the members of every component a level-synchronous
+// search from the seeds' components reaches over >= 1 DAG edge, plus each
+// cyclic seed component. Sorted ascending; the same set as Closure
+// without max_depth: ids past the condensed view are skipped, a dead id is
+// a component with no DAG edge, and duplicates collapse. metrics->steps
 // counts DAG edge scans and frontier_sizes the components per level.
 Result<std::vector<NodeId>> CondensedClosure(const Condensation& condensation,
-                                             NodeId seed, Direction direction,
+                                             const std::vector<NodeId>& seeds,
+                                             Direction direction,
                                              const Options& options = {},
                                              Metrics* metrics = nullptr);
 

@@ -774,7 +774,7 @@ class Engine {
     FRAPPE_ASSIGN_OR_RETURN(graph::analytics::Options opt, KernelOptions());
     auto members = [&] {
       FRAPPE_TRACE_SPAN("executor.csr_closure");
-      return graph::analytics::CondensedClosure(condensation, seed,
+      return graph::analytics::CondensedClosure(condensation, {seed},
                                                 direction, opt, metrics);
     }();
     FRAPPE_RETURN_IF_ERROR(Charge(*metrics, members.status()));

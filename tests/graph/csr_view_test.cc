@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -235,7 +236,9 @@ TEST(CsrViewTest, ReverseBucketsSortedBySourceWithMatchingTypes) {
   CsrView::Neighbors in = view.In(kTarget);
   ASSERT_EQ(in.count, sources.size());
   for (size_t i = 0; i < in.count; ++i) {
-    if (i > 0) EXPECT_LT(in.begin_nodes[i - 1], in.begin_nodes[i]);
+    if (i > 0) {
+      EXPECT_LT(in.begin_nodes[i - 1], in.begin_nodes[i]);
+    }
     // The packed type lane is the edge's type, in both directions.
     EXPECT_EQ(in.begin_types[i], view.GetEdge(in.begin_edges[i]).type);
     EXPECT_EQ(view.GetEdge(in.begin_edges[i]).src, in.begin_nodes[i]);
@@ -439,6 +442,88 @@ TEST_P(CsrRandomTest, CondensationMatchesMutualReachability) {
   EXPECT_EQ(dag, linked);
   EXPECT_EQ(reverse, linked);
   EXPECT_EQ(cond.members.size(), kNodes);
+}
+
+// Multi-seed closures on the condensation of a graph shaped like the
+// call graph: an acyclic head calling into a giant SCC that calls into an
+// acyclic tail. They equal the kernel's and the store walk's in both
+// directions, for seed lists with duplicates, dead ids, ids past the view,
+// and a seed whose singleton component another seed reaches (it is in the
+// closure though its search starts there).
+TEST_P(CsrRandomTest, MultiSeedCondensedClosureMatchesKernelAndStore) {
+  frappe::Rng rng(GetParam());
+  GraphStore store;
+  TypeId nt = store.InternNodeType("n");
+  TypeId et = store.InternEdgeType("e");
+  TypeId other = store.InternEdgeType("other");
+  const NodeId kCore = 20;  // head [0, 20), core [20, 40), tail [40, 60)
+  const NodeId kTail = 40;
+  const NodeId kNodes = 60;
+  for (NodeId i = 0; i < kNodes; ++i) store.AddNode(nt);
+  auto pick = [&](NodeId lo, NodeId hi) {
+    return static_cast<NodeId>(lo + rng.Uniform(hi - lo));
+  };
+  for (NodeId i = kCore; i < kTail; ++i) {  // a ring, then chords
+    store.AddEdge(i, i + 1 < kTail ? i + 1 : kCore, et);
+    store.AddEdge(i, pick(kCore, kTail), et);
+    store.AddEdge(i, pick(kCore, kNodes), rng.Uniform(3) == 0 ? other : et);
+  }
+  for (NodeId i = 0; i < kCore; ++i) {
+    store.AddEdge(i, pick(i + 1, kTail), et);
+    store.AddEdge(i, pick(0, kNodes), other);
+  }
+  for (NodeId i = kTail; i + 1 < kNodes; ++i) {
+    store.AddEdge(i, pick(i + 1, kNodes), et);
+  }
+  // The two singleton components one seed reaches from another.
+  store.AddEdge(0, 1, et);
+  store.AddEdge(kTail, kTail + 1, et);
+  const NodeId dead_head = pick(2, kCore);
+  const NodeId dead_core = pick(kCore, kTail);
+  store.RemoveNode(dead_head);
+  store.RemoveNode(dead_core);
+
+  const CsrView& csr = store.Packed();
+  auto built = analytics::Condense(csr, {et});
+  ASSERT_TRUE(built.ok()) << built.status();
+  const Condensation& cond = **built;
+  ASSERT_EQ(cond.cyclic[cond.component[1]], 0u);
+  ASSERT_EQ(cond.cyclic[cond.component[kTail]], 0u);
+
+  const std::vector<std::vector<NodeId>> seed_lists = {
+      {0, 1},
+      {kTail + 1, kTail},
+      {1, 0, 1, kCore + 3, kCore + 3, 0},
+      {dead_head, dead_core, pick(0, kCore), pick(kTail, kNodes)},
+      {kNodes, kNodes + 7, kInvalidNode, pick(0, kNodes)},
+      {dead_head},
+      {},
+      {pick(0, kNodes), pick(0, kNodes), pick(0, kNodes), pick(0, kNodes)},
+  };
+  analytics::FrontierEngine engine;
+  for (Direction dir : {Direction::kOut, Direction::kIn}) {
+    const EdgeFilter filter = EdgeFilter::Of({et}, dir);
+    for (const std::vector<NodeId>& seeds : seed_lists) {
+      auto condensed = analytics::CondensedClosure(cond, seeds, dir);
+      auto kernel = engine.Closure(csr, seeds, filter);
+      ASSERT_TRUE(condensed.ok()) << condensed.status();
+      ASSERT_TRUE(kernel.ok()) << kernel.status();
+      const std::vector<NodeId> walked =
+          TransitiveClosure(store, seeds, filter);
+      EXPECT_EQ(*condensed, *kernel) << static_cast<int>(dir);
+      EXPECT_EQ(*condensed, walked) << static_cast<int>(dir);
+    }
+  }
+  // The reached seed is in, the starting one only through a cycle.
+  auto forward = analytics::CondensedClosure(cond, {1, 0}, Direction::kOut);
+  ASSERT_TRUE(forward.ok());
+  EXPECT_TRUE(std::binary_search(forward->begin(), forward->end(), 1));
+  EXPECT_FALSE(std::binary_search(forward->begin(), forward->end(), 0));
+  auto backward = analytics::CondensedClosure(cond, {kTail, kTail + 1},
+                                              Direction::kIn);
+  ASSERT_TRUE(backward.ok());
+  EXPECT_TRUE(
+      std::binary_search(backward->begin(), backward->end(), kTail));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrRandomTest,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "analysis/slicing.h"
+#include "graph/analytics.h"
 
 namespace frappe::temporal {
 
@@ -70,9 +70,15 @@ Result<ImpactReport> ChangeImpact(const VersionStore& store,
   for (NodeId id : seeds) {
     if (view->NodeExists(id)) live_seeds.push_back(id);
   }
-  report.impacted_functions =
-      analysis::ImpactSet(*view, schema, live_seeds,
-                          {model::EdgeKind::kCalls}, graph::Direction::kIn);
+  // One kernel closure, not analysis::ImpactSet: `view` lives for this
+  // call only, so a condensation built on it would serve a single closure
+  // and cost more than the kernel walk it replaces.
+  FRAPPE_ASSIGN_OR_RETURN(
+      report.impacted_functions,
+      graph::analytics::ParallelClosure(
+          view->Packed(), live_seeds,
+          graph::EdgeFilter::Of({schema.edge_type(model::EdgeKind::kCalls)},
+                                graph::Direction::kIn)));
   return report;
 }
 

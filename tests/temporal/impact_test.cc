@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "obs/metrics.h"
+
 namespace frappe::temporal {
 namespace {
 
@@ -83,6 +85,19 @@ TEST_F(ImpactTest, RemovedFunctionImplicatesSurvivingCallers) {
   std::set<NodeId> impacted(report->impacted_functions.begin(),
                             report->impacted_functions.end());
   EXPECT_TRUE(impacted.count(main_));
+}
+
+// The `to` view lives for one call, so the impact slice is one kernel
+// closure and builds no condensation.
+TEST_F(ImpactTest, ImpactRunsTheKernelAndBuildsNoCondensation) {
+  obs::Counter& runs = obs::Registry::Global().GetCounter("analytics.runs");
+  obs::Counter& builds =
+      obs::Registry::Global().GetCounter("analytics.condensations");
+  const uint64_t runs_before = runs.Value();
+  const uint64_t builds_before = builds.Value();
+  ASSERT_TRUE(ChangeImpact(store_, *schema_, 0, 1).ok());
+  EXPECT_EQ(runs.Value(), runs_before + 1);
+  EXPECT_EQ(builds.Value(), builds_before);
 }
 
 TEST_F(ImpactTest, UncommittedVersionRejected) {

@@ -1,7 +1,6 @@
 #include "analysis/debugging.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "analysis/slicing.h"
 
@@ -52,18 +51,21 @@ std::vector<SuspectWrite> FindSuspectWrites(const graph::GraphView& view,
                    });
 
   // Everything reachable from those call sites (including the callees
-  // themselves).
+  // themselves). Both lists are ascending, so membership is two binary
+  // searches rather than a hash set of the whole reachable set.
   std::vector<NodeId> reachable = ImpactSet(
       view, schema, early_callees, {EdgeKind::kCalls}, Direction::kOut);
-  std::unordered_set<NodeId> reachable_set(reachable.begin(),
-                                           reachable.end());
-  reachable_set.insert(early_callees.begin(), early_callees.end());
+  std::sort(early_callees.begin(), early_callees.end());
+  auto reached = [&](NodeId n) {
+    return std::binary_search(reachable.begin(), reachable.end(), n) ||
+           std::binary_search(early_callees.begin(), early_callees.end(), n);
+  };
 
   // Writers of the field among the reachable set.
   std::vector<SuspectWrite> out;
   view.ForEachEdge(field, Direction::kIn, [&](EdgeId e, NodeId writer) {
     if (view.GetEdge(e).type != writes_member) return true;
-    if (reachable_set.count(writer) == 0) return true;
+    if (!reached(writer)) return true;
     SuspectWrite suspect;
     suspect.writer = writer;
     suspect.write_edge = e;

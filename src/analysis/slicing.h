@@ -23,7 +23,8 @@ namespace frappe::analysis {
 // cycles; other sets form trees and only read one already built. A
 // `max_depth` bound, kBoth, or no condensation runs the frontier kernel.
 // Results equal graph::TransitiveClosure on the view, which stays the
-// store-walking reference.
+// store-walking reference. Every function here returns node ids in
+// strictly ascending order, so callers may binary-search a result.
 
 // Backward slice of `function`: everything it transitively calls — all
 // functions that, if modified, could alter its behaviour.

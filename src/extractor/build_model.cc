@@ -33,7 +33,7 @@ Result<NodeId> BuildDriver::Compile(const std::string& source,
                                     const PreprocessOptions& options) {
   NodeId module = MakeModule(output);
   FRAPPE_ASSIGN_OR_RETURN(PreprocessedUnit pp,
-                          Preprocess(vfs_, source, options));
+                          Preprocess(vfs_, source, options, &headers_));
   FRAPPE_ASSIGN_OR_RETURN(TranslationUnit ast, ParseUnit(pp));
   UnitSymbols symbols;
   FRAPPE_RETURN_IF_ERROR(extractor_.ExtractUnit(pp, ast, &symbols));
@@ -59,7 +59,7 @@ Result<NodeId> BuildDriver::Link(const std::vector<std::string>& inputs,
   for (const std::string& input : inputs) {
     if (EndsWith(input, ".c")) {
       FRAPPE_ASSIGN_OR_RETURN(PreprocessedUnit pp,
-                              Preprocess(vfs_, input, options));
+                              Preprocess(vfs_, input, options, &headers_));
       FRAPPE_ASSIGN_OR_RETURN(TranslationUnit ast, ParseUnit(pp));
       UnitSymbols symbols;
       FRAPPE_RETURN_IF_ERROR(extractor_.ExtractUnit(pp, ast, &symbols));

@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "extractor/extract.h"
+#include "extractor/preprocessor.h"
 #include "extractor/vfs.h"
 
 namespace frappe::extractor {
@@ -16,6 +17,11 @@ namespace frappe::extractor {
 // extractor over each compiled source, models outputs (objects,
 // executables, libraries) as `module` nodes, and performs symbol
 // resolution at link time (link_declares / link_matches / linked_from).
+//
+// A driver is one build: it lexes each header once, however many units
+// include it, and keeps the lexed headers until it is destroyed. Their
+// tokens view the Vfs, which must outlive the driver and stay unmodified
+// while it lives.
 class BuildDriver {
  public:
   BuildDriver(const Vfs* vfs, model::CodeGraph* graph)
@@ -67,6 +73,7 @@ class BuildDriver {
   graph::NodeId MakeModule(const std::string& output);
 
   const Vfs& vfs_;
+  HeaderCache headers_;
   Extractor extractor_;
   std::map<std::string, ModuleInfo> modules_;
   Stats stats_;

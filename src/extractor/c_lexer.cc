@@ -1,5 +1,4 @@
 #include <cctype>
-#include <cstring>
 
 #include "extractor/c_token.h"
 
@@ -8,7 +7,7 @@ namespace frappe::extractor {
 namespace {
 
 // Multi-character punctuators, longest first so maximal munch works.
-constexpr const char* kPunctuators[] = {
+constexpr std::string_view kPunctuators[] = {
     "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==",
     "!=",  "&&",  "||",  "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
     "##",  "[",   "]",   "(",  ")",  "{",  "}",  ".",  "&",  "*",  "+",
@@ -25,12 +24,11 @@ bool IsIdentChar(char c) {
 
 class Lexer {
  public:
-  Lexer(std::string_view content, int file_index)
-      : content_(content), file_(file_index) {}
+  explicit Lexer(std::string_view content) : content_(content) {}
 
-  Result<std::vector<TokenLine>> Run() {
-    std::vector<TokenLine> lines;
-    TokenLine current;
+  Result<LexedFile> Run() {
+    LexedFile file;
+    LexedFile::Line current;
     bool line_started = false;
     bool directive_possible = true;  // only whitespace so far on this line
 
@@ -51,8 +49,7 @@ class Lexer {
         ++line_;
         col_ = 1;
         if (line_started) {
-          lines.push_back(std::move(current));
-          current = TokenLine();
+          EndLine(&file, &current);
           line_started = false;
         }
         directive_possible = true;
@@ -106,7 +103,7 @@ class Lexer {
       line_started = true;
 
       CToken token;
-      token.loc = SourceLoc{file_, line_, col_};
+      token.loc = SourceLoc{-1, line_, col_};
       if (IsIdentStart(c)) {
         size_t start = pos_;
         while (pos_ < content_.size() && IsIdentChar(content_[pos_])) {
@@ -114,7 +111,7 @@ class Lexer {
           ++col_;
         }
         token.kind = CToken::Kind::kIdent;
-        token.text = std::string(content_.substr(start, pos_ - start));
+        token.text = content_.substr(start, pos_ - start);
       } else if (std::isdigit(static_cast<unsigned char>(c)) ||
                  (c == '.' && pos_ + 1 < content_.size() &&
                   std::isdigit(
@@ -137,7 +134,7 @@ class Lexer {
           }
         }
         token.kind = CToken::Kind::kNumber;
-        token.text = std::string(content_.substr(start, pos_ - start));
+        token.text = content_.substr(start, pos_ - start);
       } else if (c == '"' || c == '\'') {
         char quote = c;
         size_t start = pos_;
@@ -163,16 +160,15 @@ class Lexer {
         ++col_;
         token.kind = quote == '"' ? CToken::Kind::kString
                                   : CToken::Kind::kCharLit;
-        token.text = std::string(content_.substr(start, pos_ - start));
+        token.text = content_.substr(start, pos_ - start);
       } else {
         bool matched = false;
-        for (const char* p : kPunctuators) {
-          size_t len = std::strlen(p);
-          if (content_.substr(pos_, len) == p) {
+        for (std::string_view p : kPunctuators) {
+          if (content_.substr(pos_, p.size()) == p) {
             token.kind = CToken::Kind::kPunct;
             token.text = p;
-            pos_ += len;
-            col_ += static_cast<int>(len);
+            pos_ += p.size();
+            col_ += static_cast<int>(p.size());
             matched = true;
             break;
           }
@@ -183,15 +179,21 @@ class Lexer {
         }
       }
       token.length = static_cast<int>(token.text.size());
-      current.tokens.push_back(std::move(token));
+      file.tokens.push_back(token);
     }
-    if (line_started) lines.push_back(std::move(current));
-    return lines;
+    if (line_started) EndLine(&file, &current);
+    return file;
   }
 
  private:
+  // Closes `current` at the token array's end and opens the next line.
+  static void EndLine(LexedFile* file, LexedFile::Line* current) {
+    current->end = static_cast<uint32_t>(file->tokens.size());
+    file->lines.push_back(*current);
+    *current = LexedFile::Line{current->end, current->end, false};
+  }
+
   std::string_view content_;
-  int file_;
   size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;
@@ -199,10 +201,8 @@ class Lexer {
 
 }  // namespace
 
-Result<std::vector<TokenLine>> LexCFile(std::string_view content,
-                                        int file_index) {
-  Lexer lexer(content, file_index);
-  return lexer.Run();
+Result<LexedFile> LexCFile(std::string_view content) {
+  return Lexer(content).Run();
 }
 
 }  // namespace frappe::extractor

@@ -1,22 +1,25 @@
 #include "extractor/c_parser.h"
 
 #include <set>
+#include <string_view>
 #include <unordered_set>
 
 namespace frappe::extractor {
 
 namespace {
 
-const std::unordered_set<std::string> kPrimitiveKeywords = {
+// Keyword sets are keyed by views of their literals, so a token's text is
+// looked up as is.
+const std::unordered_set<std::string_view> kPrimitiveKeywords = {
     "void",   "char",  "short",    "int",      "long",  "float",
     "double", "signed", "unsigned", "_Bool",   "size_t_builtin",
 };
 
-const std::unordered_set<std::string> kQualifierKeywords = {
+const std::unordered_set<std::string_view> kQualifierKeywords = {
     "const", "volatile", "restrict", "__restrict", "__restrict__",
 };
 
-const std::unordered_set<std::string> kStorageKeywords = {
+const std::unordered_set<std::string_view> kStorageKeywords = {
     "static", "extern", "register", "auto", "inline", "__inline",
     "__inline__", "_Noreturn",
 };
@@ -61,7 +64,7 @@ class Parser {
   Status ExpectPunct(std::string_view p) {
     if (!AcceptPunct(p)) {
       return Status::ParseError("expected '" + std::string(p) + "', got '" +
-                                Peek().text + "' at line " +
+                                std::string(Peek().text) + "' at line " +
                                 std::to_string(Peek().loc.line));
     }
     return Status::OK();
@@ -69,7 +72,7 @@ class Parser {
   Status ErrorHere(std::string message) const {
     return Status::ParseError(message + " at line " +
                               std::to_string(Peek().loc.line) + " ('" +
-                              Peek().text + "')");
+                              std::string(Peek().text) + "')");
   }
 
   void SkipAttributes() {
@@ -147,7 +150,7 @@ class Parser {
 
   Result<DeclSpecs> ParseDeclSpecs() {
     DeclSpecs specs;
-    std::vector<std::string> primitive_parts;
+    std::vector<std::string_view> primitive_parts;
     bool saw_base = false;
     while (true) {
       SkipAttributes();
@@ -211,7 +214,7 @@ class Parser {
     }
     if (!primitive_parts.empty()) {
       std::string joined;
-      for (const std::string& p : primitive_parts) {
+      for (std::string_view p : primitive_parts) {
         if (!joined.empty()) joined += " ";
         joined += p;
       }
@@ -812,16 +815,15 @@ class Parser {
   }
 
   static bool IsAssignOp(const CToken& t) {
-    static const std::set<std::string> kOps = {"=",  "+=", "-=", "*=",
-                                               "/=", "%=", "&=", "|=",
-                                               "^=", "<<=", ">>="};
+    static const std::set<std::string_view> kOps = {
+        "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
     return t.kind == CToken::Kind::kPunct && kOps.count(t.text) != 0;
   }
 
   Result<ExprPtr> ParseAssignment() {
     FRAPPE_ASSIGN_OR_RETURN(ExprPtr left, ParseConditionalExpr());
     if (IsAssignOp(Peek())) {
-      std::string op = Advance().text;
+      std::string_view op = Advance().text;
       FRAPPE_ASSIGN_OR_RETURN(ExprPtr right, ParseAssignment());
       auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kBinary;
@@ -866,7 +868,7 @@ class Parser {
 
   static int BinPrec(const CToken& t) {
     if (t.kind != CToken::Kind::kPunct) return 0;
-    const std::string& op = t.text;
+    std::string_view op = t.text;
     if (op == "||") return 1;
     if (op == "&&") return 2;
     if (op == "|") return 3;
@@ -885,7 +887,7 @@ class Parser {
     while (true) {
       int prec = BinPrec(Peek());
       if (prec == 0 || prec < min_prec) break;
-      std::string op = Advance().text;
+      std::string_view op = Advance().text;
       FRAPPE_ASSIGN_OR_RETURN(ExprPtr right, ParseBinary(prec + 1));
       auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kBinary;
@@ -980,10 +982,10 @@ class Parser {
       SetEnd(expr.get());
       return expr;
     }
-    static const std::set<std::string> kUnaryOps = {"*", "&", "!", "~",
-                                                    "-", "+", "++", "--"};
+    static const std::set<std::string_view> kUnaryOps = {
+        "*", "&", "!", "~", "-", "+", "++", "--"};
     if (t.kind == CToken::Kind::kPunct && kUnaryOps.count(t.text)) {
-      std::string op = Advance().text;
+      std::string_view op = Advance().text;
       FRAPPE_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kUnary;
@@ -1052,7 +1054,7 @@ class Parser {
         continue;
       }
       if (t.IsPunct("++") || t.IsPunct("--")) {
-        std::string op = Advance().text;
+        std::string_view op = Advance().text;
         auto postfix = std::make_unique<Expr>();
         postfix->kind = ExprKind::kPostfix;
         postfix->text = op;
@@ -1126,8 +1128,8 @@ class Parser {
   const std::vector<CToken>& tokens_;
   size_t pos_ = 0;
   TranslationUnit unit_;
-  std::set<std::string> typedefs_;
-  std::set<std::string> enumerators_;
+  std::set<std::string, std::less<>> typedefs_;
+  std::set<std::string, std::less<>> enumerators_;
   int anon_counter_ = 0;
 };
 

@@ -1,7 +1,9 @@
 #ifndef FRAPPE_EXTRACTOR_C_TOKEN_H_
 #define FRAPPE_EXTRACTOR_C_TOKEN_H_
 
-#include <string>
+#include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -19,6 +21,11 @@ struct SourceLoc {
   bool operator==(const SourceLoc&) const = default;
 };
 
+// A token's text is a view, never an owned string. Spelled tokens view the
+// source text they were lexed from (a `Vfs` file's content, which must stay
+// alive and unmodified while the tokens are read), punctuators view static
+// literals, and text the preprocessor synthesizes (`##` pastes, `#`
+// strings, `-D` replacement text) views the owning PreprocessedUnit's arena.
 struct CToken {
   enum class Kind {
     kIdent,
@@ -30,15 +37,14 @@ struct CToken {
   };
 
   Kind kind = Kind::kEof;
-  std::string text;
-  SourceLoc loc;
-  int length = 0;  // spelled length, for end-column computation
-
   // Macro provenance: set when the token came out of a macro expansion.
   // `macro` names the outermost macro; `loc` then points at the expansion
   // site, which is what the paper's IN_MACRO/USE_* properties record.
   bool in_macro = false;
-  std::string macro;
+  int length = 0;  // spelled length, for end-column computation
+  SourceLoc loc;
+  std::string_view text;
+  std::string_view macro;
 
   bool Is(std::string_view s) const { return text == s; }
   bool IsIdent(std::string_view s) const {
@@ -53,19 +59,31 @@ struct CToken {
   int col_end() const { return loc.col + (length > 0 ? length - 1 : 0); }
 };
 
-// One physical line of tokens (the preprocessor is line-oriented so
-// directives can be recognized).
-struct TokenLine {
-  bool is_directive = false;
+// One file's tokens in a flat array, split into physical lines (the
+// preprocessor is line-oriented so directives can be recognized). Tokens
+// carry line and column but no file (`loc.file` is -1): a lexed header is
+// shared by every unit that includes it, and each unit numbers its files
+// itself, so the preprocessor stamps the file index when it emits a token.
+struct LexedFile {
+  struct Line {
+    uint32_t begin = 0;  // token range [begin, end)
+    uint32_t end = 0;
+    bool is_directive = false;  // tokens follow the '#'
+  };
   std::vector<CToken> tokens;
+  std::vector<Line> lines;
+
+  std::span<const CToken> TokensOf(const Line& line) const {
+    return std::span<const CToken>(tokens).subspan(line.begin,
+                                                   line.end - line.begin);
+  }
 };
 
-// Tokenizes one file into lines. Handles line continuations (backslash
-// newline), // and /* */ comments, string/char literals with escapes,
-// numbers (including hex/suffixes, lexed as opaque text) and multi-char
-// punctuators longest-first.
-Result<std::vector<TokenLine>> LexCFile(std::string_view content,
-                                        int file_index);
+// Tokenizes one file. Handles line continuations (backslash newline), //
+// and /* */ comments, string/char literals with escapes, numbers
+// (including hex/suffixes, lexed as opaque text) and multi-char
+// punctuators longest-first. Token text views `content`.
+Result<LexedFile> LexCFile(std::string_view content);
 
 }  // namespace frappe::extractor
 

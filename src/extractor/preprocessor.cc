@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,27 +15,43 @@ namespace {
 constexpr int kMaxIncludeDepth = 64;
 constexpr int kMaxExpansionDepth = 64;
 
+// With std::equal_to<>, looks a std::string key up by a token's view
+// without building a temporary string.
+struct TransparentHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
 struct Macro {
   MacroDef def;
   bool variadic = false;
   std::vector<CToken> body;
 };
 
+// `t`'s location in file `file` of the unit (lexed tokens carry none).
+SourceLoc At(const CToken& t, int file) {
+  SourceLoc loc = t.loc;
+  loc.file = file;
+  return loc;
+}
+
 class Preprocessor {
  public:
-  Preprocessor(const Vfs& vfs, const PreprocessOptions& options)
-      : vfs_(vfs), options_(options) {}
+  Preprocessor(const Vfs& vfs, const PreprocessOptions& options,
+               HeaderCache* headers)
+      : vfs_(vfs), options_(options), headers_(*headers) {}
 
   Result<PreprocessedUnit> Run(const std::string& main_file) {
     for (const auto& [name, replacement] : options_.defines) {
       Macro macro;
       macro.def.name = name;
       macro.def.loc = SourceLoc{-1, 0, 0};  // builtin
-      FRAPPE_ASSIGN_OR_RETURN(std::vector<TokenLine> lines,
-                              LexCFile(replacement, -1));
-      for (TokenLine& line : lines) {
-        for (CToken& t : line.tokens) macro.body.push_back(std::move(t));
-      }
+      // The options may not outlive the unit; the body views its copy.
+      FRAPPE_ASSIGN_OR_RETURN(LexedFile lexed,
+                              LexCFile(unit_.Keep(replacement)));
+      macro.body = std::move(lexed.tokens);
       macros_[name] = std::move(macro);
     }
     FRAPPE_RETURN_IF_ERROR(ProcessFile(main_file, 0));
@@ -60,15 +76,24 @@ class Preprocessor {
     }
     FRAPPE_ASSIGN_OR_RETURN(std::string_view content, vfs_.Read(path));
     int file_index = FileIndex(path);
-    FRAPPE_ASSIGN_OR_RETURN(std::vector<TokenLine> lines,
-                            LexCFile(content, file_index));
-    for (const TokenLine& line : lines) {
+    if (depth == 0) {  // a main file is read once per build: not cached
+      FRAPPE_ASSIGN_OR_RETURN(LexedFile main, LexCFile(content));
+      return ProcessLines(main, path, file_index, depth);
+    }
+    FRAPPE_ASSIGN_OR_RETURN(const LexedFile* header,
+                            headers_.Lex(path, content));
+    return ProcessLines(*header, path, file_index, depth);
+  }
+
+  Status ProcessLines(const LexedFile& file, const std::string& path,
+                      int file_index, int depth) {
+    for (const LexedFile::Line& line : file.lines) {
+      std::span<const CToken> tokens = file.TokensOf(line);
       if (line.is_directive) {
-        FRAPPE_RETURN_IF_ERROR(HandleDirective(line, path, file_index,
-                                               depth));
-      } else if (Active()) {
         FRAPPE_RETURN_IF_ERROR(
-            ExpandInto(line.tokens, &unit_.tokens, /*depth=*/0));
+            HandleDirective(tokens, path, file_index, depth));
+      } else if (Active()) {
+        FRAPPE_RETURN_IF_ERROR(ExpandInto(tokens, file_index, &unit_.tokens));
       }
     }
     return Status::OK();
@@ -94,31 +119,32 @@ class Preprocessor {
 
   // --- directives ---
 
-  Status HandleDirective(const TokenLine& line, const std::string& path,
-                         int file_index, int depth) {
-    if (line.tokens.empty()) return Status::OK();  // null directive
-    const CToken& name = line.tokens[0];
-    std::string_view directive = name.text;
+  Status HandleDirective(std::span<const CToken> tokens,
+                         const std::string& path, int file_index,
+                         int depth) {
+    if (tokens.empty()) return Status::OK();  // null directive
+    std::string_view directive = tokens[0].text;
 
     if (directive == "ifdef" || directive == "ifndef") {
-      if (line.tokens.size() < 2) {
+      if (tokens.size() < 2) {
         return Status::ParseError("#" + std::string(directive) +
                                   " without a name");
       }
-      const CToken& macro = line.tokens[1];
+      const CToken& macro = tokens[1];
       if (Active()) {
-        unit_.events.push_back(MacroEvent{
-            MacroEvent::Kind::kInterrogation, macro.text, macro.loc});
+        unit_.events.push_back(MacroEvent{MacroEvent::Kind::kInterrogation,
+                                          std::string(macro.text),
+                                          At(macro, file_index)});
       }
-      bool defined = macros_.count(macro.text) != 0;
+      bool defined = macros_.contains(macro.text);
       PushCond(directive == "ifdef" ? defined : !defined);
       return Status::OK();
     }
     if (directive == "if") {
       bool value = false;
       if (Active()) {
-        FRAPPE_ASSIGN_OR_RETURN(
-            value, EvalCondition(line.tokens, 1));
+        FRAPPE_ASSIGN_OR_RETURN(value,
+                                EvalCondition(tokens.subspan(1), file_index));
       }
       PushCond(value);
       return Status::OK();
@@ -129,7 +155,8 @@ class Preprocessor {
       if (cond.taken || !cond.parent_active) {
         cond.active_now = false;
       } else {
-        FRAPPE_ASSIGN_OR_RETURN(bool value, EvalCondition(line.tokens, 1));
+        FRAPPE_ASSIGN_OR_RETURN(
+            bool value, EvalCondition(tokens.subspan(1), file_index));
         cond.active_now = value;
         cond.taken = value;
       }
@@ -152,22 +179,25 @@ class Preprocessor {
 
     if (!Active()) return Status::OK();  // skipped region
 
-    if (directive == "define") return HandleDefine(line, file_index);
+    if (directive == "define") return HandleDefine(tokens, file_index);
     if (directive == "undef") {
-      if (line.tokens.size() >= 2) macros_.erase(line.tokens[1].text);
+      if (tokens.size() >= 2) {
+        auto it = macros_.find(tokens[1].text);
+        if (it != macros_.end()) macros_.erase(it);
+      }
       return Status::OK();
     }
     if (directive == "include") {
-      return HandleInclude(line, path, file_index, depth);
+      return HandleInclude(tokens, path, file_index, depth);
     }
     if (directive == "pragma" || directive == "warning") {
       return Status::OK();
     }
     if (directive == "error") {
       std::string message;
-      for (size_t i = 1; i < line.tokens.size(); ++i) {
+      for (size_t i = 1; i < tokens.size(); ++i) {
         if (i > 1) message += " ";
-        message += line.tokens[i].text;
+        message += tokens[i].text;
       }
       return Status::FailedPrecondition("#error: " + message);
     }
@@ -175,61 +205,59 @@ class Preprocessor {
     return Status::OK();
   }
 
-  Status HandleDefine(const TokenLine& line, int file_index) {
-    if (line.tokens.size() < 2 ||
-        line.tokens[1].kind != CToken::Kind::kIdent) {
+  Status HandleDefine(std::span<const CToken> tokens, int file_index) {
+    if (tokens.size() < 2 || tokens[1].kind != CToken::Kind::kIdent) {
       return Status::ParseError("#define without a name");
     }
     Macro macro;
-    macro.def.name = line.tokens[1].text;
-    macro.def.loc = line.tokens[1].loc;
+    macro.def.name = tokens[1].text;
+    macro.def.loc = At(tokens[1], file_index);
     size_t body_start = 2;
     // Function-like only when '(' immediately follows the name. The lexer
     // drops whitespace, so approximate with column adjacency.
-    if (line.tokens.size() > 2 && line.tokens[2].IsPunct("(") &&
-        line.tokens[2].loc.col ==
-            line.tokens[1].loc.col + line.tokens[1].length &&
-        line.tokens[2].loc.line == line.tokens[1].loc.line) {
+    if (tokens.size() > 2 && tokens[2].IsPunct("(") &&
+        tokens[2].loc.col == tokens[1].loc.col + tokens[1].length &&
+        tokens[2].loc.line == tokens[1].loc.line) {
       macro.def.function_like = true;
       size_t i = 3;
-      while (i < line.tokens.size() && !line.tokens[i].IsPunct(")")) {
-        if (line.tokens[i].IsPunct(",")) {
+      while (i < tokens.size() && !tokens[i].IsPunct(")")) {
+        if (tokens[i].IsPunct(",")) {
           ++i;
           continue;
         }
-        if (line.tokens[i].IsPunct("...")) {
+        if (tokens[i].IsPunct("...")) {
           macro.variadic = true;
-        } else if (line.tokens[i].kind == CToken::Kind::kIdent) {
-          macro.def.params.push_back(line.tokens[i].text);
+        } else if (tokens[i].kind == CToken::Kind::kIdent) {
+          macro.def.params.emplace_back(tokens[i].text);
         }
         ++i;
       }
-      if (i >= line.tokens.size()) {
+      if (i >= tokens.size()) {
         return Status::ParseError("unterminated macro parameter list for " +
                                   macro.def.name);
       }
       body_start = i + 1;
     }
-    macro.body.assign(line.tokens.begin() + body_start, line.tokens.end());
+    // Body tokens keep no file: an expansion relocates them to its site.
+    macro.body.assign(tokens.begin() + body_start, tokens.end());
     unit_.macros.push_back(macro.def);
     macros_[macro.def.name] = std::move(macro);
-    (void)file_index;
     return Status::OK();
   }
 
-  Status HandleInclude(const TokenLine& line, const std::string& path,
-                       int file_index, int depth) {
-    if (line.tokens.size() < 2) return Status::ParseError("bare #include");
+  Status HandleInclude(std::span<const CToken> tokens,
+                       const std::string& path, int file_index, int depth) {
+    if (tokens.size() < 2) return Status::ParseError("bare #include");
     std::string name;
     bool angled = false;
-    const CToken& first = line.tokens[1];
+    const CToken& first = tokens[1];
     if (first.kind == CToken::Kind::kString) {
       name = first.text.substr(1, first.text.size() - 2);
     } else if (first.IsPunct("<")) {
       angled = true;
-      for (size_t i = 2; i < line.tokens.size(); ++i) {
-        if (line.tokens[i].IsPunct(">")) break;
-        name += line.tokens[i].text;
+      for (size_t i = 2; i < tokens.size(); ++i) {
+        if (tokens[i].IsPunct(">")) break;
+        name += tokens[i].text;
       }
     } else {
       return Status::ParseError("malformed #include");
@@ -244,17 +272,18 @@ class Preprocessor {
     }
     int to_index = FileIndex(*resolved);
     unit_.includes.push_back(
-        IncludeEvent{file_index, to_index, first.loc});
+        IncludeEvent{file_index, to_index, At(first, file_index)});
     return ProcessFile(*resolved, depth + 1);
   }
 
   // --- #if expression evaluation ---
 
-  Result<bool> EvalCondition(const std::vector<CToken>& tokens,
-                             size_t start) {
+  // `tokens` are a directive's lexed tokens in file `file_index`.
+  Result<bool> EvalCondition(std::span<const CToken> tokens,
+                             int file_index) {
     // Phase 1: handle defined(X) / defined X and record interrogations.
     std::vector<CToken> pre;
-    for (size_t i = start; i < tokens.size(); ++i) {
+    for (size_t i = 0; i < tokens.size(); ++i) {
       if (tokens[i].IsIdent("defined")) {
         size_t j = i + 1;
         bool paren = j < tokens.size() && tokens[j].IsPunct("(");
@@ -264,20 +293,22 @@ class Preprocessor {
           return Status::ParseError("malformed defined()");
         }
         unit_.events.push_back(MacroEvent{MacroEvent::Kind::kInterrogation,
-                                          tokens[j].text, tokens[j].loc});
+                                          std::string(tokens[j].text),
+                                          At(tokens[j], file_index)});
         CToken value;
         value.kind = CToken::Kind::kNumber;
-        value.text = macros_.count(tokens[j].text) ? "1" : "0";
-        value.loc = tokens[i].loc;
-        pre.push_back(std::move(value));
+        value.text = macros_.contains(tokens[j].text) ? "1" : "0";
+        value.loc = At(tokens[i], file_index);
+        pre.push_back(value);
         i = paren ? j + 1 : j;  // skip ')' below
         continue;
       }
       pre.push_back(tokens[i]);
+      pre.back().loc.file = file_index;
     }
     // Phase 2: expand remaining macros.
     std::vector<CToken> expanded;
-    FRAPPE_RETURN_IF_ERROR(ExpandInto(pre, &expanded, 0));
+    FRAPPE_RETURN_IF_ERROR(ExpandInto(pre, /*file=*/-1, &expanded));
     // Phase 3: identifiers left over evaluate to 0 (C semantics).
     eval_tokens_ = &expanded;
     eval_pos_ = 0;
@@ -330,7 +361,7 @@ class Preprocessor {
       if (t == nullptr || t->kind != CToken::Kind::kPunct) break;
       int prec = BinaryPrecedence(t->text);
       if (prec == 0 || prec < min_prec) break;
-      std::string op = t->text;
+      std::string_view op = t->text;
       ++eval_pos_;
       FRAPPE_ASSIGN_OR_RETURN(int64_t right, EvalBinary(prec + 1));
       if (op == "||") {
@@ -404,7 +435,8 @@ class Preprocessor {
       return t->text.size() > 2 ? static_cast<int64_t>(t->text[1]) : 0;
     }
     if (t->kind == CToken::Kind::kIdent) return 0;  // undefined -> 0
-    return Status::ParseError("unexpected token in #if: " + t->text);
+    return Status::ParseError("unexpected token in #if: " +
+                              std::string(t->text));
   }
 
   static int64_t ParseNumber(std::string_view text) {
@@ -424,26 +456,35 @@ class Preprocessor {
 
   // --- macro expansion ---
 
-  Status ExpandInto(const std::vector<CToken>& input,
-                    std::vector<CToken>* output, int depth) {
-    std::unordered_set<std::string> active;
-    return ExpandRange(input, 0, input.size(), output, depth, &active);
+  // Expands `input` into `output`. `file` is the file index to stamp on
+  // tokens read from `input` when they come straight from a lexed file,
+  // or -1 when they are already located (macro output).
+  Status ExpandInto(std::span<const CToken> input, int file,
+                    std::vector<CToken>* output) {
+    std::unordered_set<std::string_view> active;
+    return ExpandRange(input, file, output, /*depth=*/0, &active);
   }
 
-  Status ExpandRange(const std::vector<CToken>& input, size_t begin,
-                     size_t end, std::vector<CToken>* output, int depth,
-                     std::unordered_set<std::string>* active) {
+  Status ExpandRange(std::span<const CToken> input, int file,
+                     std::vector<CToken>* output, int depth,
+                     std::unordered_set<std::string_view>* active) {
     if (depth > kMaxExpansionDepth) {
       return Status::FailedPrecondition("macro expansion depth limit");
     }
-    for (size_t i = begin; i < end; ++i) {
-      const CToken& token = input[i];
-      if (token.kind != CToken::Kind::kIdent || active->count(token.text) ||
-          macros_.find(token.text) == macros_.end()) {
+    const size_t end = input.size();
+    for (size_t i = 0; i < end; ++i) {
+      CToken token = input[i];
+      if (file >= 0) token.loc.file = file;
+      auto found = macros_.end();
+      if (token.kind == CToken::Kind::kIdent &&
+          !active->contains(token.text)) {
+        found = macros_.find(token.text);
+      }
+      if (found == macros_.end()) {
         output->push_back(token);
         continue;
       }
-      const Macro& macro = macros_.at(token.text);
+      const Macro& macro = found->second;
       if (macro.def.function_like) {
         // Needs a '(' to be an invocation.
         size_t j = i + 1;
@@ -483,9 +524,8 @@ class Preprocessor {
         FRAPPE_RETURN_IF_ERROR(
             Substitute(macro, args, token, &substituted));
         active->insert(macro.def.name);
-        FRAPPE_RETURN_IF_ERROR(ExpandRange(substituted, 0,
-                                           substituted.size(), output,
-                                           depth + 1, active));
+        FRAPPE_RETURN_IF_ERROR(
+            ExpandRange(substituted, -1, output, depth + 1, active));
         active->erase(macro.def.name);
         i = j;  // past ')'
       } else {
@@ -493,8 +533,8 @@ class Preprocessor {
         std::vector<CToken> body = macro.body;
         for (CToken& t : body) Reattribute(&t, token);
         active->insert(macro.def.name);
-        FRAPPE_RETURN_IF_ERROR(ExpandRange(body, 0, body.size(), output,
-                                           depth + 1, active));
+        FRAPPE_RETURN_IF_ERROR(
+            ExpandRange(body, -1, output, depth + 1, active));
         active->erase(macro.def.name);
       }
     }
@@ -542,7 +582,7 @@ class Preprocessor {
             SpellForPaste(macro.body[b + 2], args, param_index);
         CToken pasted;
         pasted.kind = CToken::Kind::kIdent;
-        pasted.text = left_text + right_text;
+        pasted.text = unit_.Keep(left_text + right_text);
         Reattribute(&pasted, invocation);
         out->push_back(std::move(pasted));
         b += 2;
@@ -558,7 +598,7 @@ class Preprocessor {
           text += "\"";
           CToken str;
           str.kind = CToken::Kind::kString;
-          str.text = std::move(text);
+          str.text = unit_.Keep(std::move(text));
           Reattribute(&str, invocation);
           out->push_back(std::move(str));
           ++b;
@@ -610,13 +650,15 @@ class Preprocessor {
         return out;
       }
     }
-    return t.text;
+    return std::string(t.text);
   }
 
   const Vfs& vfs_;
   const PreprocessOptions& options_;
+  HeaderCache& headers_;
   PreprocessedUnit unit_;
-  std::unordered_map<std::string, Macro> macros_;
+  std::unordered_map<std::string, Macro, TransparentHash, std::equal_to<>>
+      macros_;
   std::vector<Cond> cond_stack_;
 
   const std::vector<CToken>* eval_tokens_ = nullptr;
@@ -625,10 +667,22 @@ class Preprocessor {
 
 }  // namespace
 
+Result<const LexedFile*> HeaderCache::Lex(const std::string& path,
+                                          std::string_view content) {
+  auto it = files_.find(path);
+  if (it != files_.end()) return &it->second;
+  FRAPPE_ASSIGN_OR_RETURN(LexedFile lexed, LexCFile(content));
+  lexed.tokens.shrink_to_fit();
+  lexed.lines.shrink_to_fit();
+  return &files_.emplace(path, std::move(lexed)).first->second;
+}
+
 Result<PreprocessedUnit> Preprocess(const Vfs& vfs,
                                     const std::string& main_file,
-                                    const PreprocessOptions& options) {
-  Preprocessor pp(vfs, options);
+                                    const PreprocessOptions& options,
+                                    HeaderCache* headers) {
+  HeaderCache unit_headers;
+  Preprocessor pp(vfs, options, headers != nullptr ? headers : &unit_headers);
   return pp.Run(NormalizePath(main_file));
 }
 

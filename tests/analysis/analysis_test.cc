@@ -338,9 +338,22 @@ TEST_F(KernelSliceTest, MatchStoreWalkingSlices) {
 
   const std::vector<EdgeKind> kinds = {EdgeKind::kCalls,
                                        EdgeKind::kReadsMember};
+  // Strictly ascending on every path (condensation, kernel, kBoth, depth
+  // bound): FindSuspectWrites binary-searches the result.
+  auto ascending = [](const std::vector<NodeId>& ids) {
+    return std::adjacent_find(ids.begin(), ids.end(),
+                              std::greater_equal<>()) == ids.end();
+  };
   for (graph::Direction dir : {kIn, kOut, graph::Direction::kBoth}) {
     std::vector<NodeId> all = Reference(view_, schema_, functions, kinds, dir);
-    EXPECT_EQ(ImpactSet(view_, schema_, functions, kinds, dir), all);
+    std::vector<NodeId> impact =
+        ImpactSet(view_, schema_, functions, kinds, dir);
+    EXPECT_TRUE(ascending(impact));
+    EXPECT_TRUE(ascending(ImpactSet(view_, schema_, functions,
+                                    {EdgeKind::kCalls}, dir)));
+    EXPECT_TRUE(ascending(
+        ImpactSet(view_, schema_, functions, {EdgeKind::kCalls}, dir, 3)));
+    EXPECT_EQ(impact, all);
     EXPECT_EQ(ParallelImpactSet(csr, schema_, functions, kinds, dir, 0), all);
     EXPECT_EQ(ParallelImpactSet(csr, schema_, functions, kinds, dir, 0, 2),
               Reference(view_, schema_, functions, kinds, dir, 2));

@@ -2,13 +2,28 @@
 
 #include "extractor/c_token.h"
 
+#include <span>
+#include <string>
+
 namespace frappe::extractor {
 namespace {
 
-std::vector<TokenLine> MustLex(std::string_view src) {
-  auto result = LexCFile(src, 0);
+struct Line {
+  bool is_directive = false;
+  std::vector<CToken> tokens;
+};
+
+// The lexed lines of `src`, each with its own copy of its tokens.
+std::vector<Line> MustLex(std::string_view src) {
+  auto result = LexCFile(src);
   EXPECT_TRUE(result.ok()) << result.status();
-  return result.ok() ? std::move(*result) : std::vector<TokenLine>{};
+  std::vector<Line> lines;
+  if (!result.ok()) return lines;
+  for (const LexedFile::Line& line : result->lines) {
+    std::span<const CToken> tokens = result->TokensOf(line);
+    lines.push_back(Line{line.is_directive, {tokens.begin(), tokens.end()}});
+  }
+  return lines;
 }
 
 TEST(CLexerTest, IdentifiersAndNumbers) {
@@ -60,8 +75,8 @@ TEST(CLexerTest, StringAndCharLiterals) {
 }
 
 TEST(CLexerTest, UnterminatedLiteralFails) {
-  EXPECT_FALSE(LexCFile("\"oops\n", 0).ok());
-  EXPECT_FALSE(LexCFile("/* oops", 0).ok());
+  EXPECT_FALSE(LexCFile("\"oops\n").ok());
+  EXPECT_FALSE(LexCFile("/* oops").ok());
 }
 
 TEST(CLexerTest, LineContinuation) {
@@ -86,6 +101,24 @@ TEST(CLexerTest, DirectiveDetection) {
 TEST(CLexerTest, PpNumberWithExponent) {
   auto lines = MustLex("x = 1.5e-3;");
   EXPECT_EQ(lines[0].tokens[2].text, "1.5e-3");
+}
+
+// Spelled tokens view the lexed text rather than copying it; lines index
+// one flat token array; no token carries a file (the preprocessor stamps
+// the unit's file index when it emits one).
+TEST(CLexerTest, TokensViewTheSourceInOneFlatArray) {
+  const std::string src = "#define N 16\nint a[N];\n";
+  auto lexed = LexCFile(src);
+  ASSERT_TRUE(lexed.ok()) << lexed.status();
+  ASSERT_EQ(lexed->lines.size(), 2u);
+  EXPECT_EQ(lexed->lines[0].begin, 0u);
+  EXPECT_EQ(lexed->lines[0].end, 3u);
+  EXPECT_EQ(lexed->lines[1].begin, 3u);
+  EXPECT_EQ(lexed->lines[1].end, lexed->tokens.size());
+  const CToken& n = lexed->tokens[1];
+  EXPECT_EQ(n.text, "N");
+  EXPECT_EQ(n.text.data(), src.data() + 8);
+  for (const CToken& t : lexed->tokens) EXPECT_EQ(t.loc.file, -1);
 }
 
 }  // namespace

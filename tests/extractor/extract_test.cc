@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/crc32c.h"
 #include "extractor/build_model.h"
 #include "extractor/c_parser.h"
+#include "extractor/synthetic.h"
 
 namespace frappe::extractor {
 namespace {
@@ -337,6 +342,144 @@ TEST_F(ExtractTest, IncludesEdgeEmitted) {
   ASSERT_TRUE(driver_->Compile("m.c", "m.o").ok());
   EXPECT_TRUE(HasEdge(EdgeKind::kIncludes, Find(NodeKind::kFile, "m.c"),
                       Find(NodeKind::kFile, "h.h")));
+}
+
+// --- Determinism oracle ---
+//
+// Pins the whole extracted graph, ids and all: nodes in id order with their
+// type and properties (sorted by key name, strings resolved), then edges in
+// id order with type, endpoints and properties. Any drift in node or edge
+// ids, SourceLocs, macro provenance or include structure changes the CRC.
+
+std::string Properties(const graph::GraphView& view,
+                       const graph::PropertyMap& props) {
+  std::vector<std::pair<std::string_view, std::string>> sorted;
+  for (const graph::PropertyMap::Entry& e : props.entries()) {
+    sorted.emplace_back(view.keys().Name(e.key),
+                        e.value().ToString(view.strings()));
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::string out;
+  for (const auto& [key, value] : sorted) {
+    out += " ";
+    out += key;
+    out += "=";
+    out += value;
+  }
+  return out;
+}
+
+std::string CanonicalDump(const graph::GraphView& view) {
+  std::string out;
+  for (NodeId n = 0; n < view.NodeIdUpperBound(); ++n) {
+    if (!view.NodeExists(n)) continue;
+    out += "n" + std::to_string(n) + " " +
+           std::string(view.NodeTypeName(n)) +
+           Properties(view, view.NodeProperties(n)) + "\n";
+  }
+  for (graph::EdgeId e = 0; e < view.EdgeIdUpperBound(); ++e) {
+    if (!view.EdgeExists(e)) continue;
+    graph::Edge edge = view.GetEdge(e);
+    out += "e" + std::to_string(e) + " " +
+           std::string(view.edge_types().Name(edge.type)) + " " +
+           std::to_string(edge.src) + "->" + std::to_string(edge.dst) +
+           Properties(view, view.EdgeProperties(e)) + "\n";
+  }
+  return out;
+}
+
+struct Digest {
+  size_t nodes;
+  size_t edges;
+  uint32_t crc;
+};
+
+Digest DigestOf(const model::CodeGraph& graph) {
+  const graph::GraphView& view = graph.view();
+  return Digest{view.NodeCount(), view.EdgeCount(),
+                common::Crc32c(CanonicalDump(view))};
+}
+
+void Extract(const Vfs& vfs, const std::vector<std::string>& commands,
+             model::CodeGraph* graph) {
+  BuildDriver driver(&vfs, graph);
+  for (const std::string& command : commands) {
+    Status status = driver.Run(command);
+    ASSERT_TRUE(status.ok()) << command << ": " << status;
+  }
+}
+
+TEST(ExtractionDigestTest, SyntheticTreeIsPinned) {
+  Vfs vfs;
+  SourceScale scale;
+  scale.subsystems = 3;
+  scale.files_per_subsystem = 4;
+  scale.functions_per_file = 6;
+  scale.seed = 7;
+  SourceKernel kernel = GenerateKernelSource(scale, &vfs);
+  model::CodeGraph graph;
+  Extract(vfs, kernel.build_commands, &graph);
+  Digest digest = DigestOf(graph);
+  EXPECT_EQ(digest.nodes, 498u);
+  EXPECT_EQ(digest.edges, 3799u);
+  EXPECT_EQ(digest.crc, 2032827225u);
+}
+
+TEST(ExtractionDigestTest, Figure2TreeIsPinned) {
+  Vfs vfs;
+  vfs.AddFile("foo.h", "int bar(int);\n");
+  vfs.AddFile("foo.c",
+              "#include \"foo.h\"\n"
+              "int bar(int input) {\n"
+              "  return input;\n"
+              "}\n");
+  vfs.AddFile("main.c",
+              "#include \"foo.h\"\n"
+              "int main(int argc, char **argv) {\n"
+              "  return bar(argc);\n"
+              "}\n");
+  model::CodeGraph graph;
+  Extract(vfs, {"gcc foo.c -c -o foo.o", "gcc main.c foo.o -o prog"},
+          &graph);
+  Digest digest = DigestOf(graph);
+  EXPECT_EQ(digest.nodes, 13u);
+  EXPECT_EQ(digest.edges, 24u);
+  EXPECT_EQ(digest.crc, 2661272553u);
+}
+
+// Token pasting, stringizing, -D replacement text and one header seen by
+// two units under different configurations: the paths that synthesize
+// token text rather than viewing the source.
+TEST(ExtractionDigestTest, MacroTreeIsPinned) {
+  Vfs vfs;
+  vfs.AddFile("include/ops.h",
+              "#define GLUE(a, b) a##b\n"
+              "#define NAME(x) #x\n"
+              "#define CALL(f, ...) f(__VA_ARGS__)\n"
+              "#ifdef CONFIG_FAST\n"
+              "int GLUE(fast_, LEVEL)(int);\n"
+              "#else\n"
+              "int GLUE(slow_, LEVEL)(int);\n"
+              "#endif\n"
+              "struct ops { int (*run)(int); const char *name; };\n");
+  vfs.AddFile("a.c",
+              "#define LEVEL one\n"
+              "#include <ops.h>\n"
+              "static struct ops a_ops = { 0, NAME(a_ops) };\n"
+              "int a_run(int n) { return CALL(GLUE(fast_, one), n + WIDTH); }\n");
+  vfs.AddFile("b.c",
+              "#define LEVEL two\n"
+              "#include <ops.h>\n"
+              "int b_run(int n) { return CALL(GLUE(slow_, two), n); }\n");
+  model::CodeGraph graph;
+  Extract(vfs,
+          {"gcc -Iinclude -DCONFIG_FAST -DWIDTH=4 -c a.c -o a.o",
+           "gcc -Iinclude -c b.c -o b.o", "gcc a.o b.o -o prog"},
+          &graph);
+  Digest digest = DigestOf(graph);
+  EXPECT_EQ(digest.nodes, 28u);
+  EXPECT_EQ(digest.edges, 51u);
+  EXPECT_EQ(digest.crc, 29579308u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace frappe::extractor {
 namespace {
@@ -215,6 +217,178 @@ TEST(PreprocessorTest, PredefinedMacros) {
   options.defines["CONFIG_SMP"] = "1";
   options.defines["NCPU"] = "8";
   EXPECT_EQ(Render(MustPp(vfs, "a.c", options)), "int smp ; int n = 8 ;");
+}
+
+// --- Header cache and token lifetime ---
+
+PreprocessedUnit MustPpWith(const Vfs& vfs, const std::string& main,
+                            const PreprocessOptions& options,
+                            HeaderCache* headers) {
+  auto result = Preprocess(vfs, main, options, headers);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? std::move(*result) : PreprocessedUnit{};
+}
+
+std::vector<std::string> EventNames(const PreprocessedUnit& unit) {
+  std::vector<std::string> names;
+  for (const MacroEvent& e : unit.events) {
+    names.push_back((e.kind == MacroEvent::Kind::kExpansion ? "x:" : "?:") +
+                    e.name + "@" + std::to_string(e.use.file) + ":" +
+                    std::to_string(e.use.line) + ":" +
+                    std::to_string(e.use.col));
+  }
+  return names;
+}
+
+// One header, two units, two configurations: the cached tokens are
+// pre-expansion, so each unit expands and selects them under its own
+// -D values and its own macro state at the #include.
+TEST(HeaderCacheTest, SharedHeaderExpandsPerUnit) {
+  Vfs vfs;
+  vfs.AddFile("cfg.h",
+              "#ifdef CONFIG_FAST\nint fast_path = LEVEL;\n"
+              "#else\nint slow_path = LEVEL;\n#endif\n"
+              "int width = WIDTH;\n");
+  vfs.AddFile("a.c", "#define LEVEL 1\n#include \"cfg.h\"\n");
+  vfs.AddFile("b.c", "#define LEVEL 2\n#define WIDTH (LEVEL * 8)\n"
+                     "#include \"cfg.h\"\n");
+  PreprocessOptions fast;
+  fast.defines["CONFIG_FAST"] = "1";
+  fast.defines["WIDTH"] = "4";
+  PreprocessOptions slow;
+
+  HeaderCache headers;
+  PreprocessedUnit a = MustPpWith(vfs, "a.c", fast, &headers);
+  PreprocessedUnit b = MustPpWith(vfs, "b.c", slow, &headers);
+  EXPECT_EQ(headers.size(), 1u);  // cfg.h lexed once for both units
+  EXPECT_EQ(Render(a), "int fast_path = 1 ; int width = 4 ;");
+  EXPECT_EQ(Render(b), "int slow_path = 2 ; int width = ( 2 * 8 ) ;");
+
+  // The same as each unit preprocessed on its own.
+  PreprocessedUnit alone_a = MustPp(vfs, "a.c", fast);
+  PreprocessedUnit alone_b = MustPp(vfs, "b.c", slow);
+  EXPECT_EQ(Render(a), Render(alone_a));
+  EXPECT_EQ(Render(b), Render(alone_b));
+  EXPECT_EQ(EventNames(a), EventNames(alone_a));
+  EXPECT_EQ(EventNames(b), EventNames(alone_b));
+}
+
+// A header without a guard, included twice in one unit, is read twice
+// (from one lexed copy), each time under the macro state of its #include.
+TEST(HeaderCacheTest, UnguardedHeaderIncludedTwiceInOneUnit) {
+  Vfs vfs;
+  vfs.AddFile("decl.h", "int T;\n");
+  vfs.AddFile("a.c", "#define T first\n#include \"decl.h\"\n#undef T\n"
+                     "#define T second\n#include \"decl.h\"\n");
+  HeaderCache headers;
+  PreprocessedUnit unit = MustPpWith(vfs, "a.c", {}, &headers);
+  EXPECT_EQ(Render(unit), "int first ; int second ;");
+  EXPECT_EQ(headers.size(), 1u);
+  ASSERT_EQ(unit.files.size(), 2u);
+  ASSERT_EQ(unit.includes.size(), 2u);
+  EXPECT_EQ(unit.includes[0].to_file, 1);
+  EXPECT_EQ(unit.includes[1].to_file, 1);
+  EXPECT_EQ(unit.includes[0].use.line, 2);
+  EXPECT_EQ(unit.includes[1].use.line, 5);
+  // The free function's unit-local cache gives the same result.
+  EXPECT_EQ(Render(MustPp(vfs, "a.c")), "int first ; int second ;");
+}
+
+// Each unit numbers its files itself; a cached header's tokens and events
+// carry the including unit's index for it, stamped when emitted.
+TEST(HeaderCacheTest, FileIndexesArePerUnit) {
+  Vfs vfs;
+  vfs.AddFile("common.h",
+              "#define ONE 1\n#ifdef EXTRA\n#endif\nint shared = ONE;\n");
+  vfs.AddFile("other.h", "int other;\n");
+  vfs.AddFile("a.c", "#include \"common.h\"\nint a;\n");
+  vfs.AddFile("b.c",
+              "#include \"other.h\"\n#include \"common.h\"\nint b;\n");
+  HeaderCache headers;
+  PreprocessedUnit a = MustPpWith(vfs, "a.c", {}, &headers);
+  PreprocessedUnit b = MustPpWith(vfs, "b.c", {}, &headers);
+  ASSERT_EQ(a.files, (std::vector<std::string>{"a.c", "common.h"}));
+  ASSERT_EQ(b.files,
+            (std::vector<std::string>{"b.c", "other.h", "common.h"}));
+
+  auto file_of = [](const PreprocessedUnit& unit, std::string_view text) {
+    for (const CToken& t : unit.tokens) {
+      if (t.text == text) return t.loc.file;
+    }
+    return -2;
+  };
+  EXPECT_EQ(file_of(a, "shared"), 1);
+  EXPECT_EQ(file_of(b, "shared"), 2);
+  EXPECT_EQ(file_of(b, "other"), 1);
+  EXPECT_EQ(file_of(a, "a"), 0);
+  EXPECT_EQ(file_of(b, "b"), 0);
+  for (const CToken& t : b.tokens) {
+    if (!t.IsEof()) {
+      EXPECT_GE(t.loc.file, 0) << t.text;
+    }
+  }
+
+  ASSERT_EQ(b.includes.size(), 2u);
+  EXPECT_EQ(b.includes[1].from_file, 0);
+  EXPECT_EQ(b.includes[1].to_file, 2);
+  EXPECT_EQ(b.includes[1].use.file, 0);
+  EXPECT_EQ(b.includes[1].use.line, 2);
+  ASSERT_EQ(a.macros.size(), 1u);
+  ASSERT_EQ(b.macros.size(), 1u);
+  EXPECT_EQ(a.macros[0].loc.file, 1);
+  EXPECT_EQ(b.macros[0].loc.file, 2);
+  // #ifdef EXTRA (interrogation) and ONE (expansion), both in common.h.
+  EXPECT_EQ(EventNames(a), (std::vector<std::string>{"?:EXTRA@1:2:8",
+                                                     "x:ONE@1:4:14"}));
+  EXPECT_EQ(EventNames(b), (std::vector<std::string>{"?:EXTRA@2:2:8",
+                                                     "x:ONE@2:4:14"}));
+}
+
+// A lex error is not cached: every unit that includes the header fails.
+TEST(HeaderCacheTest, LexErrorFailsEveryIncludingUnit) {
+  Vfs vfs;
+  vfs.AddFile("bad.h", "char *s = \"unterminated;\n");
+  vfs.AddFile("a.c", "#include \"bad.h\"\n");
+  vfs.AddFile("b.c", "int b;\n#include \"bad.h\"\n");
+  vfs.AddFile("c.c", "int c;\n");
+  HeaderCache headers;
+  EXPECT_FALSE(Preprocess(vfs, "a.c", {}, &headers).ok());
+  EXPECT_FALSE(Preprocess(vfs, "b.c", {}, &headers).ok());
+  EXPECT_EQ(headers.size(), 0u);
+  EXPECT_TRUE(Preprocess(vfs, "c.c", {}, &headers).ok());
+}
+
+// Pasted, stringized and -D tokens view the unit's own arena, so they stay
+// readable after the Preprocessor and the options are gone and the unit
+// has moved. Spelled tokens view the Vfs.
+TEST(HeaderCacheTest, SynthesizedTokensLiveInTheUnit) {
+  static_assert(!std::is_copy_constructible_v<PreprocessedUnit>);
+  static_assert(std::is_move_constructible_v<PreprocessedUnit>);
+  Vfs vfs;
+  vfs.AddFile("a.c",
+              "#define GLUE(a, b) a##b\n#define STR(x) #x\n"
+              "int GLUE(a_rather_long_prefix_, and_a_long_suffix) = "
+              "REPLACEMENT;\nchar *s = STR(a_stringized_argument_text);\n");
+  PreprocessedUnit unit;
+  {
+    PreprocessOptions options;
+    options.defines["REPLACEMENT"] = "a_replacement_longer_than_sso";
+    auto result = Preprocess(vfs, "a.c", options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    unit = std::move(*result);
+  }
+  PreprocessedUnit moved = std::move(unit);
+  EXPECT_EQ(Render(moved),
+            "int a_rather_long_prefix_and_a_long_suffix = "
+            "a_replacement_longer_than_sso ; char * s = "
+            "\"a_stringized_argument_text\" ;");
+  const CToken& pasted = moved.tokens[1];
+  EXPECT_TRUE(pasted.in_macro);
+  EXPECT_EQ(pasted.macro, "GLUE");
+  EXPECT_EQ(moved.tokens[3].macro, "REPLACEMENT");
+  std::string_view content = *vfs.Read("a.c");
+  EXPECT_EQ(moved.tokens[0].text.data(),
+            content.data() + content.find("int GLUE"));
 }
 
 }  // namespace

@@ -511,6 +511,17 @@ TEST(QueryServerShedTest, OverBudgetSheds429WithRetryAfter) {
   obs::Readiness::Global().ResetForTesting();
 }
 
+// Polls `done` until it holds or `timeout` passes; returns whether it held.
+template <typename Predicate>
+bool PollUntil(Predicate done, std::chrono::milliseconds timeout) {
+  auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
 TEST(QueryServerShedTest, FullQueueSheds429) {
   obs::Readiness::Global().ResetForTesting();
   QueryServer::Options options;
@@ -522,20 +533,46 @@ TEST(QueryServerShedTest, FullQueueSheds429) {
   uint64_t shed_before = obs::Registry::Global()
                              .GetCounter("server.shed_queue_full")
                              .Value();
+  const obs::Counter& admitted =
+      obs::Registry::Global().GetCounter("server.admitted");
+  const obs::Gauge& queue_depth =
+      obs::Registry::Global().GetGauge("server.queue_depth");
+  const uint64_t admitted_before = admitted.Value();
 
   // Occupy the single worker with a slow query (bounded by its deadline),
-  // then fill the one queue slot with a second; the third must shed.
+  // then fill the one queue slot with a second; the third must shed. Each
+  // step waits for the server's own counters rather than for a fixed time:
+  // the hog is running once it was admitted and the queue is empty again,
+  // the filler is queued once it was admitted and the queue holds one.
   std::string slow = SlowClosureQuery();
   std::thread worker_hog([&] {
     HttpFetch(port, "POST", "/query?deadline_ms=3000&fast_path=0", slow,
               15000);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  std::thread queue_filler([&] {
-    HttpFetch(port, "POST", "/query?deadline_ms=3000&fast_path=0", slow,
-              15000);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  bool hog_running = PollUntil(
+      [&] {
+        return admitted.Value() >= admitted_before + 1 &&
+               queue_depth.Value() == 0;
+      },
+      std::chrono::milliseconds(2000));
+  std::thread queue_filler;
+  if (hog_running) {
+    queue_filler = std::thread([&] {
+      HttpFetch(port, "POST", "/query?deadline_ms=3000&fast_path=0", slow,
+                15000);
+    });
+  }
+  bool filler_queued =
+      hog_running && PollUntil(
+                         [&] {
+                           return admitted.Value() >= admitted_before + 2 &&
+                                  queue_depth.Value() == 1;
+                         },
+                         std::chrono::milliseconds(2000));
+  EXPECT_TRUE(hog_running)
+      << "the slow query was not admitted and started within 2 s";
+  EXPECT_TRUE(filler_queued)
+      << "the second slow query was not queued within 2 s";
 
   std::string response = HttpFetch(port, "POST", "/query",
                                    "MATCH (f:function) RETURN count(*)");
@@ -546,7 +583,7 @@ TEST(QueryServerShedTest, FullQueueSheds429) {
             shed_before);
 
   worker_hog.join();
-  queue_filler.join();
+  if (queue_filler.joinable()) queue_filler.join();
   (*server)->Stop();
   obs::Readiness::Global().ResetForTesting();
 }

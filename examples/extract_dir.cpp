@@ -25,7 +25,6 @@
 #include "obs/stats_server.h"
 #include "graph/snapshot_manager.h"
 #include "graph/stats.h"
-#include "graph/stats_catalog.h"
 #include "model/code_graph.h"
 
 namespace fs = std::filesystem;
@@ -135,23 +134,10 @@ int main(int argc, char** argv) {
   }
 
   graph::NameIndex index = graph.BuildNameIndex();
-  // The freshly extracted graph gets a fresh stats catalog — an ANALYZE at
-  // ingest time — so fql_shell opens with warm cardinality estimates, and
-  // /debug/statz on this process serves the catalog while saving.
-  auto catalog = std::make_shared<const graph::StatsCatalog>(
-      graph::BuildStatsCatalog(graph.view(), &index));
-  obs::StatsServer::SetCatalogStatsProvider([catalog]() -> std::string {
-    return catalog != nullptr ? catalog->ToJson() : std::string();
-  });
-  std::printf("stats catalog: %llu bytes (%zu node types, %zu edge types,"
-              " %zu hubs)\n",
-              static_cast<unsigned long long>(catalog->ByteSize()),
-              catalog->node_types.size(), catalog->edge_types.size(),
-              catalog->hubs.size());
   // Crash-safe save: temp file + fsync + rename, with rotated generations
   // (<output>.1, <output>.2) kept as fallbacks for corrupted snapshots.
   graph::SnapshotManager manager(output);
-  auto sizes = manager.Save(graph.view(), &index, catalog.get());
+  auto sizes = manager.Save(graph.view(), &index);
   if (!sizes.ok()) {
     // A Corruption status here names the failing section and byte offset;
     // I/O failures carry the errno text.
@@ -162,6 +148,5 @@ int main(int argc, char** argv) {
               output.c_str(), sizes->total() / 1048576.0, output.c_str());
   obs::QueryRegistry::Global().StopWatchdog();
   obs::StatsServer::SetStorageStatsProvider(nullptr);
-  obs::StatsServer::SetCatalogStatsProvider(nullptr);
   return 0;
 }

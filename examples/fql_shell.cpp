@@ -5,7 +5,7 @@
 //   fql_shell --generate [factor]  generate a synthetic kernel (default 0.05)
 //
 // Meta commands: \stats  \hubs  \schema  \top  \queries  \cancel <id>
-//                \analyze  \statz  \save <path>  \quit
+//                \explain <query>  \save <path>  \quit
 //
 // Workload telemetry (opt-in via environment):
 //   FRAPPE_STATS_PORT=9090   serve /metrics, /stats, /healthz plus the
@@ -303,9 +303,8 @@ int main(int argc, char** argv) {
   {
     const graph::GraphStore* store = &shell.store();
     std::shared_ptr<graph::CsrCache> csr = shell.database().csr;
-    std::shared_ptr<graph::StatsCatalogCache> stats = shell.database().stats;
     obs::StatsServer::SetStorageStatsProvider(
-        [store, csr, stats]() -> obs::StatsServer::StorageSections {
+        [store, csr]() -> obs::StatsServer::StorageSections {
           graph::GraphStore::MemoryBreakdown m = store->EstimateMemory();
           obs::StatsServer::StorageSections sections = {
               {"nodes", m.nodes},
@@ -320,21 +319,8 @@ int main(int argc, char** argv) {
             sections.emplace_back("csr_reverse", cs.reverse_bytes);
             sections.emplace_back("csr_condensation", cs.condensation_bytes);
           }
-          if (stats != nullptr) {
-            // 0 until ANALYZE runs (or a snapshot carried a catalog).
-            auto catalog = stats->Get();
-            sections.emplace_back(
-                "stats_catalog", catalog != nullptr ? catalog->ByteSize() : 0);
-          }
           return sections;
         });
-    // /debug/statz serves whatever catalog the shared cache holds —
-    // refreshed live by ANALYZE through the same pointer.
-    obs::StatsServer::SetCatalogStatsProvider([stats]() -> std::string {
-      if (stats == nullptr) return std::string();
-      auto catalog = stats->Get();
-      return catalog != nullptr ? catalog->ToJson() : std::string();
-    });
   }
   obs::QueryRegistry::Global().MaybeStartWatchdogFromEnv();
 
@@ -345,7 +331,7 @@ int main(int argc, char** argv) {
   if (stats_server != nullptr) {
     std::printf("stats server on http://127.0.0.1:%u  (/metrics /stats"
                 " /healthz /debug/queryz /debug/cancel /debug/tracez"
-                " /debug/storagez /debug/statz /debug/logz /debug/memz"
+                " /debug/storagez /debug/logz /debug/memz"
                 " /debug/profilez)\n",
                 stats_server->port());
   }
@@ -360,15 +346,11 @@ int main(int argc, char** argv) {
   std::printf("type FQL queries (prefix EXPLAIN or PROFILE for plans,"
               " PROFILE CPU for a sampled flame profile), or"
               " \\stats \\hubs \\schema \\top \\queries \\cancel <id>"
-              " \\explain <query> \\analyze \\statz \\save <path> \\quit\n"
+              " \\explain <query> \\save <path> \\quit\n"
               "  \\queries      list in-flight queries (id, elapsed,"
               " progress) — the \\cancel ids\n"
               "  \\cancel <id>  request cooperative cancellation of an"
-              " in-flight query\n"
-              "  \\analyze      rebuild the cardinality stats catalog"
-              " (same as the ANALYZE query)\n"
-              "  \\statz        print the /debug/statz JSON (the ANALYZE"
-              " catalog)\n");
+              " in-flight query\n");
 
   std::string line;
   while (true) {
@@ -391,13 +373,6 @@ int main(int argc, char** argv) {
     }
     if (line == "\\top") {
       PrintTopQueries();
-      continue;
-    }
-    if (line == "\\analyze") {
-      line = "ANALYZE";  // alias: falls through to RunQuery below
-    }
-    if (line == "\\statz") {
-      std::printf("%s", obs::StatsServer::StatzJson().c_str());
       continue;
     }
     if (line == "\\queries") {
@@ -424,13 +399,8 @@ int main(int argc, char** argv) {
     if (line.rfind("\\save ", 0) == 0) {
       std::string path = line.substr(6);
       // Crash-safe save with rotated generations (<path>.1, <path>.2).
-      // The current stats catalog (if ANALYZE ran) rides along as its own
-      // CRC-framed section, so the next open starts with warm estimates.
       graph::SnapshotManager manager(path);
-      std::shared_ptr<const graph::StatsCatalog> catalog =
-          shell.database().stats != nullptr ? shell.database().stats->Get()
-                                            : nullptr;
-      auto sizes = manager.Save(shell.view(), &shell.index(), catalog.get());
+      auto sizes = manager.Save(shell.view(), &shell.index());
       if (sizes.ok()) {
         std::printf("wrote %s (%.1f MB)\n", path.c_str(),
                     sizes->total() / 1048576.0);
@@ -485,7 +455,6 @@ int main(int argc, char** argv) {
   // watchdog and drop the storage provider before `shell` goes away.
   obs::QueryRegistry::Global().StopWatchdog();
   obs::StatsServer::SetStorageStatsProvider(nullptr);
-  obs::StatsServer::SetCatalogStatsProvider(nullptr);
   obs::QueryLog::Global().Disable();
   return 0;
 }

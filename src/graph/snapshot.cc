@@ -394,22 +394,14 @@ void ParseIndexSectionV2(std::string_view payload, size_t abs_base,
   obs::LogWarn("snapshot", loaded->warnings.back());
 }
 
-// The stats section is advisory: a catalog that fails its checksum or its
-// own structural validation is dropped (with a warning) rather than
-// failing the load — ANALYZE rebuilds it on demand.
-void ParseStatsSectionV2(std::string_view payload, size_t abs_base,
-                         bool payload_verified, LoadedSnapshot* loaded) {
-  if (payload_verified) {
-    auto catalog = StatsCatalog::Deserialize(payload);
-    if (catalog.ok()) {
-      loaded->catalog = std::move(*catalog);
-      return;
-    }
-  }
+// Nothing reads the stats section back: its CRC is verified and the
+// payload skipped. A mismatch only warns — it never fails the load.
+void SkipStatsSectionV2(size_t abs_base, bool payload_verified,
+                        LoadedSnapshot* loaded) {
+  if (payload_verified) return;
   loaded->warnings.push_back(
       "snapshot: stats section failed verification at offset " +
-      std::to_string(abs_base) +
-      "; dropped stats catalog (run ANALYZE to rebuild)");
+      std::to_string(abs_base) + "; skipped");
   obs::Registry::Global().GetCounter("snapshot.load.stats_drops").Add();
   obs::LogWarn("snapshot", loaded->warnings.back());
 }
@@ -590,7 +582,7 @@ Result<LoadedSnapshot> DeserializeV2(std::string_view data) {
       ParseIndexSectionV2(payload, payload_off, payload_verified, st,
                           &loaded);
     } else if (section == kSectionStats) {
-      ParseStatsSectionV2(payload, payload_off, payload_verified, &loaded);
+      SkipStatsSectionV2(payload_off, payload_verified, &loaded);
     } else {
       Reader sub(payload, payload_off);
       FRAPPE_RETURN_IF_ERROR(ParseSectionBody(section, &sub, &st));
@@ -630,14 +622,6 @@ Result<SnapshotSizes> SerializeSnapshot(const GraphView& view,
                                         const SnapshotOptions& options) {
   FRAPPE_TRACE_SPAN("snapshot.serialize");
   SnapshotSizes sizes;
-  // A caller-provided catalog wins; otherwise build one from the view when
-  // asked (the temporal store's per-version catalog path).
-  std::optional<StatsCatalog> built_catalog;
-  const StatsCatalog* catalog = options.catalog;
-  if (catalog == nullptr && options.build_stats_catalog) {
-    built_catalog = BuildStatsCatalog(view);
-    catalog = &*built_catalog;
-  }
   Writer w(out);
   const size_t base = out->size();
   const uint32_t flags = options.checksums ? kFlagChecksummed : 0;
@@ -645,7 +629,7 @@ Result<SnapshotSizes> SerializeSnapshot(const GraphView& view,
   w.U32(kVersion);
   w.U32(flags);
   uint32_t section_count = 6u + (index != nullptr ? 1u : 0u) +
-                           (catalog != nullptr ? 1u : 0u);
+                           (options.catalog != nullptr ? 1u : 0u);
   w.U32(section_count);
   sizes.header = w.offset() - base;
 
@@ -731,10 +715,10 @@ Result<SnapshotSizes> SerializeSnapshot(const GraphView& view,
     WriteIndexPayload(&payload, *index);
     sizes.indexes = emit(kSectionIndex);
   }
-  // Optional cardinality stats catalog.
-  if (catalog != nullptr) {
+  // Optional cardinality stats catalog (written, never read back).
+  if (options.catalog != nullptr) {
     payload.clear();
-    catalog->Serialize(&payload);
+    options.catalog->Serialize(&payload);
     sizes.stats = emit(kSectionStats);
   }
 

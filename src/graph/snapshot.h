@@ -44,7 +44,7 @@ struct SnapshotSizes {
   uint64_t node_properties = 0;
   uint64_t edge_properties = 0;
   uint64_t indexes = 0;
-  uint64_t stats = 0;          // cardinality stats catalog (ANALYZE output)
+  uint64_t stats = 0;          // cardinality stats catalog (skipped on load)
   uint64_t trailer = 0;        // length/CRC trailer (v2 only)
 
   uint64_t properties() const {
@@ -62,12 +62,9 @@ struct SnapshotOptions {
   // deployments should never clear it.
   bool checksums = true;
   // Optional cardinality stats catalog to embed as its own section (the
-  // pointer is only read during Save/Serialize). When null and
-  // `build_stats_catalog` is set, a catalog is built from the view at save
-  // time — this is how the temporal store versions the catalog alongside
-  // each snapshot without threading one through every call site.
+  // pointer is only read during Save/Serialize). Loading verifies the
+  // section's CRC and skips it: no reader is left.
   const StatsCatalog* catalog = nullptr;
-  bool build_stats_catalog = false;
 };
 
 // Writes `view` (and optionally a prebuilt name index) to `path` as a
@@ -90,10 +87,6 @@ Result<SnapshotSizes> SerializeSnapshot(const GraphView& view,
 struct LoadedSnapshot {
   std::unique_ptr<GraphStore> store;
   std::optional<NameIndex> index;  // present if the snapshot embedded one
-  // Present if the snapshot embedded a stats catalog. A corrupted stats
-  // section never fails the load: statistics are advisory, so it is
-  // dropped with a warning (run ANALYZE to rebuild).
-  std::optional<StatsCatalog> catalog;
   SnapshotSizes sizes;
   uint32_t format_version = 0;  // 1 or 2
   // Non-fatal degradations, e.g. "index section checksum mismatch ...;

@@ -57,8 +57,7 @@ std::string SnapshotManager::GenerationPath(int generation) const {
 }
 
 Result<SnapshotSizes> SnapshotManager::Save(const GraphView& view,
-                                            const NameIndex* index,
-                                            const StatsCatalog* catalog) {
+                                            const NameIndex* index) {
   FRAPPE_TRACE_SPAN("snapshot.manager.save");
   obs::Registry& reg = obs::Registry::Global();
   auto fail = [&reg](Status s) -> Status {
@@ -67,9 +66,7 @@ Result<SnapshotSizes> SnapshotManager::Save(const GraphView& view,
   };
 
   std::string buffer;
-  SnapshotOptions snapshot_options = options_.snapshot;
-  if (catalog != nullptr) snapshot_options.catalog = catalog;
-  auto sizes = SerializeSnapshot(view, &buffer, index, snapshot_options);
+  auto sizes = SerializeSnapshot(view, &buffer, index, options_.snapshot);
   if (!sizes.ok()) return fail(sizes.status());
 
   CleanStaleTemps(path_);

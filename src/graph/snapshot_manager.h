@@ -56,11 +56,9 @@ class SnapshotManager {
 
   // Serializes `view` and installs it as generation 0, rotating the
   // previous generations. Also removes stale `<path>.tmp.*` debris left by
-  // crashed earlier saves. `catalog` (when non-null) is embedded as the
-  // stats section, overriding any catalog in options().snapshot.
+  // crashed earlier saves.
   Result<SnapshotSizes> Save(const GraphView& view,
-                             const NameIndex* index = nullptr,
-                             const StatsCatalog* catalog = nullptr);
+                             const NameIndex* index = nullptr);
 
   // Loads the newest generation that deserializes cleanly. Fails only when
   // every generation is missing or corrupt; the returned status then

@@ -1,24 +1,16 @@
 #include "graph/stats_catalog.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <map>
 #include <unordered_map>
 
-#include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace frappe::graph {
 
 namespace {
 
-// Defense against absurd counts in corrupted payloads; the snapshot
-// section CRC should catch flips first.
-constexpr uint32_t kMaxCatalogEntries = 1u << 20;
-
-// Minimal length-prefixed writer/reader for the catalog payload (the
-// snapshot layer adds the CRC framing around it).
+// Minimal length-prefixed writer for the catalog payload (the snapshot
+// layer adds the CRC framing around it).
 class Writer {
  public:
   explicit Writer(std::string* out) : out_(out) {}
@@ -36,31 +28,6 @@ class Writer {
   std::string* out_;
 };
 
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool Str(std::string* s) {
-    uint32_t len;
-    if (!U32(&len) || len > data_.size() - pos_) return false;
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  bool Raw(void* out, size_t size) {
-    if (size > data_.size() - pos_) return false;
-    std::memcpy(out, data_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
 void WriteBins(Writer* w, const std::vector<DegreeBin>& bins) {
   w->U32(static_cast<uint32_t>(bins.size()));
   for (const DegreeBin& b : bins) {
@@ -70,51 +37,7 @@ void WriteBins(Writer* w, const std::vector<DegreeBin>& bins) {
   }
 }
 
-bool ReadBins(Reader* r, std::vector<DegreeBin>* bins) {
-  uint32_t count;
-  if (!r->U32(&count) || count > kMaxCatalogEntries) return false;
-  bins->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    DegreeBin b;
-    if (!r->U64(&b.min_degree) || !r->U64(&b.max_degree) ||
-        !r->U64(&b.node_count)) {
-      return false;
-    }
-    bins->push_back(b);
-  }
-  return true;
-}
-
-std::string BinsJson(const std::vector<DegreeBin>& bins) {
-  std::string out = "[";
-  for (size_t i = 0; i < bins.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "[" + std::to_string(bins[i].min_degree) + ", " +
-           std::to_string(bins[i].max_degree) + ", " +
-           std::to_string(bins[i].node_count) + "]";
-  }
-  return out + "]";
-}
-
-// %g-style but locale-independent and stable across platforms.
-std::string DoubleJson(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
-}
-
 }  // namespace
-
-double StatsCatalog::StalenessRatio(uint64_t nodes_now,
-                                    uint64_t edges_now) const {
-  auto drift = [](uint64_t now, uint64_t then) {
-    uint64_t delta = now > then ? now - then : then - now;
-    return static_cast<double>(delta) /
-           static_cast<double>(std::max<uint64_t>(then, 1));
-  };
-  return std::max(drift(nodes_now, node_count),
-                  drift(edges_now, edge_count));
-}
 
 uint64_t StatsCatalog::ByteSize() const {
   std::string tmp;
@@ -154,108 +77,6 @@ void StatsCatalog::Serialize(std::string* out) const {
     w.U64(f.distinct_terms);
     w.U64(f.postings);
   }
-}
-
-Result<StatsCatalog> StatsCatalog::Deserialize(std::string_view data) {
-  auto corrupt = [](const char* what) {
-    return Status::Corruption(std::string("stats catalog: ") + what);
-  };
-  Reader r(data);
-  StatsCatalog cat;
-  uint32_t version;
-  if (!r.U32(&version)) return corrupt("truncated header");
-  if (version != kFormatVersion) return corrupt("unsupported version");
-  if (!r.U64(&cat.node_count) || !r.U64(&cat.edge_count)) {
-    return corrupt("truncated totals");
-  }
-  uint32_t count;
-  if (!r.U32(&count) || count > kMaxCatalogEntries) {
-    return corrupt("bad node-type count");
-  }
-  cat.node_types.resize(count);
-  for (NodeTypeStats& nt : cat.node_types) {
-    if (!r.Str(&nt.name) || !r.U64(&nt.count)) {
-      return corrupt("truncated node-type entry");
-    }
-  }
-  if (!r.U32(&count) || count > kMaxCatalogEntries) {
-    return corrupt("bad edge-type count");
-  }
-  cat.edge_types.resize(count);
-  for (EdgeTypeStats& et : cat.edge_types) {
-    if (!r.Str(&et.name) || !r.U64(&et.count) ||
-        !r.U64(&et.distinct_sources) || !r.U64(&et.distinct_targets) ||
-        !ReadBins(&r, &et.out_degrees) || !ReadBins(&r, &et.in_degrees)) {
-      return corrupt("truncated edge-type entry");
-    }
-  }
-  if (!r.U32(&count) || count > kMaxCatalogEntries) {
-    return corrupt("bad hub count");
-  }
-  cat.hubs.resize(count);
-  for (HubNode& hub : cat.hubs) {
-    if (!r.U32(&hub.id) || !r.U64(&hub.degree) || !r.Str(&hub.short_name) ||
-        !r.Str(&hub.type_name)) {
-      return corrupt("truncated hub entry");
-    }
-  }
-  if (!r.U32(&count) || count > kMaxCatalogEntries) {
-    return corrupt("bad index-field count");
-  }
-  cat.index_fields.resize(count);
-  for (IndexFieldStats& f : cat.index_fields) {
-    if (!r.Str(&f.field) || !r.U64(&f.distinct_terms) ||
-        !r.U64(&f.postings)) {
-      return corrupt("truncated index-field entry");
-    }
-  }
-  if (!r.AtEnd()) return corrupt("trailing bytes");
-  return cat;
-}
-
-std::string StatsCatalog::ToJson() const {
-  std::string out = "{\n";
-  out += "  \"node_count\": " + std::to_string(node_count) + ",\n";
-  out += "  \"edge_count\": " + std::to_string(edge_count) + ",\n";
-  out += "  \"bytes\": " + std::to_string(ByteSize()) + ",\n";
-  out += "  \"node_types\": {";
-  for (size_t i = 0; i < node_types.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += JsonQuote(node_types[i].name) + ": " +
-           std::to_string(node_types[i].count);
-  }
-  out += "},\n  \"edge_types\": [\n";
-  for (size_t i = 0; i < edge_types.size(); ++i) {
-    const EdgeTypeStats& et = edge_types[i];
-    out += "    {\"name\": " + JsonQuote(et.name) +
-           ", \"count\": " + std::to_string(et.count) +
-           ", \"distinct_sources\": " + std::to_string(et.distinct_sources) +
-           ", \"distinct_targets\": " + std::to_string(et.distinct_targets) +
-           ", \"avg_out_fanout\": " + DoubleJson(et.AvgOutFanout()) +
-           ", \"avg_in_fanout\": " + DoubleJson(et.AvgInFanout()) +
-           ", \"out_degree_bins\": " + BinsJson(et.out_degrees) +
-           ", \"in_degree_bins\": " + BinsJson(et.in_degrees) + "}";
-    out += i + 1 < edge_types.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n  \"hubs\": [\n";
-  for (size_t i = 0; i < hubs.size(); ++i) {
-    out += "    {\"id\": " + std::to_string(hubs[i].id) +
-           ", \"degree\": " + std::to_string(hubs[i].degree) +
-           ", \"name\": " + JsonQuote(hubs[i].short_name) +
-           ", \"type\": " + JsonQuote(hubs[i].type_name) + "}";
-    out += i + 1 < hubs.size() ? ",\n" : "\n";
-  }
-  out += "  ],\n  \"index_fields\": [\n";
-  for (size_t i = 0; i < index_fields.size(); ++i) {
-    out += "    {\"field\": " + JsonQuote(index_fields[i].field) +
-           ", \"distinct_terms\": " +
-           std::to_string(index_fields[i].distinct_terms) +
-           ", \"postings\": " + std::to_string(index_fields[i].postings) +
-           "}";
-    out += i + 1 < index_fields.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n}";
-  return out;
 }
 
 StatsCatalog BuildStatsCatalog(const GraphView& view,
@@ -315,35 +136,6 @@ StatsCatalog BuildStatsCatalog(const GraphView& view,
     }
   }
   return cat;
-}
-
-std::shared_ptr<const StatsCatalog> StatsCatalogCache::Get() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return catalog_;
-}
-
-void StatsCatalogCache::Set(StatsCatalog catalog) {
-  auto fresh = std::make_shared<const StatsCatalog>(std::move(catalog));
-  std::lock_guard<std::mutex> lock(mu_);
-  catalog_ = std::move(fresh);
-}
-
-void StatsCatalogCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  catalog_.reset();
-}
-
-bool StatsCatalogCache::RefreshIfStale(const GraphView& view,
-                                       const NameIndex* name_index,
-                                       double max_drift) {
-  std::shared_ptr<const StatsCatalog> current = Get();
-  if (current == nullptr) return false;
-  if (current->StalenessRatio(view.NodeCount(), view.EdgeCount()) <=
-      max_drift) {
-    return false;
-  }
-  Set(BuildStatsCatalog(view, name_index));
-  return true;
 }
 
 }  // namespace frappe::graph

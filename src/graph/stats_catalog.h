@@ -2,21 +2,18 @@
 #define FRAPPE_GRAPH_STATS_CATALOG_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "graph/indexes.h"
 #include "graph/stats.h"
 
 namespace frappe::graph {
 
-// Persisted cardinality statistics — the data source for the query
-// estimator and the `/debug/statz` endpoint. Built by the FQL `ANALYZE`
-// command (or by BuildStatsCatalog directly), persisted as its own
-// CRC-framed snapshot section, and consumed read-only by the planner.
+// Cardinality statistics written as an optional CRC-framed snapshot
+// section. Nothing reads the section back: loading verifies its CRC and
+// skips it. It stays only because the ingest-publish benchmark builds and
+// saves a catalog in every cycle.
 //
 // The catalog intentionally stores *summaries*, not per-node data: type
 // counts, per-edge-type directional degree histograms (the kernel graph is
@@ -27,8 +24,7 @@ struct StatsCatalog {
   static constexpr uint32_t kFormatVersion = 1;
   static constexpr size_t kDefaultHubCount = 16;
 
-  // Totals at build time. Also the staleness reference: when the live
-  // graph drifts far from these, estimates degrade and ANALYZE should run.
+  // Totals at build time.
   uint64_t node_count = 0;
   uint64_t edge_count = 0;
 
@@ -48,21 +44,6 @@ struct StatsCatalog {
     // direction. Bins cover only nodes that participate (degree >= 1).
     std::vector<DegreeBin> out_degrees;
     std::vector<DegreeBin> in_degrees;
-
-    // Average fan-out per *participating* endpoint — the estimator's
-    // expansion factor for one hop along this type.
-    double AvgOutFanout() const {
-      return distinct_sources == 0
-                 ? 0.0
-                 : static_cast<double>(count) /
-                       static_cast<double>(distinct_sources);
-    }
-    double AvgInFanout() const {
-      return distinct_targets == 0
-                 ? 0.0
-                 : static_cast<double>(count) /
-                       static_cast<double>(distinct_targets);
-    }
   };
   // Indexed by TypeId (dense, matches the edge-type registry at build).
   std::vector<EdgeTypeStats> edge_types;
@@ -77,18 +58,10 @@ struct StatsCatalog {
   };
   std::vector<IndexFieldStats> index_fields;
 
-  // How far the live graph has drifted from the catalog, as a fraction of
-  // the catalog's size: max over nodes/edges of |now - then| / max(then, 1).
-  double StalenessRatio(uint64_t nodes_now, uint64_t edges_now) const;
-
   // Serialized byte size (what the snapshot stats section will cost).
   uint64_t ByteSize() const;
 
   void Serialize(std::string* out) const;
-  static Result<StatsCatalog> Deserialize(std::string_view data);
-
-  // Full catalog as a JSON object (served by /debug/statz and \statz).
-  std::string ToJson() const;
 };
 
 // Scans `view` (two passes: nodes, edges) and the optional name index.
@@ -97,27 +70,6 @@ StatsCatalog BuildStatsCatalog(const GraphView& view,
                                const NameIndex* name_index = nullptr,
                                size_t hub_count =
                                    StatsCatalog::kDefaultHubCount);
-
-// Shared, swappable catalog handle hung off query::Database (mirrors
-// CsrCache). Readers snapshot the shared_ptr; ANALYZE swaps in a rebuild.
-class StatsCatalogCache {
- public:
-  // Current catalog, or nullptr when ANALYZE has never run and no
-  // snapshot carried one.
-  std::shared_ptr<const StatsCatalog> Get() const;
-  void Set(StatsCatalog catalog);
-  void Clear();
-
-  // Ingest hook: rebuilds when the live graph has drifted more than
-  // `max_drift` from the cached catalog (no-op when empty — ANALYZE is an
-  // explicit opt-in the first time). Returns true when it rebuilt.
-  bool RefreshIfStale(const GraphView& view, const NameIndex* name_index,
-                      double max_drift = 0.1);
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const StatsCatalog> catalog_;
-};
 
 }  // namespace frappe::graph
 

@@ -44,28 +44,6 @@ StatsServer::StorageSections QueryStorageSections(bool* registered) {
   return fn ? fn() : StatsServer::StorageSections{};
 }
 
-std::mutex& CatalogProviderMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::function<std::string()>& CatalogProviderRef() {
-  static auto* fn = new std::function<std::string()>();
-  return *fn;
-}
-
-// Same copy-then-invoke discipline as QueryStorageSections: serializing a
-// stats catalog to JSON is not free, so it runs outside the lock. Empty
-// means "no provider or no catalog built yet".
-std::string QueryCatalogJson() {
-  std::function<std::string()> fn;
-  {
-    std::lock_guard<std::mutex> lock(CatalogProviderMutex());
-    fn = CatalogProviderRef();
-  }
-  return fn ? fn() : std::string();
-}
-
 // "query.latency_us" -> "frappe_query_latency_us" (Prometheus name rules:
 // [a-zA-Z_:][a-zA-Z0-9_:]*).
 std::string PromName(std::string_view name) {
@@ -299,17 +277,6 @@ void StatsServer::SetStorageStatsProvider(
   StorageProviderRef() = std::move(fn);
 }
 
-void StatsServer::SetCatalogStatsProvider(std::function<std::string()> fn) {
-  std::lock_guard<std::mutex> lock(CatalogProviderMutex());
-  CatalogProviderRef() = std::move(fn);
-}
-
-std::string StatsServer::StatzJson() {
-  std::string catalog = QueryCatalogJson();
-  return "{\n  \"catalog\": " + (catalog.empty() ? "null" : catalog) +
-         "\n}\n";
-}
-
 std::string StatsServer::StatsJson(std::string_view build_sha,
                                    double uptime_seconds) {
   const QueryLog& qlog = QueryLog::Global();
@@ -364,7 +331,7 @@ std::unique_ptr<StatsServer> StatsServer::MaybeStartFromEnv() {
           "stats server on http://127.0.0.1:" +
               std::to_string((*server)->port()) +
               " (/metrics /stats /healthz /readyz /debug/queryz "
-              "/debug/storagez /debug/statz /debug/logz /debug/tracez "
+              "/debug/storagez /debug/logz /debug/tracez "
               "/debug/cancel /debug/memz /debug/profilez)");
   return std::move(*server);
 }
@@ -469,11 +436,6 @@ HttpResponse StatsServer::BuildResponse(const HttpRequest& request) const {
     }
     return Ok("application/json", std::move(body));
   }
-  if (target == "/debug/statz") {
-    // Always 200: "catalog" is null until a provider is registered and
-    // ANALYZE has built a catalog.
-    return Ok("application/json", StatzJson());
-  }
   if (target == "/debug/logz") {
     return Ok("application/json", Log::DumpJson());
   }
@@ -538,9 +500,8 @@ HttpResponse StatsServer::BuildResponse(const HttpRequest& request) const {
   }
   return HttpError(404, "Not Found",
                    "unknown path; try /metrics /stats /healthz /readyz "
-                   "/debug/queryz /debug/storagez /debug/statz "
-                   "/debug/logz /debug/tracez /debug/cancel /debug/memz "
-                   "/debug/profilez");
+                   "/debug/queryz /debug/storagez /debug/logz "
+                   "/debug/tracez /debug/cancel /debug/memz /debug/profilez");
 }
 
 }  // namespace frappe::obs

@@ -45,7 +45,6 @@ namespace frappe::obs {
 //                        immediately — no capture window ever blocks the
 //                        serving thread
 //   /debug/storagez      per-section storage byte breakdown (Table 4)
-//   /debug/statz         cardinality stats catalog (ANALYZE output)
 //   /debug/logz          recent structured-log entries (the in-memory ring)
 //   /debug/memz          process memory attribution: RSS and peak RSS plus
 //                        per-subsystem byte sections (the storage provider's
@@ -110,7 +109,6 @@ class StatsServer {
   static std::string StatsJson(std::string_view build_sha,
                                double uptime_seconds);
   static std::string StorageJson();
-  static std::string StatzJson();
   // /debug/memz body: {"rss_bytes", "peak_rss_bytes",
   // "query_mem_budget_bytes", "sections": {name: bytes, ...}, "total"}.
   // Sections merge the storage provider's breakdown (minus its own
@@ -124,13 +122,6 @@ class StatsServer {
   // provider; nullptr unregisters. The provider must be thread-safe.
   using StorageSections = std::vector<std::pair<std::string, uint64_t>>;
   static void SetStorageStatsProvider(std::function<StorageSections()> fn);
-
-  // Cardinality stats catalog served inside /debug/statz, as a JSON
-  // object string (StatsCatalog::ToJson). Same layering rule as the
-  // storage provider: the owning binary registers it, nullptr
-  // unregisters, and it must be thread-safe. An empty return means "no
-  // catalog yet — run ANALYZE".
-  static void SetCatalogStatsProvider(std::function<std::string()> fn);
 
  private:
   StatsServer() = default;

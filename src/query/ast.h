@@ -200,14 +200,11 @@ using Clause = std::variant<StartClause, MatchClause, WhereClause, WithClause,
 
 // Prefix keyword ahead of the first clause: `EXPLAIN <query>` renders the
 // plan without executing; `PROFILE <query>` executes for real and annotates
-// the same plan with per-operator runtime stats. `ANALYZE` is a standalone
-// command (no clauses): it rebuilds the cardinality stats catalog the
-// estimator reads.
+// the same plan with per-operator runtime stats.
 enum class QueryMode {
   kNormal,
   kExplain,
   kProfile,
-  kAnalyze,
 };
 
 struct Query {

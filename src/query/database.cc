@@ -32,7 +32,6 @@ Database Database::Plain(const graph::GraphView& view,
     return id;
   };
   db.csr = view.PackedCache();
-  db.stats = std::make_shared<graph::StatsCatalogCache>();
   return db;
 }
 

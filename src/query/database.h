@@ -10,7 +10,6 @@
 #include "graph/csr_view.h"
 #include "graph/graph_view.h"
 #include "graph/indexes.h"
-#include "graph/stats_catalog.h"
 
 namespace frappe::query {
 
@@ -49,13 +48,6 @@ struct Database {
   // a GraphStore bumps its TopologyVersion(), which makes the next Get()
   // rebuild.
   std::shared_ptr<graph::CsrCache> csr;
-
-  // Cardinality statistics feeding the plan estimator (est_rows /
-  // q-error). Populated by the FQL ANALYZE command or from a loaded
-  // snapshot's stats section; an empty cache degrades the estimator to
-  // live label/index probes. Shared so ANALYZE on one session's database
-  // refreshes every reader of the same graph.
-  std::shared_ptr<graph::StatsCatalogCache> stats;
 
   // Builds a Database with schema-unaware defaults: labels resolve by exact
   // (case-insensitive) registry lookup, properties by lowercased name.

@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "query/estimator.h"
 #include "query/fast_path.h"
 #include "query/parser.h"
 
@@ -192,7 +191,6 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
   }
   std::vector<PlanStep> out;
   std::set<std::string> bound;
-  ClauseEstimates estimates = EstimateQuery(db, query);
   size_t current_clause = 0;
   bool first_in_clause = true;
   auto line = [&](const std::string& text) {
@@ -200,9 +198,6 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
     step.text = text;
     step.clause_index = current_clause;
     step.primary = first_in_clause;
-    if (current_clause < estimates.rows.size()) {
-      step.est_rows = estimates.rows[current_clause];
-    }
     first_in_clause = false;
     out.push_back(std::move(step));
   };
@@ -348,26 +343,10 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
   return out;
 }
 
-namespace {
-
-// Compact but parseable estimate rendering: integral when large, one
-// decimal for small fractional values.
-std::string FormatEstRows(double est) {
-  char buf[32];
-  if (est >= 100.0 || est == static_cast<double>(static_cast<long long>(est))) {
-    std::snprintf(buf, sizeof(buf), "%.0f", est);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1f", est);
-  }
-  return buf;
-}
-
-}  // namespace
-
 std::string RenderPlan(const std::vector<PlanStep>& steps,
                        const ExecStats* stats) {
-  // Pad every line to one shared annotation column so EXPLAIN (est only)
-  // and PROFILE (est + actuals) emit the same, stably-parseable layout.
+  // Pad every annotated line to one shared annotation column so PROFILE
+  // emits a stably-parseable layout.
   size_t annotation_col = 0;
   {
     int number = 1;
@@ -389,48 +368,36 @@ std::string RenderPlan(const std::vector<PlanStep>& steps,
         }
       }
     }
-    bool annotate = step.est_rows >= 0.0 || op != nullptr;
-    if (annotate && line.size() < annotation_col) {
+    if (op != nullptr && line.size() < annotation_col) {
       line.append(annotation_col - line.size(), ' ');
     }
     out += line;
-    if (annotate) {
+    if (op != nullptr) {
       out += " //";
-      if (step.est_rows >= 0.0) {
-        out += " est_rows=" + FormatEstRows(step.est_rows);
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    " rows=%llu db_hits=%llu steps=%llu time=%.3fms",
+                    static_cast<unsigned long long>(op->rows),
+                    static_cast<unsigned long long>(op->db_hits.Total()),
+                    static_cast<unsigned long long>(op->steps),
+                    op->time_ms);
+      out += buf;
+      if (op->fast_path) {
+        out += " frontier=[";
+        for (size_t i = 0; i < op->frontier_sizes.size(); ++i) {
+          if (i > 0) out += ",";
+          out += std::to_string(op->frontier_sizes[i]);
+        }
+        out += "] dag_scans=" + std::to_string(op->dag_scans);
       }
-      if (op != nullptr) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      " rows=%llu db_hits=%llu steps=%llu time=%.3fms",
-                      static_cast<unsigned long long>(op->rows),
-                      static_cast<unsigned long long>(op->db_hits.Total()),
-                      static_cast<unsigned long long>(op->steps),
-                      op->time_ms);
-        out += buf;
-        if (step.est_rows >= 0.0) {
-          std::snprintf(buf, sizeof(buf), " q=%.2f",
-                        QError(step.est_rows,
-                               static_cast<double>(op->rows)));
-          out += buf;
-        }
-        if (op->fast_path) {
-          out += " frontier=[";
-          for (size_t i = 0; i < op->frontier_sizes.size(); ++i) {
-            if (i > 0) out += ",";
-            out += std::to_string(op->frontier_sizes[i]);
-          }
-          out += "] dag_scans=" + std::to_string(op->dag_scans);
-        }
-        if (op->reach_kernel) {
-          out += std::string(" [reachability kernel: side=") +
-                 (op->reach_from_target ? "target" : "source") +
-                 " anchors=" + std::to_string(op->reach_anchors) +
-                 " early_exits=" + std::to_string(op->reach_early_exits) +
-                 " scc=" + std::to_string(op->reach_scc) +
-                 " order=" + std::to_string(op->reach_order) +
-                 " dag_scans=" + std::to_string(op->dag_scans) + "]";
-        }
+      if (op->reach_kernel) {
+        out += std::string(" [reachability kernel: side=") +
+               (op->reach_from_target ? "target" : "source") +
+               " anchors=" + std::to_string(op->reach_anchors) +
+               " early_exits=" + std::to_string(op->reach_early_exits) +
+               " scc=" + std::to_string(op->reach_scc) +
+               " order=" + std::to_string(op->reach_order) +
+               " dag_scans=" + std::to_string(op->dag_scans) + "]";
       }
     }
     out += "\n";

@@ -21,26 +21,19 @@ struct PlanStep {
   // clause's OperatorStats on (secondary steps like Sort/Limit share the
   // clause's execution and carry no separate stats).
   bool primary = false;
-  // Estimated output rows of this step's clause (the estimator works at
-  // clause granularity, so secondary steps repeat their clause's value).
-  // Negative = no estimate available.
-  double est_rows = -1.0;
 };
 
-// Builds the operator tree for `query` against `db`'s indexes/statistics.
+// Builds the operator tree for `query` against `db`'s indexes.
 Result<std::vector<PlanStep>> BuildPlan(const Database& db,
                                         const Query& query);
 
-// Renders steps as numbered lines ("1. <operator>\n"), padded so every
-// " // " annotation block starts at one aligned column (identical for
-// EXPLAIN and PROFILE, so both layouts parse the same way). Every step
-// carries " // est_rows=E" from the cardinality estimator. With `stats`
-// (PROFILE), each clause's primary step additionally gains " rows=...
-// db_hits=... steps=... time=...ms q=Q" (q = per-step q-error of est vs
-// actual rows), plus "frontier=[...] dag_scans=G" when the operator ran on
-// the CSR closure fast path. Annotations never alter
-// operator text — strip everything from " // " to end-of-line (and
-// trailing padding spaces) to recover the bare operator tree exactly.
+// Renders steps as numbered lines ("1. <operator>\n"). With `stats`
+// (PROFILE), each clause's primary step gains " // rows=... db_hits=...
+// steps=... time=...ms", padded so every " // " annotation block starts at
+// one aligned column, plus "frontier=[...] dag_scans=G" when the operator
+// ran on the CSR closure fast path. Annotations never alter operator text
+// — strip everything from " // " to end-of-line (and trailing padding
+// spaces) to recover the bare operator tree exactly.
 std::string RenderPlan(const std::vector<PlanStep>& steps,
                        const ExecStats* stats);
 

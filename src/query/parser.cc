@@ -37,15 +37,6 @@ class Parser {
     } else if (Peek().IsKeyword("profile")) {
       query.mode = QueryMode::kProfile;
       Advance();
-    } else if (Peek().IsKeyword("analyze")) {
-      // Standalone statistics command, not a query prefix.
-      query.mode = QueryMode::kAnalyze;
-      Advance();
-      if (!At(TokenType::kEnd)) {
-        return Error("ANALYZE takes no clauses, got " +
-                     TokenDescription(Peek()));
-      }
-      return query;
     }
     while (!At(TokenType::kEnd)) {
       const Token& t = Peek();

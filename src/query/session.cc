@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/string_util.h"
-#include "graph/stats_catalog.h"
 #include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/metrics.h"
@@ -145,7 +144,6 @@ Database MakeFrappeDatabase(const graph::GraphView& view,
     return id;
   };
   db.csr = view.PackedCache();
-  db.stats = std::make_shared<graph::StatsCatalogCache>();
   return db;
 }
 
@@ -182,11 +180,6 @@ Result<std::unique_ptr<SnapshotSession>> SnapshotSession::Open(
   session->db_ =
       MakeFrappeDatabase(*session->store_, session->schema_,
                          &session->name_index_, &session->label_index_);
-  if (loaded.snapshot.catalog.has_value()) {
-    // The snapshot carried a verified stats catalog — the estimator is
-    // warm from the first query, no ANALYZE needed.
-    session->db_.stats->Set(std::move(*loaded.snapshot.catalog));
-  }
   return session;
 }
 
@@ -259,66 +252,6 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
     FRAPPE_ASSIGN_OR_RETURN(result.plan, Explain(db, query));
     timeline.plan_us = obs::Trace::NowMicros() - plan_start;
     result.stats.timeline = timeline;
-    return result;
-  }
-
-  if (query.mode == QueryMode::kAnalyze) {
-    // ANALYZE: rebuild the cardinality stats catalog from the live graph
-    // and swap it into the shared cache, so every reader of this database
-    // (and the next \save) gets fresh estimates.
-    FRAPPE_TRACE_SPAN("session.analyze");
-    static obs::Counter& builds =
-        obs::Registry::Global().GetCounter("catalog.builds");
-    static obs::Histogram& build_us =
-        obs::Registry::Global().GetHistogram("catalog.build_us");
-    if (db.view == nullptr || db.stats == nullptr) {
-      return Status::FailedPrecondition(
-          "ANALYZE needs a graph-backed database with a stats cache");
-    }
-    const auto build_start = std::chrono::steady_clock::now();
-    graph::StatsCatalog catalog =
-        graph::BuildStatsCatalog(*db.view, db.name_index);
-    const double analyze_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - build_start)
-            .count();
-    builds.Add();
-    build_us.Record(static_cast<uint64_t>(analyze_ms * 1000.0));
-    obs::Registry::Global().GetGauge("catalog.nodes").Set(
-        static_cast<int64_t>(catalog.node_count));
-    obs::Registry::Global().GetGauge("catalog.edges").Set(
-        static_cast<int64_t>(catalog.edge_count));
-    obs::Registry::Global().GetGauge("catalog.bytes").Set(
-        static_cast<int64_t>(catalog.ByteSize()));
-
-    QueryResult result;
-    result.columns = {"nodes",      "edges", "node_types", "edge_types",
-                      "hub_count",  "index_fields", "catalog_bytes"};
-    result.rows.push_back(
-        {ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.node_count))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.edge_count))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.node_types.size()))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.edge_types.size()))),
-         ResultValue::Scalar(
-             graph::Value::Int(static_cast<int64_t>(catalog.hubs.size()))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.index_fields.size()))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.ByteSize())))});
-    db.stats->Set(std::move(catalog));
-    timeline.exec_us = static_cast<uint64_t>(analyze_ms * 1000.0);
-    result.stats.timeline = timeline;
-    resource_scope.SyncCpu();
-    result.stats.cpu_us = resources.cpu_us();
-    result.stats.alloc_bytes = resources.alloc_bytes();
-    result.stats.peak_bytes = resources.peak_bytes();
-    RecordWorkloadTelemetry(normalized, query_text, /*ok=*/true, "ok",
-                            analyze_ms, /*rows=*/1, /*db_hits=*/0,
-                            /*fast_path=*/false, trace, timeline, resources);
     return result;
   }
 

@@ -109,12 +109,7 @@ Result<graph::SnapshotSizes> VersionStore::SaveVersion(
     const graph::SnapshotOptions& options) const {
   FRAPPE_ASSIGN_OR_RETURN(std::unique_ptr<VersionView> view,
                           ViewAt(version));
-  // Version the cardinality stats catalog with the snapshot: each saved
-  // version carries statistics computed from *its* point-in-time view, so
-  // a reloaded historical snapshot estimates against its own shape.
-  graph::SnapshotOptions opts = options;
-  if (opts.catalog == nullptr) opts.build_stats_catalog = true;
-  return graph::SaveSnapshot(*view, path, /*index=*/nullptr, opts);
+  return graph::SaveSnapshot(*view, path, /*index=*/nullptr, options);
 }
 
 Result<std::unique_ptr<graph::GraphStore>> VersionStore::MaterializeVersion(

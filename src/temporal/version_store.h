@@ -72,9 +72,7 @@ class VersionStore {
   // Materializes one committed version as a crash-safe on-disk snapshot
   // (the v2 checksummed format — see graph/snapshot.h). The saved file
   // reloads as a plain GraphStore; dead id slots become tombstones, so ids
-  // survive the round trip. Each saved version also embeds a cardinality
-  // stats catalog built from its point-in-time view (unless `options`
-  // already carries one). Returns the per-section byte sizes.
+  // survive the round trip. Returns the per-section byte sizes.
   Result<graph::SnapshotSizes> SaveVersion(
       Version version, const std::string& path,
       const graph::SnapshotOptions& options = {}) const;

@@ -9,6 +9,8 @@
 
 #include "common/rng.h"
 #include "graph/graph_store.h"
+#include "graph/stats_catalog.h"
+#include "obs/metrics.h"
 
 namespace frappe::graph {
 namespace {
@@ -334,6 +336,100 @@ TEST(SnapshotV2Test, CorruptIndexSpecsDropsIndexButLoads) {
   EXPECT_NE(loaded->warnings[0].find("dropped"), std::string::npos);
   // The graph data itself is intact.
   EXPECT_EQ(loaded->store->NodeCount(), store.NodeCount());
+}
+
+// --- the stats section: written when a caller passes a catalog (as the
+// ingest-publish benchmark does), verified and skipped on load ---
+
+std::string SerializedWithCatalog(const GraphStore& store,
+                                  const NameIndex& index,
+                                  SnapshotSizes* sizes) {
+  StatsCatalog catalog = BuildStatsCatalog(store, &index);
+  SnapshotOptions options;
+  options.catalog = &catalog;
+  std::string blob;
+  auto saved = SerializeSnapshot(store, &blob, &index, options);
+  EXPECT_TRUE(saved.ok()) << saved.status();
+  if (saved.ok()) *sizes = *saved;
+  return blob;
+}
+
+NameIndex FixtureIndex(const GraphStore& store) {
+  return NameIndex::Build(
+      store, {{"short_name", store.keys().Find("short_name"), false}});
+}
+
+TEST(SnapshotStatsSectionTest, LoadsLikeASnapshotWithoutOne) {
+  GraphStore store = BuildFixture();
+  NameIndex index = FixtureIndex(store);
+  SnapshotSizes sizes;
+  std::string with = SerializedWithCatalog(store, index, &sizes);
+  EXPECT_GT(sizes.stats, 0u);
+  EXPECT_EQ(sizes.total(), with.size());
+  std::string without;
+  ASSERT_TRUE(SerializeSnapshot(store, &without, &index).ok());
+
+  auto a = DeserializeSnapshot(with);
+  auto b = DeserializeSnapshot(without);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_TRUE(a->warnings.empty());
+  EXPECT_EQ(a->sizes.stats, sizes.stats);
+  EXPECT_EQ(a->store->NodeCount(), b->store->NodeCount());
+  EXPECT_EQ(a->store->EdgeCount(), b->store->EdgeCount());
+  for (EdgeId id = 0; id < b->store->EdgeIdUpperBound(); ++id) {
+    ASSERT_EQ(a->store->EdgeExists(id), b->store->EdgeExists(id)) << id;
+    if (!b->store->EdgeExists(id)) continue;
+    EXPECT_EQ(a->store->GetEdge(id).src, b->store->GetEdge(id).src) << id;
+    EXPECT_EQ(a->store->GetEdge(id).dst, b->store->GetEdge(id).dst) << id;
+  }
+  ASSERT_TRUE(a->index.has_value());
+  ASSERT_TRUE(b->index.has_value());
+  EXPECT_EQ(a->index->Lookup("short_name", "main"),
+            b->index->Lookup("short_name", "main"));
+  EXPECT_EQ(a->index->Lookup("short_name", "main"), std::vector<NodeId>{0});
+}
+
+TEST(SnapshotStatsSectionTest, AbsentWithoutACatalog) {
+  GraphStore store = BuildFixture();
+  std::string blob;
+  auto sizes = SerializeSnapshot(store, &blob);
+  ASSERT_TRUE(sizes.ok()) << sizes.status();
+  EXPECT_EQ(sizes->stats, 0u);
+  auto loaded = DeserializeSnapshot(blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->sizes.stats, 0u);
+}
+
+// A byte flipped inside the stats section fails only that section's CRC:
+// the load succeeds with one warning and one stats_drops count.
+TEST(SnapshotStatsSectionTest, CorruptSectionWarnsAndStillLoads) {
+  GraphStore store = BuildFixture();
+  NameIndex index = FixtureIndex(store);
+  SnapshotSizes sizes;
+  std::string bad = SerializedWithCatalog(store, index, &sizes);
+  bool found = false;
+  for (const Frame& f : WalkFrames(bad)) {
+    if (f.id != 8) continue;  // stats
+    bad[f.payload_off + f.payload_len / 2] ^= 0x5A;
+    found = true;
+  }
+  ASSERT_TRUE(found);
+
+  obs::Counter& drops =
+      obs::Registry::Global().GetCounter("snapshot.load.stats_drops");
+  const uint64_t drops_before = drops.Value();
+  auto loaded = DeserializeSnapshot(bad);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->warnings.size(), 1u);
+  EXPECT_NE(loaded->warnings[0].find("stats"), std::string::npos)
+      << loaded->warnings[0];
+  EXPECT_EQ(drops.Value(), drops_before + 1);
+  EXPECT_EQ(loaded->store->NodeCount(), store.NodeCount());
+  EXPECT_EQ(loaded->store->EdgeCount(), store.EdgeCount());
+  ASSERT_TRUE(loaded->index.has_value());
+  EXPECT_EQ(loaded->index->Lookup("short_name", "main"),
+            std::vector<NodeId>{0});
 }
 
 // 256 seeded single-bit corruptions: every flip must either surface as

@@ -204,6 +204,13 @@ TEST_F(StatsServerTest, StatsServesFingerprintTableJson) {
   EXPECT_NE(body.find("\"stuck_query_action\": \"warn\"}"),
             std::string::npos)
       << body;
+
+  // Export the fixture tools/qlog_check.py --stats validates from ctest:
+  // it pins the fingerprint-row schema and its ordering.
+  std::FILE* f = std::fopen("stats_export.json", "w");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
 }
 
 TEST_F(StatsServerTest, ServesSequentialRequests) {

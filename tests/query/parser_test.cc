@@ -262,6 +262,7 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(Parse("MATCH a -[*3..1]-> b RETURN a").ok());     // empty range
   EXPECT_FALSE(Parse("START n=node(1) WHERE RETURN n").ok());    // no expr
   EXPECT_FALSE(Parse("START n=node(1) RETURN n LIMIT x").ok());  // bad limit
+  EXPECT_FALSE(Parse("ANALYZE").ok());                           // no command
 }
 
 TEST(ParserTest, PaperFigure3Parses) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates frappe workload-telemetry exports.
 
-Two checks, either or both per invocation:
+Three checks, any subset per invocation:
 
   qlog_check.py <qlog.jsonl> [--min-records N]
       The structured query log: one JSON object per line with the schema
@@ -19,6 +19,11 @@ Two checks, either or both per invocation:
       parse as floats, summaries carry quantile labels, and OpenMetrics
       exemplars (`# {trace_id="..."} value ts`) are syntactically valid
       and only appear on histogram bucket samples.
+
+  qlog_check.py --stats <stats_export.json>
+      The /stats document's per-fingerprint rows: at least one row, each
+      with exactly the row schema, a 16-hex-char fp, non-negative
+      timeline fields, in descending total_latency_us order.
 
 Exit code 0 when valid, 1 with a diagnostic otherwise.
 
@@ -63,10 +68,61 @@ EXEMPLAR_RE = re.compile(
     r"^ # \{trace_id=\"(?P<trace_id>[0-9a-f]{32})\"\}"
     r" (?P<value>\S+)(?: (?P<ts>\S+))?$")
 
+FINGERPRINT_SCHEMA = {
+    "fp": str,
+    "query": str,
+    "calls": int,
+    "errors": int,
+    "total_latency_us": int,
+    "avg_latency_us": int,
+    "max_latency_us": int,
+    "p99_latency_us": int,
+    "rows": int,
+    "db_hits": int,
+    "cpu_us_total": int,
+    "alloc_bytes_total": int,
+    "peak_bytes": int,
+    "timeline": dict,
+}
+
+TIMELINE_SCHEMA = {
+    "queue_us": int,
+    "parse_us": int,
+    "plan_us": int,
+    "exec_us": int,
+}
+
 
 def fail(message):
     print(f"qlog_check: FAIL: {message}", file=sys.stderr)
     return 1
+
+
+def load_json(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
+def check_object(path, obj, schema, where):
+    """Strict schema check: exact key set, typed values, ints non-bool."""
+    if not isinstance(obj, dict):
+        return fail(f"{path}: {where} is not a JSON object")
+    missing = schema.keys() - obj.keys()
+    if missing:
+        return fail(f"{path}: {where} missing keys: {sorted(missing)}")
+    unknown = obj.keys() - schema.keys()
+    if unknown:
+        return fail(f"{path}: {where} unknown keys: {sorted(unknown)}")
+    for key, expected in schema.items():
+        value = obj[key]
+        kinds = expected if isinstance(expected, tuple) else (expected,)
+        # bool is an int subclass in Python; keep int checks strict.
+        if bool not in kinds and isinstance(value, bool):
+            return fail(f"{path}: {where}.{key}={value!r} is a bool")
+        if not isinstance(value, kinds):
+            names = "/".join(k.__name__ for k in kinds)
+            return fail(f"{path}: {where}.{key}={value!r} is not {names}")
+    return 0
 
 
 def check_qlog(path, min_records):
@@ -206,6 +262,43 @@ def check_metrics(path):
     return 0
 
 
+def check_stats(path):
+    try:
+        doc = load_json(path)
+    except (OSError, json.JSONDecodeError) as e:
+        return fail(f"cannot load {path}: {e}")
+    if not isinstance(doc, dict):
+        return fail(f"{path}: top level is not a JSON object")
+    rows = doc.get("fingerprints")
+    if not isinstance(rows, list):
+        return fail(f"{path}: fingerprints is missing or not an array")
+    if not rows:
+        return fail(f"{path}: no fingerprint rows — the fixture ran queries")
+    previous_latency = None
+    for i, entry in enumerate(rows):
+        where = f"fingerprints[{i}]"
+        rc = check_object(path, entry, FINGERPRINT_SCHEMA, where)
+        if rc:
+            return rc
+        if not FP_RE.match(entry["fp"]):
+            return fail(f"{path}: {where}.fp={entry['fp']!r} is not 16"
+                        " lower-case hex chars")
+        rc = check_object(path, entry["timeline"], TIMELINE_SCHEMA,
+                          f"{where}.timeline")
+        if rc:
+            return rc
+        for key in TIMELINE_SCHEMA:
+            if entry["timeline"][key] < 0:
+                return fail(f"{path}: {where}.timeline.{key} is negative")
+        latency = entry["total_latency_us"]
+        if previous_latency is not None and latency > previous_latency:
+            return fail(f"{path}: {where} total_latency_us out of"
+                        " descending order")
+        previous_latency = latency
+    print(f"qlog_check: OK: {len(rows)} fingerprint rows in {path}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("qlog_file", nargs="?",
@@ -214,10 +307,13 @@ def main():
                         help="minimum number of query-log records required")
     parser.add_argument("--metrics", metavar="FILE",
                         help="Prometheus text exposition to validate")
+    parser.add_argument("--stats", metavar="FILE",
+                        help="/stats JSON export to validate")
     args = parser.parse_args()
 
-    if not args.qlog_file and not args.metrics:
-        parser.error("nothing to check: pass a qlog file and/or --metrics")
+    if not (args.qlog_file or args.metrics or args.stats):
+        parser.error("nothing to check: pass a qlog file, --metrics and/or"
+                     " --stats")
 
     if args.qlog_file:
         rc = check_qlog(args.qlog_file, args.min_records)
@@ -225,6 +321,10 @@ def main():
             return rc
     if args.metrics:
         rc = check_metrics(args.metrics)
+        if rc:
+            return rc
+    if args.stats:
+        rc = check_stats(args.stats)
         if rc:
             return rc
     return 0

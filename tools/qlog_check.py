@@ -27,8 +27,9 @@ Three checks, any subset per invocation:
 
 Exit code 0 when valid, 1 with a diagnostic otherwise.
 
-Run from ctest as the `qlog_check` entry (label `obs`), against the files
-the query_log_test and stats_server_test fixtures export.
+Run from ctest as the `qlog_check` entry (query log and metrics) and the
+`stats_row_check` entry (--stats), both label `obs`, against the files the
+query_log_test and stats_server_test fixtures export.
 """
 
 import argparse

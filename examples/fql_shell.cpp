@@ -129,7 +129,7 @@ void PrintHubs(const Shell& shell) {
 // \top: the per-fingerprint workload table, ordered by where the time
 // went — the offline twin of the stats server's /stats endpoint.
 void PrintTopQueries() {
-  auto top = obs::QueryStats::Global().Top(10, obs::QueryStats::Order::kTotalLatency);
+  auto top = obs::QueryStats::Global().Top(10);
   if (top.empty()) {
     std::printf("no queries recorded yet\n");
     return;

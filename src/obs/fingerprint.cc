@@ -1,58 +1,11 @@
 #include "obs/fingerprint.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 
 #include "common/string_util.h"
 
 namespace frappe::obs {
-
-namespace {
-
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-// Tokens that glue to their neighbours (no space on either side) when the
-// normalized text is reassembled. Everything else gets single-space
-// separation, which keeps `START n = node:...` and `a <= b` readable.
-bool Glues(std::string_view tok) {
-  return tok == "(" || tok == ")" || tok == "[" || tok == "]" ||
-         tok == "{" || tok == "}" || tok == ":" || tok == "," ||
-         tok == "." || tok == ".." || tok == "*" || tok == "-" ||
-         tok == "->" || tok == "<-";
-}
-
-// `'short_name: sr_media_change'` keeps its field and drops its value:
-// the auto-index lookup string is half shape, half parameter.
-std::string NormalizeStringLiteral(std::string_view body) {
-  size_t i = 0;
-  while (i < body.size() &&
-         std::isspace(static_cast<unsigned char>(body[i]))) {
-    ++i;
-  }
-  size_t field_start = i;
-  if (i < body.size() && IsIdentStart(body[i])) {
-    while (i < body.size() && IsIdentChar(body[i])) ++i;
-    size_t field_end = i;
-    while (i < body.size() &&
-           std::isspace(static_cast<unsigned char>(body[i]))) {
-      ++i;
-    }
-    if (i < body.size() && body[i] == ':') {
-      return "'" +
-             ToLower(body.substr(field_start, field_end - field_start)) +
-             ": ?'";
-    }
-  }
-  return "?";
-}
-
-}  // namespace
 
 uint64_t Fingerprint64(std::string_view text) {
   // FNV-1a 64-bit.
@@ -69,98 +22,6 @@ std::string FingerprintHex(uint64_t fingerprint) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(fingerprint));
   return buf;
-}
-
-NormalizedQuery NormalizeQuery(std::string_view input) {
-  std::string out;
-  out.reserve(input.size());
-  bool prev_glued = true;  // suppress the leading space
-  auto emit = [&](std::string_view tok) {
-    bool glue = Glues(tok);
-    if (!out.empty() && !glue && !prev_glued) out += ' ';
-    out += tok;
-    prev_glued = glue;
-  };
-
-  size_t pos = 0;
-  while (pos < input.size()) {
-    char c = input[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-      continue;
-    }
-    if (c == '/' && pos + 1 < input.size() && input[pos + 1] == '/') {
-      while (pos < input.size() && input[pos] != '\n') ++pos;
-      continue;
-    }
-    if (IsIdentStart(c)) {
-      size_t start = pos;
-      while (pos < input.size() && IsIdentChar(input[pos])) ++pos;
-      emit(ToLower(input.substr(start, pos - start)));
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      while (pos < input.size() &&
-             std::isdigit(static_cast<unsigned char>(input[pos]))) {
-        ++pos;
-      }
-      // Match the lexer's float rule: '.' only consumed when a digit
-      // follows, so `1..3` stays two ints around a range.
-      if (pos + 1 < input.size() && input[pos] == '.' &&
-          std::isdigit(static_cast<unsigned char>(input[pos + 1]))) {
-        ++pos;
-        while (pos < input.size() &&
-               std::isdigit(static_cast<unsigned char>(input[pos]))) {
-          ++pos;
-        }
-      }
-      emit("?");
-      continue;
-    }
-    if (c == '\'' || c == '"') {
-      char quote = c;
-      size_t body_start = ++pos;
-      while (pos < input.size() && input[pos] != quote) {
-        if (input[pos] == '\\' && pos + 1 < input.size()) ++pos;
-        ++pos;
-      }
-      std::string_view body = input.substr(body_start, pos - body_start);
-      if (pos < input.size()) ++pos;  // closing quote (absent: best-effort)
-      emit(NormalizeStringLiteral(body));
-      continue;
-    }
-    // Punctuation; fuse the two-character operators the grammar uses.
-    auto two = [&](char a, char b) {
-      return c == a && pos + 1 < input.size() && input[pos + 1] == b;
-    };
-    if (two('-', '>')) {
-      emit("->");
-      pos += 2;
-    } else if (two('<', '-')) {
-      emit("<-");
-      pos += 2;
-    } else if (two('<', '=')) {
-      emit("<=");
-      pos += 2;
-    } else if (two('>', '=')) {
-      emit(">=");
-      pos += 2;
-    } else if (two('<', '>')) {
-      emit("<>");
-      pos += 2;
-    } else if (two('.', '.')) {
-      emit("..");
-      pos += 2;
-    } else {
-      emit(std::string_view(&input[pos], 1));
-      ++pos;
-    }
-  }
-
-  NormalizedQuery result;
-  result.text = std::move(out);
-  result.fingerprint = Fingerprint64(result.text);
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -250,19 +111,13 @@ std::vector<QueryStats::Snapshot> QueryStats::SnapshotAll() const {
   return out;
 }
 
-std::vector<QueryStats::Snapshot> QueryStats::Top(size_t n,
-                                                  Order order) const {
+std::vector<QueryStats::Snapshot> QueryStats::Top(size_t n) const {
   std::vector<Snapshot> all = SnapshotAll();
-  auto key = [order](const Snapshot& s) {
-    switch (order) {
-      case Order::kTotalLatency: return s.total_latency_us;
-      case Order::kCalls: return s.calls;
-    }
-    return s.total_latency_us;
-  };
   std::sort(all.begin(), all.end(),
-            [&](const Snapshot& a, const Snapshot& b) {
-              if (key(a) != key(b)) return key(a) > key(b);
+            [](const Snapshot& a, const Snapshot& b) {
+              if (a.total_latency_us != b.total_latency_us) {
+                return a.total_latency_us > b.total_latency_us;
+              }
               return a.fingerprint < b.fingerprint;  // deterministic ties
             });
   if (n > 0 && all.size() > n) all.resize(n);
@@ -270,7 +125,7 @@ std::vector<QueryStats::Snapshot> QueryStats::Top(size_t n,
 }
 
 std::string QueryStats::DumpJson(size_t top_n) const {
-  std::vector<Snapshot> top = Top(top_n, Order::kTotalLatency);
+  std::vector<Snapshot> top = Top(top_n);
   std::string out = "[";
   for (size_t i = 0; i < top.size(); ++i) {
     const Snapshot& s = top[i];

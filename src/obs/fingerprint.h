@@ -15,39 +15,17 @@
 
 namespace frappe::obs {
 
-// Workload fingerprinting: collapse every FQL query the process executes
-// into its *shape* — literals and whitespace stripped, case folded — so
+// Workload fingerprints: every FQL query the process executes collapses
+// into its *shape* (literals and whitespace stripped, case folded), so
 // that "the same query with different parameters" aggregates into one
 // per-fingerprint stats row. This is the unit a live service reasons
 // about ("which query shape burns the p99?"), exposed via /stats on the
-// embedded stats server and carried by the structured query log.
-//
-// Normalization is deliberately self-contained (no dependency on
-// query/lexer.h — frappe_query links frappe_obs, not the other way
-// around) but mirrors the FQL lexical rules: `//` comments, '\''/'"'
-// strings with backslash escapes, integer/float literals.
+// embedded stats server and carried by the structured query log. The FQL
+// lexer renders the shape from its tokens (query/lexer.h); obs hashes,
+// stores and reports it.
 
-// The normalized shape of one query plus its stable 64-bit fingerprint
-// (FNV-1a over the normalized text — stable across runs and machines).
-struct NormalizedQuery {
-  std::string text;
-  uint64_t fingerprint = 0;
-};
-
-// Rules:
-//  * whitespace runs and `// ...` comments collapse to single separators;
-//  * identifiers/keywords fold to lower case;
-//  * numeric literals become `?`;
-//  * string literals become `?` — except index-lookup strings shaped like
-//    `'field: value'`, which keep the field: `'field: ?'` (so lookups on
-//    different index fields stay distinct shapes);
-//  * `->`, `<-`, `<=`, `>=`, `<>`, `..` stay fused.
-// Never fails: text that the real lexer would reject normalizes
-// best-effort, so parse errors still aggregate by shape.
-NormalizedQuery NormalizeQuery(std::string_view query_text);
-
-// FNV-1a 64-bit over `text` (the fingerprint primitive, exposed for
-// tests/tools).
+// FNV-1a 64-bit over `text`: the fingerprint of a normalized query
+// (stable across runs and machines).
 uint64_t Fingerprint64(std::string_view text);
 
 // "0011aabbccddeeff" — fixed-width lower-case hex, the rendering used in
@@ -124,11 +102,9 @@ class QueryStats {
   // Every fingerprint, unordered.
   std::vector<Snapshot> SnapshotAll() const;
 
-  // The top-N view an operator actually wants: order by cumulative
-  // latency (where the time goes) or by call count (what the workload
-  // is). n == 0 returns everything.
-  enum class Order { kTotalLatency, kCalls };
-  std::vector<Snapshot> Top(size_t n, Order order) const;
+  // The top-N view an operator actually wants: ordered by cumulative
+  // latency (where the time goes). n == 0 returns everything.
+  std::vector<Snapshot> Top(size_t n) const;
 
   // JSON array of the top-N (0 = all) by total latency: [{"fp": "..",
   // "query": "..", "calls": .., "errors": .., "total_latency_us": ..,

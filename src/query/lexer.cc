@@ -1,8 +1,10 @@
 #include "query/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "common/string_util.h"
+#include "obs/fingerprint.h"
 
 namespace frappe::query {
 
@@ -18,22 +20,81 @@ bool IsIdentStart(char c) {
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+// The source text of a punctuation token; empty for kEnd and literals.
+std::string_view Spelling(TokenType type) {
+  switch (type) {
+    case TokenType::kLParen: return "(";
+    case TokenType::kRParen: return ")";
+    case TokenType::kLBracket: return "[";
+    case TokenType::kRBracket: return "]";
+    case TokenType::kLBrace: return "{";
+    case TokenType::kRBrace: return "}";
+    case TokenType::kColon: return ":";
+    case TokenType::kComma: return ",";
+    case TokenType::kDot: return ".";
+    case TokenType::kDotDot: return "..";
+    case TokenType::kPipe: return "|";
+    case TokenType::kStar: return "*";
+    case TokenType::kMinus: return "-";
+    case TokenType::kEq: return "=";
+    case TokenType::kNe: return "<>";
+    case TokenType::kLt: return "<";
+    case TokenType::kLe: return "<=";
+    case TokenType::kGt: return ">";
+    case TokenType::kGe: return ">=";
+    default: return "";
+  }
+}
+
+// Tokens that glue to their neighbours (no space on either side) when the
+// normalized text is reassembled. Everything else gets single-space
+// separation, which keeps `START n = node:...` and `a <= b` readable.
+bool Glues(std::string_view tok) {
+  return tok == "(" || tok == ")" || tok == "[" || tok == "]" ||
+         tok == "{" || tok == "}" || tok == ":" || tok == "," ||
+         tok == "." || tok == ".." || tok == "*" || tok == "-" ||
+         tok == "->" || tok == "<-";
+}
+
+// `'short_name: sr_media_change'` keeps its field and drops its value:
+// the auto-index lookup string is half shape, half parameter. `body` is
+// the literal's source text between the quotes.
+std::string NormalizeStringLiteral(std::string_view body) {
+  size_t i = 0;
+  while (i < body.size() && IsSpace(body[i])) ++i;
+  size_t field_start = i;
+  if (i < body.size() && IsIdentStart(body[i])) {
+    while (i < body.size() && IsIdentChar(body[i])) ++i;
+    size_t field_end = i;
+    while (i < body.size() && IsSpace(body[i])) ++i;
+    if (i < body.size() && body[i] == ':') {
+      return "'" +
+             ToLower(body.substr(field_start, field_end - field_start)) +
+             ": ?'";
+    }
+  }
+  return "?";
+}
 
 }  // namespace
 
-Result<std::vector<Token>> Lex(std::string_view input) {
-  std::vector<Token> tokens;
+Status Lex(std::string_view input, std::vector<Token>* tokens) {
+  tokens->clear();
   size_t pos = 0;
-  auto push = [&](TokenType type, size_t at) {
-    Token t;
+  auto push = [&](TokenType type, size_t start) -> Token& {
+    Token& t = tokens->emplace_back();
     t.type = type;
-    t.offset = at;
-    tokens.push_back(std::move(t));
+    t.offset = start;
+    t.end = pos;
+    return t;
   };
 
   while (pos < input.size()) {
     char c = input[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++pos;
       continue;
     }
@@ -45,52 +106,45 @@ Result<std::vector<Token>> Lex(std::string_view input) {
     size_t start = pos;
     if (IsIdentStart(c)) {
       while (pos < input.size() && IsIdentChar(input[pos])) ++pos;
-      Token t;
-      t.type = TokenType::kIdent;
-      t.text = std::string(input.substr(start, pos - start));
-      t.offset = start;
-      tokens.push_back(std::move(t));
+      push(TokenType::kIdent, start).text =
+          std::string(input.substr(start, pos - start));
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      while (pos < input.size() &&
-             std::isdigit(static_cast<unsigned char>(input[pos]))) {
-        ++pos;
-      }
+    if (IsDigit(c)) {
+      while (pos < input.size() && IsDigit(input[pos])) ++pos;
       // A float only if '.' is followed by a digit ("1..3" must lex as
       // 1 .. 3 for range patterns).
       bool is_double = false;
       if (pos + 1 < input.size() && input[pos] == '.' &&
-          std::isdigit(static_cast<unsigned char>(input[pos + 1]))) {
+          IsDigit(input[pos + 1])) {
         is_double = true;
         ++pos;
-        while (pos < input.size() &&
-               std::isdigit(static_cast<unsigned char>(input[pos]))) {
-          ++pos;
-        }
+        while (pos < input.size() && IsDigit(input[pos])) ++pos;
       }
-      Token t;
-      t.offset = start;
-      std::string text(input.substr(start, pos - start));
+      std::string_view text = input.substr(start, pos - start);
       if (is_double) {
-        t.type = TokenType::kDouble;
-        t.double_value = std::stod(text);
+        double v = 0.0;
+        auto [ptr, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), v);
+        if (ec != std::errc()) {
+          return Status::ParseError("double literal out of range: " +
+                                    std::string(text));
+        }
+        push(TokenType::kDouble, start).double_value = v;
       } else {
-        t.type = TokenType::kInt;
         int64_t v = 0;
         if (!ParseInt64(text, &v)) {
-          return Status::ParseError("integer literal out of range: " + text);
+          return Status::ParseError("integer literal out of range: " +
+                                    std::string(text));
         }
-        t.int_value = v;
+        push(TokenType::kInt, start).int_value = v;
       }
-      tokens.push_back(std::move(t));
       continue;
     }
     if (c == '\'' || c == '"') {
-      char quote = c;
       ++pos;
       std::string text;
-      while (pos < input.size() && input[pos] != quote) {
+      while (pos < input.size() && input[pos] != c) {
         if (input[pos] == '\\' && pos + 1 < input.size()) {
           ++pos;  // simple escape: next char literally
         }
@@ -100,102 +154,112 @@ Result<std::vector<Token>> Lex(std::string_view input) {
         return Status::ParseError("unterminated string literal");
       }
       ++pos;  // closing quote
-      Token t;
-      t.type = TokenType::kString;
-      t.text = std::move(text);
-      t.offset = start;
-      tokens.push_back(std::move(t));
+      push(TokenType::kString, start).text = std::move(text);
       continue;
     }
+    auto next_is = [&](char next) {
+      return pos + 1 < input.size() && input[pos + 1] == next;
+    };
+    TokenType type = TokenType::kEnd;
     switch (c) {
-      case '(':
-        push(TokenType::kLParen, start);
-        ++pos;
-        break;
-      case ')':
-        push(TokenType::kRParen, start);
-        ++pos;
-        break;
-      case '[':
-        push(TokenType::kLBracket, start);
-        ++pos;
-        break;
-      case ']':
-        push(TokenType::kRBracket, start);
-        ++pos;
-        break;
-      case '{':
-        push(TokenType::kLBrace, start);
-        ++pos;
-        break;
-      case '}':
-        push(TokenType::kRBrace, start);
-        ++pos;
-        break;
-      case ':':
-        push(TokenType::kColon, start);
-        ++pos;
-        break;
-      case ',':
-        push(TokenType::kComma, start);
-        ++pos;
-        break;
-      case '|':
-        push(TokenType::kPipe, start);
-        ++pos;
-        break;
-      case '*':
-        push(TokenType::kStar, start);
-        ++pos;
-        break;
-      case '-':
-        push(TokenType::kMinus, start);
-        ++pos;
-        break;
-      case '=':
-        push(TokenType::kEq, start);
-        ++pos;
-        break;
+      case '(': type = TokenType::kLParen; break;
+      case ')': type = TokenType::kRParen; break;
+      case '[': type = TokenType::kLBracket; break;
+      case ']': type = TokenType::kRBracket; break;
+      case '{': type = TokenType::kLBrace; break;
+      case '}': type = TokenType::kRBrace; break;
+      case ':': type = TokenType::kColon; break;
+      case ',': type = TokenType::kComma; break;
+      case '|': type = TokenType::kPipe; break;
+      case '*': type = TokenType::kStar; break;
+      case '-': type = TokenType::kMinus; break;
+      case '=': type = TokenType::kEq; break;
       case '.':
-        if (pos + 1 < input.size() && input[pos + 1] == '.') {
-          push(TokenType::kDotDot, start);
-          pos += 2;
-        } else {
-          push(TokenType::kDot, start);
-          ++pos;
-        }
+        type = next_is('.') ? TokenType::kDotDot : TokenType::kDot;
         break;
       case '<':
-        if (pos + 1 < input.size() && input[pos + 1] == '>') {
-          push(TokenType::kNe, start);
-          pos += 2;
-        } else if (pos + 1 < input.size() && input[pos + 1] == '=') {
-          push(TokenType::kLe, start);
-          pos += 2;
-        } else {
-          push(TokenType::kLt, start);
-          ++pos;
-        }
+        type = next_is('>')   ? TokenType::kNe
+               : next_is('=') ? TokenType::kLe
+                              : TokenType::kLt;
         break;
       case '>':
-        if (pos + 1 < input.size() && input[pos + 1] == '=') {
-          push(TokenType::kGe, start);
-          pos += 2;
-        } else {
-          push(TokenType::kGt, start);
-          ++pos;
-        }
+        type = next_is('=') ? TokenType::kGe : TokenType::kGt;
         break;
       default:
         return Status::ParseError(std::string("unexpected character '") + c +
                                   "' at offset " + std::to_string(start));
     }
+    pos += Spelling(type).size();
+    push(type, start);
   }
-  Token end;
-  end.type = TokenType::kEnd;
-  end.offset = input.size();
-  tokens.push_back(std::move(end));
+  push(TokenType::kEnd, input.size());
+  return Status::OK();
+}
+
+Result<std::vector<Token>> Lex(std::string_view input) {
+  std::vector<Token> tokens;
+  FRAPPE_RETURN_IF_ERROR(Lex(input, &tokens));
   return tokens;
+}
+
+NormalizedQuery NormalizeTokens(std::string_view input,
+                                const std::vector<Token>& tokens) {
+  std::string out;
+  out.reserve(input.size());
+  bool prev_glued = true;  // suppress the leading space
+  auto emit = [&](std::string_view tok) {
+    bool glue = Glues(tok);
+    if (!out.empty() && !glue && !prev_glued) out += ' ';
+    out += tok;
+    prev_glued = glue;
+  };
+
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const Token& t = tokens[i];
+    // Consumes the next token when it is `next` and touches this one.
+    auto fuse = [&](TokenType next) {
+      bool touching = i + 1 < tokens.size() && tokens[i + 1].type == next &&
+                      tokens[i + 1].offset == t.end;
+      if (touching) ++i;
+      return touching;
+    };
+    switch (t.type) {
+      case TokenType::kEnd:
+        break;
+      case TokenType::kIdent:
+        emit(ToLower(t.text));
+        break;
+      case TokenType::kInt:
+      case TokenType::kDouble:
+        emit("?");
+        break;
+      case TokenType::kString:
+        emit(NormalizeStringLiteral(
+            input.substr(t.offset + 1, t.end - t.offset - 2)));
+        break;
+      case TokenType::kLt:
+        emit(fuse(TokenType::kMinus) ? "<-" : "<");
+        break;
+      case TokenType::kMinus:
+        emit(fuse(TokenType::kGt) ? "->" : "-");
+        break;
+      default:
+        emit(Spelling(t.type));
+    }
+  }
+  if (tokens.empty() || tokens.back().type != TokenType::kEnd) emit("?");
+
+  NormalizedQuery result;
+  result.text = std::move(out);
+  result.fingerprint = obs::Fingerprint64(result.text);
+  return result;
+}
+
+NormalizedQuery NormalizeQuery(std::string_view input) {
+  std::vector<Token> tokens;
+  // A lex error leaves the prefix in `tokens`; NormalizeTokens renders it.
+  (void)Lex(input, &tokens);
+  return NormalizeTokens(input, tokens);
 }
 
 std::string TokenDescription(const Token& token) {
@@ -210,46 +274,9 @@ std::string TokenDescription(const Token& token) {
       return std::to_string(token.double_value);
     case TokenType::kString:
       return "string '" + token.text + "'";
-    case TokenType::kLParen:
-      return "'('";
-    case TokenType::kRParen:
-      return "')'";
-    case TokenType::kLBracket:
-      return "'['";
-    case TokenType::kRBracket:
-      return "']'";
-    case TokenType::kLBrace:
-      return "'{'";
-    case TokenType::kRBrace:
-      return "'}'";
-    case TokenType::kColon:
-      return "':'";
-    case TokenType::kComma:
-      return "','";
-    case TokenType::kDot:
-      return "'.'";
-    case TokenType::kDotDot:
-      return "'..'";
-    case TokenType::kPipe:
-      return "'|'";
-    case TokenType::kStar:
-      return "'*'";
-    case TokenType::kMinus:
-      return "'-'";
-    case TokenType::kEq:
-      return "'='";
-    case TokenType::kNe:
-      return "'<>'";
-    case TokenType::kLt:
-      return "'<'";
-    case TokenType::kLe:
-      return "'<='";
-    case TokenType::kGt:
-      return "'>'";
-    case TokenType::kGe:
-      return "'>='";
+    default:
+      return "'" + std::string(Spelling(token.type)) + "'";
   }
-  return "?";
 }
 
 }  // namespace frappe::query

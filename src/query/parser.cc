@@ -560,6 +560,10 @@ class Parser {
 
 Result<Query> Parse(std::string_view input) {
   FRAPPE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
+  return Parse(std::move(tokens));
+}
+
+Result<Query> Parse(std::vector<Token> tokens) {
   Parser parser(std::move(tokens));
   return parser.ParseQuery();
 }

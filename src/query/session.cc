@@ -12,6 +12,7 @@
 #include "obs/resource.h"
 #include "obs/trace.h"
 #include "query/explain.h"
+#include "query/lexer.h"
 #include "query/parser.h"
 
 namespace frappe::query {
@@ -37,7 +38,7 @@ void EmitSlowQueryLog(const std::string& message) {
 // enabled. Both are fire-and-forget — neither blocks the query path. The
 // trace id ties all three views (stats, qlog, retained traces) together;
 // the timeline says where the latency went.
-void RecordWorkloadTelemetry(const obs::NormalizedQuery& normalized,
+void RecordWorkloadTelemetry(const NormalizedQuery& normalized,
                              std::string_view raw_text, bool ok,
                              std::string_view status_name, double elapsed_ms,
                              uint64_t rows, uint64_t db_hits, bool fast_path,
@@ -206,10 +207,6 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   resources.set_budget_bytes(config.query_mem_bytes);
   obs::ResourceScope resource_scope(&resources);
 
-  // The workload identity of this query: literals stripped, case folded,
-  // hashed. Computed up front so parse failures aggregate by shape too.
-  const obs::NormalizedQuery normalized = obs::NormalizeQuery(query_text);
-
   // Trace identity: adopt the request context the query server installed
   // via TraceScope, or mint a fresh id for direct callers (shell, replay,
   // tests) so the query log, /stats and the slow-query ring still carry a
@@ -220,18 +217,26 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   Timeline timeline;
   timeline.queue_us = obs::Trace::CurrentQueueWaitUs();
 
-  // Active-query registry: this query is visible on /debug/queryz (and
-  // cancellable) for the whole call; the RAII handle removes the entry on
-  // every exit path — parse failure, EXPLAIN, success, or abort.
-  obs::QueryRegistry::Handle active = obs::QueryRegistry::Global().Register(
-      normalized.fingerprint, normalized.text, std::string(query_text),
-      options.cancel, trace.trace_hi, trace.trace_lo, timeline.queue_us);
-
+  NormalizedQuery normalized;
+  obs::QueryRegistry::Handle active;
   Query query;
   {
     FRAPPE_TRACE_SPAN("session.parse");
     const uint64_t parse_start = obs::Trace::NowMicros();
-    Result<Query> parsed = Parse(query_text);
+    // Lex once. The tokens give the workload identity of this query
+    // (literals stripped, case folded, hashed), also for input the lexer
+    // rejects so parse failures aggregate by shape too, and then the AST.
+    std::vector<Token> tokens;
+    const Status lexed = Lex(query_text, &tokens);
+    normalized = NormalizeTokens(query_text, tokens);
+    // Active-query registry: this query is visible on /debug/queryz (and
+    // cancellable) for the whole call; the RAII handle removes the entry
+    // on every exit path — parse failure, EXPLAIN, success, or abort.
+    active = obs::QueryRegistry::Global().Register(
+        normalized.fingerprint, normalized.text, std::string(query_text),
+        options.cancel, trace.trace_hi, trace.trace_lo, timeline.queue_us);
+    Result<Query> parsed =
+        lexed.ok() ? Parse(std::move(tokens)) : Result<Query>(lexed);
     timeline.parse_us = obs::Trace::NowMicros() - parse_start;
     if (!parsed.ok()) {
       resource_scope.SyncCpu();

@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "obs/trace_store.h"
 #include "query/executor.h"
+#include "query/lexer.h"
 #include "query/session.h"
 
 namespace frappe::server {
@@ -189,7 +190,7 @@ void RetainShedTrace(const AdmissionQueue::Item& item) {
   trace.reason = "shed";
   trace.status = "ResourceExhausted";
   trace.fingerprint = obs::FingerprintHex(
-      obs::NormalizeQuery(item.conn.request().body).fingerprint);
+      query::NormalizeQuery(item.conn.request().body).fingerprint);
   trace.ts_us = obs::Trace::UnixMicros();
   obs::CollectedSpan span;
   span.name = "server.shed";
@@ -509,7 +510,7 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
     stored.status =
         result.ok() ? "ok" : StatusCodeName(result.status().code());
     stored.fingerprint = obs::FingerprintHex(
-        obs::NormalizeQuery(request.body).fingerprint);
+        query::NormalizeQuery(request.body).fingerprint);
     stored.ts_us = obs::Trace::UnixMicros();
     stored.latency_ms = latency_ms;
     stored.dropped_spans = item.sink->dropped();

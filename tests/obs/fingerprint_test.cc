@@ -12,75 +12,10 @@ namespace frappe::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Normalization: the query's *shape* survives, its parameters don't.
+// The fingerprint primitives. Normalization itself is the FQL lexer's job
+// (tests/query/lexer_test.cc).
 
-TEST(NormalizeQueryTest, CollapsesWhitespaceAndCase) {
-  EXPECT_EQ(NormalizeQuery("MATCH   (f:Function)\n\tRETURN f").text,
-            "match(f:function)return f");
-}
-
-TEST(NormalizeQueryTest, StripsComments) {
-  EXPECT_EQ(NormalizeQuery("MATCH (f) // find everything\nRETURN f").text,
-            "match(f)return f");
-}
-
-TEST(NormalizeQueryTest, NumericLiteralsBecomePlaceholders) {
-  EXPECT_EQ(NormalizeQuery("WHERE f.line > 100 AND f.col < 2.5").text,
-            "where f.line > ? and f.col < ?");
-}
-
-TEST(NormalizeQueryTest, RangeStaysFusedNextToInts) {
-  // `1..3` must not lex as the float `1.` — the lexer rule the normalizer
-  // mirrors only consumes '.' when a digit follows.
-  EXPECT_EQ(NormalizeQuery("-[:calls*1..3]->").text, "-[:calls*?..?]->");
-}
-
-TEST(NormalizeQueryTest, StringLiteralsBecomePlaceholders) {
-  EXPECT_EQ(NormalizeQuery("MATCH (n {name: 'vfs_read'}) RETURN n").text,
-            "match(n{name:?})return n");
-}
-
-TEST(NormalizeQueryTest, IndexLookupStringsKeepTheField) {
-  // The Figure 6 START shape: the index field is part of the query shape,
-  // the looked-up value is a parameter.
-  EXPECT_EQ(
-      NormalizeQuery("START n=node:node_auto_index('short_name: cmd')"
-                     " MATCH n RETURN n")
-          .text,
-      "start n = node:node_auto_index('short_name: ?')match n return n");
-}
-
-TEST(NormalizeQueryTest, SameShapeDifferentLiteralsSameFingerprint) {
-  auto a = NormalizeQuery(
-      "START n=node:node_auto_index('short_name: sr_do_ioctl') RETURN n");
-  auto b = NormalizeQuery(
-      "START n=node:node_auto_index('short_name: vfs_read') RETURN n");
-  EXPECT_EQ(a.text, b.text);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-}
-
-TEST(NormalizeQueryTest, DifferentIndexFieldsDifferentFingerprint) {
-  auto a = NormalizeQuery("START n=node:node_auto_index('short_name: x')");
-  auto b = NormalizeQuery("START n=node:node_auto_index('name: x')");
-  EXPECT_NE(a.fingerprint, b.fingerprint);
-}
-
-TEST(NormalizeQueryTest, DifferentShapesDifferentFingerprint) {
-  EXPECT_NE(NormalizeQuery("MATCH (f:function) RETURN f").fingerprint,
-            NormalizeQuery("MATCH (f:struct) RETURN f").fingerprint);
-}
-
-TEST(NormalizeQueryTest, FingerprintIsStableAcrossRuns) {
-  // FNV-1a over the normalized text: pin one value so an accidental change
-  // to the hash or the normalizer shows up as a diff, not silent drift
-  // (fingerprints are persisted in query logs — they must not change
-  // between builds).
-  EXPECT_EQ(Fingerprint64("match(f:function)return f"),
-            NormalizeQuery("MATCH (f:function) RETURN f").fingerprint);
-  EXPECT_EQ(Fingerprint64(""), 14695981039346656037ull);  // FNV offset basis
-}
-
-TEST(NormalizeQueryTest, FingerprintHexIsFixedWidthLowerCase) {
+TEST(FingerprintTest, HexIsFixedWidthLowerCase) {
   EXPECT_EQ(FingerprintHex(0), "0000000000000000");
   EXPECT_EQ(FingerprintHex(0xABCDEF0123456789ull), "abcdef0123456789");
 }
@@ -120,19 +55,15 @@ TEST_F(QueryStatsTest, GetOrCreateInternsOnce) {
   EXPECT_EQ(QueryStats::Global().size(), 1u);
 }
 
-TEST_F(QueryStatsTest, TopOrdersByTotalLatencyAndCalls) {
+TEST_F(QueryStatsTest, TopOrdersByTotalLatency) {
   QueryStats::Global().GetOrCreate(1, "cheap").Record(true, 10, 1, 1);
   QueryStats::Global().GetOrCreate(1, "cheap").Record(true, 10, 1, 1);
   QueryStats::Global().GetOrCreate(1, "cheap").Record(true, 10, 1, 1);
   QueryStats::Global().GetOrCreate(2, "expensive").Record(true, 900, 1, 1);
 
-  auto by_latency = QueryStats::Global().Top(1, QueryStats::Order::kTotalLatency);
+  auto by_latency = QueryStats::Global().Top(1);
   ASSERT_EQ(by_latency.size(), 1u);
   EXPECT_EQ(by_latency[0].fingerprint, 2u);
-
-  auto by_calls = QueryStats::Global().Top(1, QueryStats::Order::kCalls);
-  ASSERT_EQ(by_calls.size(), 1u);
-  EXPECT_EQ(by_calls[0].fingerprint, 1u);
 }
 
 TEST_F(QueryStatsTest, DumpJsonContainsTheEntry) {

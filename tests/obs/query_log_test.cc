@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/fingerprint.h"
 #include "obs/trace.h"
 
 namespace frappe::obs {
@@ -15,9 +16,11 @@ namespace {
 QueryLogRecord MakeRecord(int i) {
   QueryLogRecord record;
   record.ts_us = 1700000000000000 + i;
-  record.fingerprint = 0xDEADBEEF00000000ull + static_cast<uint64_t>(i);
   record.trace_id = TraceIdHex(0x1000 + static_cast<uint64_t>(i), 0x2000);
   record.query = "match(f:function{name:?})return f";
+  // The fingerprint is the hash of the normalized query, as Session::Run
+  // logs it (tools/qlog_check.py checks that).
+  record.fingerprint = Fingerprint64(record.query);
   record.raw = "MATCH (f:function {name: 'fn_" + std::to_string(i) +
                "'}) RETURN f";
   record.status = "ok";

@@ -10,6 +10,7 @@
 #include "gtest/gtest.h"
 #include "obs/fingerprint.h"
 #include "obs/query_log.h"
+#include "query/lexer.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
 
@@ -69,7 +70,7 @@ TEST_F(ReplayTest, RecordedQueriesReplayWithMatchingRowCounts) {
     const QueryLogRecord& record = (*records)[i];
     EXPECT_EQ(record.raw, workload[i]);  // verbatim text survived the log
     EXPECT_EQ(record.fingerprint,
-              NormalizeQuery(record.raw).fingerprint);
+              query::NormalizeQuery(record.raw).fingerprint);
     if (record.status != "ok") continue;
     auto result = replay_session.Run(record.raw);
     ASSERT_TRUE(result.ok()) << record.raw << ": "

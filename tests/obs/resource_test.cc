@@ -148,7 +148,7 @@ TEST(ResourceQueryTest, RunQueryFillsResourceStats) {
   EXPECT_GT(result->stats.peak_bytes, 0u);
   EXPECT_GT(result->stats.scanned_bytes, 0u);
 
-  auto top = QueryStats::Global().Top(10, QueryStats::Order::kTotalLatency);
+  auto top = QueryStats::Global().Top(10);
   ASSERT_FALSE(top.empty());
   EXPECT_GT(top[0].alloc_bytes_total, 0u);
   EXPECT_GT(top[0].peak_bytes_max, 0u);

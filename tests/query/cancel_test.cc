@@ -20,6 +20,7 @@
 #include "obs/fingerprint.h"
 #include "obs/query_log.h"
 #include "obs/query_registry.h"
+#include "query/lexer.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
 
@@ -76,7 +77,7 @@ TEST(CancelTest, PreTrippedTokenCancelsSlowPathEnumeration) {
   Session session(KernelGraph());
 
   std::string query = ClosureQuery(seed);
-  uint64_t fp = obs::NormalizeQuery(query).fingerprint;
+  uint64_t fp = NormalizeQuery(query).fingerprint;
   uint64_t errors_before = ErrorsForFingerprint(fp);
 
   std::atomic<bool> cancel{true};  // tripped before the query starts
@@ -152,7 +153,7 @@ TEST(CancelTest, CancelledAndDeadlineStatusesReachTheQueryLog) {
   ASSERT_FALSE(seed.empty());
   Session session(KernelGraph());
   std::string query = ClosureQuery(seed);
-  uint64_t fp = obs::NormalizeQuery(query).fingerprint;
+  uint64_t fp = NormalizeQuery(query).fingerprint;
 
   const std::string path = "cancel_test_qlog.jsonl";
   std::remove(path.c_str());

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "obs/fingerprint.h"
 
 namespace frappe::query {
 namespace {
+
+using obs::Fingerprint64;
 
 std::vector<TokenType> Types(std::string_view input) {
   auto tokens = Lex(input);
@@ -129,11 +134,151 @@ TEST(LexerTest, RejectsUnknownCharacter) {
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
+TEST(LexerTest, OutOfRangeDoubleIsAParseError) {
+  // std::stod would throw here; the lexer must reject, not abort.
+  auto result = Lex("MATCH (n) WHERE n.x > 1" + std::string(400, '0') +
+                    ".5 RETURN n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("double literal out of range"),
+            std::string::npos)
+      << result.status();
+}
+
+TEST(LexerTest, ErrorKeepsTheTokensBeforeIt) {
+  std::vector<Token> tokens;
+  Status status = Lex("RETURN n; x", &tokens);
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  ASSERT_EQ(tokens.size(), 2u);  // RETURN n, no kEnd
+  EXPECT_EQ(tokens[1].text, "n");
+  EXPECT_EQ(tokens[1].end, 8u);
+}
+
 TEST(LexerTest, OffsetsPointIntoInput) {
   auto tokens = Lex("ab  cd");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[0].offset, 0u);
+  EXPECT_EQ((*tokens)[0].end, 2u);
   EXPECT_EQ((*tokens)[1].offset, 4u);
+  EXPECT_EQ((*tokens)[1].end, 6u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Normalization: the query's *shape* survives, its parameters don't.
+
+TEST(NormalizeQueryTest, CollapsesWhitespaceAndCase) {
+  EXPECT_EQ(NormalizeQuery("MATCH   (f:Function)\n\tRETURN f").text,
+            "match(f:function)return f");
+}
+
+TEST(NormalizeQueryTest, StripsComments) {
+  EXPECT_EQ(NormalizeQuery("MATCH (f) // find everything\nRETURN f").text,
+            "match(f)return f");
+}
+
+TEST(NormalizeQueryTest, NumericLiteralsBecomePlaceholders) {
+  EXPECT_EQ(NormalizeQuery("WHERE f.line > 100 AND f.col < 2.5").text,
+            "where f.line > ? and f.col < ?");
+}
+
+TEST(NormalizeQueryTest, RangeStaysFusedNextToInts) {
+  // `1..3` must not lex as the float `1.`: the lexer only consumes '.'
+  // when a digit follows.
+  EXPECT_EQ(NormalizeQuery("-[:calls*1..3]->").text, "-[:calls*?..?]->");
+}
+
+TEST(NormalizeQueryTest, StringLiteralsBecomePlaceholders) {
+  EXPECT_EQ(NormalizeQuery("MATCH (n {name: 'vfs_read'}) RETURN n").text,
+            "match(n{name:?})return n");
+}
+
+TEST(NormalizeQueryTest, IndexLookupStringsKeepTheField) {
+  // The Figure 6 START shape: the index field is part of the query shape,
+  // the looked-up value is a parameter.
+  EXPECT_EQ(
+      NormalizeQuery("START n=node:node_auto_index('short_name: cmd')"
+                     " MATCH n RETURN n")
+          .text,
+      "start n = node:node_auto_index('short_name: ?')match n return n");
+}
+
+TEST(NormalizeQueryTest, SameShapeDifferentLiteralsSameFingerprint) {
+  auto a = NormalizeQuery(
+      "START n=node:node_auto_index('short_name: sr_do_ioctl') RETURN n");
+  auto b = NormalizeQuery(
+      "START n=node:node_auto_index('short_name: vfs_read') RETURN n");
+  EXPECT_EQ(a.text, b.text);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+}
+
+TEST(NormalizeQueryTest, DifferentIndexFieldsDifferentFingerprint) {
+  auto a = NormalizeQuery("START n=node:node_auto_index('short_name: x')");
+  auto b = NormalizeQuery("START n=node:node_auto_index('name: x')");
+  EXPECT_NE(a.fingerprint, b.fingerprint);
+}
+
+TEST(NormalizeQueryTest, DifferentShapesDifferentFingerprint) {
+  EXPECT_NE(NormalizeQuery("MATCH (f:function) RETURN f").fingerprint,
+            NormalizeQuery("MATCH (f:struct) RETURN f").fingerprint);
+}
+
+TEST(NormalizeQueryTest, FingerprintIsStableAcrossRuns) {
+  // FNV-1a over the normalized text: pin one value so an accidental change
+  // to the hash or the normalizer shows up as a diff, not silent drift
+  // (fingerprints are persisted in query logs — they must not change
+  // between builds).
+  EXPECT_EQ(Fingerprint64("match(f:function)return f"),
+            NormalizeQuery("MATCH (f:function) RETURN f").fingerprint);
+  EXPECT_EQ(Fingerprint64(""), 14695981039346656037ull);  // FNV offset basis
+}
+
+TEST(NormalizeQueryTest, ArrowsFuseOnlyWhereTheTokensTouch) {
+  EXPECT_EQ(NormalizeQuery("a<-b").text, "a<-b");
+  // `a < -5` is a comparison with a negative number, not an arrow.
+  EXPECT_EQ(NormalizeQuery("a < -5").text, "a <-?");
+  EXPECT_NE(NormalizeQuery("a<-5").fingerprint,
+            NormalizeQuery("a < -5").fingerprint);
+  EXPECT_EQ(NormalizeQuery("MATCH (a)-->(b) RETURN b").text,
+            "match(a)-->(b)return b");
+  // `->=` lexes as MINUS GE; it renders as the same text `->` `=` would.
+  EXPECT_EQ(Types("->="), (std::vector<TokenType>{TokenType::kMinus,
+                                                  TokenType::kGe,
+                                                  TokenType::kEnd}));
+  EXPECT_EQ(NormalizeQuery("a ->= b").text, "a->= b");
+}
+
+// Input the lexer rejects renders the tokens lexed before the error and one
+// `?` for the rest; none of the rejected text reaches the shape.
+void ExpectRejectedShape(const std::string& input, const std::string& shape,
+                         const std::string& literal) {
+  std::vector<Token> tokens;
+  EXPECT_FALSE(Lex(input, &tokens).ok()) << input;
+  NormalizedQuery normalized = NormalizeQuery(input);
+  EXPECT_EQ(normalized.text, shape + " ?");
+  EXPECT_EQ(normalized.fingerprint, Fingerprint64(shape + " ?"));
+  EXPECT_EQ(normalized.text.find(literal), std::string::npos);
+}
+
+TEST(NormalizeQueryTest, StraySemicolonEndsTheShape) {
+  ExpectRejectedShape("MATCH (n) RETURN n; MATCH (m) RETURN m",
+                      "match(n)return n", ";");
+}
+
+TEST(NormalizeQueryTest, UnterminatedStringEndsTheShape) {
+  ExpectRejectedShape("MATCH (n) WHERE n.name = 'vfs_re",
+                      "match(n)where n.name =", "vfs_re");
+}
+
+TEST(NormalizeQueryTest, OutOfRangeIntEndsTheShape) {
+  ExpectRejectedShape("MATCH (n) WHERE n.line > 99999999999999999999 RETURN n",
+                      "match(n)where n.line >", "9999");
+}
+
+TEST(NormalizeQueryTest, OutOfRangeFloatEndsTheShape) {
+  ExpectRejectedShape("MATCH (n) WHERE n.x > 1" + std::string(400, '0') +
+                          ".5 RETURN n",
+                      "match(n)where n.x >", "000");
 }
 
 }  // namespace

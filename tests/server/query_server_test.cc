@@ -314,6 +314,20 @@ TEST_F(QueryServerTest, ErrorMapping) {
             400);
 }
 
+TEST_F(QueryServerTest, OutOfRangeFloatIs400AndTheServerKeepsServing) {
+  // A float literal past the double range is a parse error, not an
+  // uncaught exception that takes the process down.
+  std::string response = HttpFetch(
+      port_, "POST", "/query",
+      "MATCH (n) WHERE n.x > 1" + std::string(400, '0') + ".5 RETURN n");
+  EXPECT_EQ(HttpStatusOf(response), 400) << response;
+  EXPECT_NE(HttpBodyOf(response).find("ParseError"), std::string::npos)
+      << response;
+  EXPECT_EQ(HttpStatusOf(HttpFetch(port_, "POST", "/query",
+                                   "MATCH (f:function) RETURN count(*)")),
+            200);
+}
+
 TEST_F(QueryServerTest, DeadlinePropagatesIntoExecution) {
   // A 30ms budget on a slow-path closure query: the executor's deadline
   // poll must end it, mapped to 408 Request Timeout.
@@ -586,6 +600,78 @@ TEST(QueryServerShedTest, FullQueueSheds429) {
   if (queue_filler.joinable()) queue_filler.join();
   (*server)->Stop();
   obs::Readiness::Global().ResetForTesting();
+}
+
+// POSTs `query` under a client trace id and returns the fingerprint of the
+// trace the server retained for it ("" when none was retained).
+std::string RetainedFingerprint(uint16_t port, const std::string& query,
+                                const std::string& trace_hex,
+                                int expected_status) {
+  std::string response =
+      HttpFetch(port, "POST", "/query", query, 15000,
+                "traceparent: 00-" + trace_hex + "-b7ad6b7169203331-01\r\n");
+  EXPECT_EQ(HttpStatusOf(response), expected_status) << response;
+  uint64_t hi = 0, lo = 0;
+  EXPECT_TRUE(obs::ParseTraceIdHex(trace_hex, &hi, &lo));
+  obs::StoredTrace stored;
+  if (!obs::TraceStore::Global().Lookup(hi, lo, &stored)) return "";
+  return stored.fingerprint;
+}
+
+// The `fp` of the /stats row whose query shape contains `marker`.
+std::string StatsRowFingerprint(std::string_view marker) {
+  auto stats = obs::StatsServer::Start();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  if (!stats.ok()) return "";
+  std::string body(HttpBodyOf(HttpFetch((*stats)->port(), "GET", "/stats")));
+  (*stats)->Stop();
+  size_t at = body.find(marker);
+  size_t fp = body.rfind("\"fp\": \"", at);
+  if (at == std::string::npos || fp == std::string::npos) return "";
+  return body.substr(fp + 7, 16);
+}
+
+// The server fingerprints retained and shed traces itself, from the
+// request body; the session fingerprints the /stats row. Both must name
+// the same shape, for accepted and lexer-rejected queries alike.
+TEST(QueryServerFingerprintTest, TracesCarryTheStatsRowFingerprint) {
+  obs::Readiness::Global().ResetForTesting();
+  obs::TraceStore::Global().Clear();
+  const std::string ok_query =
+      "MATCH (fp_probe_ok:function) WHERE fp_probe_ok.short_name = "
+      "'vfs_read' RETURN fp_probe_ok LIMIT 3";
+  const std::string rejected_query =
+      "MATCH (fp_probe_bad:function) WHERE fp_probe_bad.short_name = "
+      "'vfs_read'; RETURN fp_probe_bad";
+
+  auto server = QueryServer::Start({}, &Epochs());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  std::string requested =
+      RetainedFingerprint((*server)->port(), ok_query,
+                          "1af7651916cd43dd8448eb211c80319c", 200);
+  std::string error =
+      RetainedFingerprint((*server)->port(), rejected_query,
+                          "2af7651916cd43dd8448eb211c80319c", 400);
+  (*server)->Stop();
+
+  QueryServer::Options shedding;
+  shedding.admission.max_inflight_bytes = 1;  // every request over budget
+  auto shed_server = QueryServer::Start(shedding, &Epochs());
+  ASSERT_TRUE(shed_server.ok()) << shed_server.status().ToString();
+  std::string shed =
+      RetainedFingerprint((*shed_server)->port(), ok_query,
+                          "3af7651916cd43dd8448eb211c80319c", 429);
+  (*shed_server)->Stop();
+  obs::Readiness::Global().ResetForTesting();
+
+  const std::string ok_row = StatsRowFingerprint("fp_probe_ok");
+  const std::string rejected_row = StatsRowFingerprint("fp_probe_bad");
+  ASSERT_EQ(ok_row.size(), 16u);
+  ASSERT_EQ(rejected_row.size(), 16u);
+  EXPECT_NE(ok_row, rejected_row);
+  EXPECT_EQ(requested, ok_row);
+  EXPECT_EQ(shed, ok_row);
+  EXPECT_EQ(error, rejected_row);
 }
 
 TEST(QueryServerLifecycleTest, StoppedServerRefusesConnections) {

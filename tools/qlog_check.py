@@ -5,7 +5,8 @@ Three checks, any subset per invocation:
 
   qlog_check.py <qlog.jsonl> [--min-records N]
       The structured query log: one JSON object per line with the schema
-      ToJsonLine writes — ts_us (int >= 0), fp (16 lower-case hex chars),
+      ToJsonLine writes — ts_us (int >= 0), fp (16 lower-case hex chars,
+      the FNV-1a-64 of the record's normalized query),
       trace_id (32 lower-case hex chars), query / raw / status (strings),
       latency_us / rows / db_hits (ints >= 0), fast_path (bool), and the
       latency timeline queue_us / parse_us / plan_us / exec_us
@@ -22,7 +23,8 @@ Three checks, any subset per invocation:
 
   qlog_check.py --stats <stats_export.json>
       The /stats document's per-fingerprint rows: at least one row, each
-      with exactly the row schema, a 16-hex-char fp, non-negative
+      with exactly the row schema, a 16-hex-char fp that is the FNV-1a-64
+      of the row's query, non-negative
       timeline fields, in descending total_latency_us order.
 
 Exit code 0 when valid, 1 with a diagnostic otherwise.
@@ -94,6 +96,14 @@ TIMELINE_SCHEMA = {
 }
 
 
+def fnv1a64_hex(text):
+    """obs::Fingerprint64 over the UTF-8 bytes of `text`, as FingerprintHex."""
+    h = 0xcbf29ce484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
+
+
 def fail(message):
     print(f"qlog_check: FAIL: {message}", file=sys.stderr)
     return 1
@@ -163,6 +173,9 @@ def check_qlog(path, min_records):
         if not FP_RE.match(record["fp"]):
             return fail(f"{path}:{lineno}: fp={record['fp']!r} is not 16"
                         " lower-case hex chars")
+        if record["fp"] != fnv1a64_hex(record["query"]):
+            return fail(f"{path}:{lineno}: fp={record['fp']} is not the"
+                        f" FNV-1a-64 of query {record['query']!r}")
         if not TRACE_ID_RE.match(record["trace_id"]):
             return fail(f"{path}:{lineno}: trace_id={record['trace_id']!r}"
                         " is not 32 lower-case hex chars")
@@ -284,6 +297,9 @@ def check_stats(path):
         if not FP_RE.match(entry["fp"]):
             return fail(f"{path}: {where}.fp={entry['fp']!r} is not 16"
                         " lower-case hex chars")
+        if entry["fp"] != fnv1a64_hex(entry["query"]):
+            return fail(f"{path}: {where}.fp={entry['fp']} is not the"
+                        f" FNV-1a-64 of query {entry['query']!r}")
         rc = check_object(path, entry["timeline"], TIMELINE_SCHEMA,
                           f"{where}.timeline")
         if rc:

@@ -69,8 +69,8 @@ std::vector<NodeId> BackwardSlice(const graph::GraphView& view,
 std::vector<NodeId> ForwardSlice(const graph::GraphView& view,
                                  const model::Schema& schema,
                                  NodeId function, size_t max_depth) {
-  return ParallelForwardSlice(view.Packed(), schema, function, 0,
-                              max_depth);
+  return RunClosure(view.Packed(), schema, {function}, {EdgeKind::kCalls},
+                    Direction::kIn, max_depth);
 }
 
 std::vector<NodeId> ImpactSet(const graph::GraphView& view,
@@ -114,24 +114,6 @@ std::vector<NodeId> ParallelBackwardSlice(const graph::CsrView& csr,
                                           size_t max_depth) {
   return RunClosure(csr, schema, {function}, {EdgeKind::kCalls},
                     Direction::kOut, max_depth);
-}
-
-std::vector<NodeId> ParallelForwardSlice(const graph::CsrView& csr,
-                                         const model::Schema& schema,
-                                         NodeId function,
-                                         size_t /*threads*/,
-                                         size_t max_depth) {
-  return RunClosure(csr, schema, {function}, {EdgeKind::kCalls},
-                    Direction::kIn, max_depth);
-}
-
-std::vector<NodeId> ParallelImpactSet(const graph::CsrView& csr,
-                                      const model::Schema& schema,
-                                      const std::vector<NodeId>& seeds,
-                                      const std::vector<EdgeKind>& kinds,
-                                      Direction direction,
-                                      size_t /*threads*/, size_t max_depth) {
-  return RunClosure(csr, schema, seeds, kinds, direction, max_depth);
 }
 
 }  // namespace frappe::analysis

@@ -59,23 +59,13 @@ std::vector<graph::NodeId> IncludeImpact(const graph::GraphView& view,
                                          const model::Schema& schema,
                                          graph::NodeId header);
 
-// The same slices over a caller-supplied CSR; the view overloads above
-// call these with view.Packed(). `threads` is ignored; it stays so that
-// positional calls such as `(csr, schema, fn, 0)` in perfbench/ do not
-// bind to max_depth.
+// BackwardSlice over a caller-supplied CSR; the view overload calls it
+// with view.Packed(). `threads` is ignored; it stays so that positional
+// calls such as `(csr, schema, fn, 0)` in perfbench/ do not bind to
+// max_depth.
 std::vector<graph::NodeId> ParallelBackwardSlice(
     const graph::CsrView& csr, const model::Schema& schema,
     graph::NodeId function, size_t threads,
-    size_t max_depth = std::numeric_limits<size_t>::max());
-std::vector<graph::NodeId> ParallelForwardSlice(
-    const graph::CsrView& csr, const model::Schema& schema,
-    graph::NodeId function, size_t threads,
-    size_t max_depth = std::numeric_limits<size_t>::max());
-std::vector<graph::NodeId> ParallelImpactSet(
-    const graph::CsrView& csr, const model::Schema& schema,
-    const std::vector<graph::NodeId>& seeds,
-    const std::vector<model::EdgeKind>& kinds, graph::Direction direction,
-    size_t threads,
     size_t max_depth = std::numeric_limits<size_t>::max());
 
 }  // namespace frappe::analysis

@@ -121,11 +121,9 @@ struct Budget {
 
 }  // namespace
 
-Status FrontierEngine::Run(const CsrView& csr,
-                           const std::vector<NodeId>& seeds,
-                           const EdgeFilter& filter, const Options& options,
-                           bool track_member, std::vector<uint32_t>* depths,
-                           Metrics* metrics) {
+Result<std::vector<NodeId>> FrontierEngine::Closure(
+    const CsrView& csr, const std::vector<NodeId>& seeds,
+    const EdgeFilter& filter, const Options& options, Metrics* metrics) {
   FRAPPE_TRACE_SPAN("analytics.run");
   // The query's tracker (if one is installed), polled for its memory budget.
   const obs::ResourceTracker* tracker = obs::ResourceTracker::Current();
@@ -136,8 +134,7 @@ Status FrontierEngine::Run(const CsrView& csr,
   if (metrics != nullptr) *metrics = Metrics{};
 
   visited_.Reset(upper);
-  if (track_member) member_.Reset(upper);
-  if (depths != nullptr) depths->assign(upper, kUnreachedDepth);
+  member_.Reset(upper);
 
   const bool scan_out = filter.direction == Direction::kOut ||
                         filter.direction == Direction::kBoth;
@@ -147,10 +144,7 @@ Status FrontierEngine::Run(const CsrView& csr,
   frontier_.clear();
   for (NodeId seed : seeds) {
     if (!csr.NodeExists(seed)) continue;
-    if (visited_.TestAndSet(seed)) {
-      frontier_.push_back(seed);
-      if (depths != nullptr) (*depths)[seed] = 0;
-    }
+    if (visited_.TestAndSet(seed)) frontier_.push_back(seed);
   }
 
   Budget budget(options, tracker);
@@ -167,7 +161,6 @@ Status FrontierEngine::Run(const CsrView& csr,
   std::vector<NodeId> pending;
   if (options.stop_targets != nullptr) pending = *options.stop_targets;
   const bool stop_armed = !pending.empty();
-  const VisitedBitmap& reached = track_member ? member_ : visited_;
 
   // A pre-tripped cancel token expands nothing.
   if (!frontier_.empty()) budget.Poll();
@@ -176,7 +169,7 @@ Status FrontierEngine::Run(const CsrView& csr,
          !budget.stopped()) {
     if (stop_armed) {
       std::erase_if(pending, [&](NodeId t) {
-        return t < upper && reached.Test(t);
+        return t < upper && member_.Test(t);
       });
       if (pending.empty()) {
         if (metrics != nullptr) metrics->stopped_early = true;
@@ -193,7 +186,6 @@ Status FrontierEngine::Run(const CsrView& csr,
       metrics->lanes_used = 1;
     }
 
-    const uint32_t next_depth = static_cast<uint32_t>(depth) + 1;
     next_.clear();
     for (size_t i = 0; i < frontier_.size() && !budget.stopped(); ++i) {
       NodeId node = frontier_[i];
@@ -202,11 +194,8 @@ Status FrontierEngine::Run(const CsrView& csr,
           if (budget.Step()) return;
           if (typed && !type_allowed(nbrs.begin_types[j])) continue;
           NodeId neighbor = nbrs.begin_nodes[j];
-          if (track_member) member_.Set(neighbor);
-          if (visited_.TestAndSet(neighbor)) {
-            if (depths != nullptr) (*depths)[neighbor] = next_depth;
-            next_.push_back(neighbor);
-          }
+          member_.Set(neighbor);
+          if (visited_.TestAndSet(neighbor)) next_.push_back(neighbor);
         }
       };
       if (scan_out) scan(csr.Out(node));
@@ -231,38 +220,10 @@ Status FrontierEngine::Run(const CsrView& csr,
   runs_counter.Add();
   steps_counter.Add(budget.steps);
   levels_hist.Record(depth);
-  return StatusFor(budget.reason, options, tracker);
-}
-
-Result<std::vector<NodeId>> FrontierEngine::Closure(
-    const CsrView& csr, const std::vector<NodeId>& seeds,
-    const EdgeFilter& filter, const Options& options, Metrics* metrics) {
-  FRAPPE_RETURN_IF_ERROR(Run(csr, seeds, filter, options,
-                             /*track_member=*/true, /*depths=*/nullptr,
-                             metrics));
+  FRAPPE_RETURN_IF_ERROR(StatusFor(budget.reason, options, tracker));
   std::vector<NodeId> out;
   member_.AppendSetBits(&out);
   return out;
-}
-
-Result<std::vector<NodeId>> FrontierEngine::Reachable(
-    const CsrView& csr, const std::vector<NodeId>& seeds,
-    const EdgeFilter& filter, const Options& options, Metrics* metrics) {
-  FRAPPE_RETURN_IF_ERROR(Run(csr, seeds, filter, options,
-                             /*track_member=*/false, /*depths=*/nullptr,
-                             metrics));
-  std::vector<NodeId> out;
-  visited_.AppendSetBits(&out);
-  return out;
-}
-
-Result<std::vector<uint32_t>> FrontierEngine::BfsDepths(
-    const CsrView& csr, const std::vector<NodeId>& seeds,
-    const EdgeFilter& filter, const Options& options, Metrics* metrics) {
-  std::vector<uint32_t> depths;
-  FRAPPE_RETURN_IF_ERROR(Run(csr, seeds, filter, options,
-                             /*track_member=*/false, &depths, metrics));
-  return depths;
 }
 
 namespace {
@@ -280,18 +241,6 @@ Result<std::vector<NodeId>> ParallelClosure(const CsrView& csr,
                                             const Options& options,
                                             Metrics* metrics) {
   return LocalEngine().Closure(csr, seeds, filter, options, metrics);
-}
-
-Result<std::vector<NodeId>> ParallelReachable(
-    const CsrView& csr, const std::vector<NodeId>& seeds,
-    const EdgeFilter& filter, const Options& options, Metrics* metrics) {
-  return LocalEngine().Reachable(csr, seeds, filter, options, metrics);
-}
-
-Result<std::vector<uint32_t>> ParallelBfsDepths(
-    const CsrView& csr, const std::vector<NodeId>& seeds,
-    const EdgeFilter& filter, const Options& options, Metrics* metrics) {
-  return LocalEngine().BfsDepths(csr, seeds, filter, options, metrics);
 }
 
 namespace {

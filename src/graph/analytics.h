@@ -83,9 +83,9 @@ struct Options {
   // Status::Cancelled. The kernel never writes the token.
   std::atomic<bool>* cancel = nullptr;
   // Target-aware early exit: when set and non-empty, the run stops at the
-  // end of the first level after which every listed node is in its result
-  // (a closure member for Closure, visited otherwise). The result is then
-  // partial but exact for the listed nodes; Metrics::stopped_early says so.
+  // end of the first level after which every listed node is in the
+  // closure. The result is then partial but exact for the listed nodes;
+  // Metrics::stopped_early says so.
   const std::vector<NodeId>* stop_targets = nullptr;
 };
 
@@ -109,9 +109,6 @@ struct Metrics {
   bool stopped_early = false;
 };
 
-inline constexpr uint32_t kUnreachedDepth =
-    std::numeric_limits<uint32_t>::max();
-
 // Scratch-owning engine: the bitmaps and frontier buffers persist across
 // calls, so repeated queries pay no per-query allocation beyond frontier
 // growth. One engine must not be used from two threads at once.
@@ -127,50 +124,20 @@ class FrontierEngine {
                                       const Options& options = {},
                                       Metrics* metrics = nullptr);
 
-  // Multi-source reachability: every node reachable over >= 0 edges (live
-  // seeds always included). Sorted ascending.
-  Result<std::vector<NodeId>> Reachable(const CsrView& csr,
-                                        const std::vector<NodeId>& seeds,
-                                        const EdgeFilter& filter,
-                                        const Options& options = {},
-                                        Metrics* metrics = nullptr);
-
-  // Level-synchronous BFS: minimal depth per node id (kUnreachedDepth when
-  // unreached), over the whole id universe of the view.
-  Result<std::vector<uint32_t>> BfsDepths(const CsrView& csr,
-                                          const std::vector<NodeId>& seeds,
-                                          const EdgeFilter& filter,
-                                          const Options& options = {},
-                                          Metrics* metrics = nullptr);
-
  private:
-  Status Run(const CsrView& csr, const std::vector<NodeId>& seeds,
-             const EdgeFilter& filter, const Options& options,
-             bool track_member, std::vector<uint32_t>* depths,
-             Metrics* metrics);
-
   VisitedBitmap visited_;
   VisitedBitmap member_;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_;
 };
 
-// Convenience wrappers over a thread-local FrontierEngine (scratch reuse
-// across calls without threading an engine through every call site).
+// Closure on a thread-local FrontierEngine (scratch reuse across calls
+// without threading an engine through every call site).
 Result<std::vector<NodeId>> ParallelClosure(const CsrView& csr,
                                             const std::vector<NodeId>& seeds,
                                             const EdgeFilter& filter,
                                             const Options& options = {},
                                             Metrics* metrics = nullptr);
-Result<std::vector<NodeId>> ParallelReachable(
-    const CsrView& csr, const std::vector<NodeId>& seeds,
-    const EdgeFilter& filter, const Options& options = {},
-    Metrics* metrics = nullptr);
-Result<std::vector<uint32_t>> ParallelBfsDepths(
-    const CsrView& csr, const std::vector<NodeId>& seeds,
-    const EdgeFilter& filter, const Options& options = {},
-    Metrics* metrics = nullptr);
-
 // --- Reachability on the condensation (see graph::Condensation) ---
 
 // The condensation of `csr` under `types` (any order; empty: every type),

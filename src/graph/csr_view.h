@@ -98,16 +98,12 @@ class CsrView final : public GraphView {
     // Topology is answered from the packed copy (cache-friendly).
     return edges_[id];
   }
-  Value GetNodeProperty(NodeId id, KeyId key) const override {
-    return base_->GetNodeProperty(id, key);
-  }
-  Value GetEdgeProperty(EdgeId id, KeyId key) const override {
-    return base_->GetEdgeProperty(id, key);
-  }
-  const PropertyMap& NodeProperties(NodeId id) const override {
+  std::span<const PropertyMap::Entry> NodeProperties(
+      NodeId id) const override {
     return base_->NodeProperties(id);
   }
-  const PropertyMap& EdgeProperties(EdgeId id) const override {
+  std::span<const PropertyMap::Entry> EdgeProperties(
+      EdgeId id) const override {
     return base_->EdgeProperties(id);
   }
 

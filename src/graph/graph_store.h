@@ -140,17 +140,13 @@ class GraphStore final : public GraphView {
 
   TypeId NodeType(NodeId id) const override { return nodes_[id].type; }
   Edge GetEdge(EdgeId id) const override { return edges_[id].edge; }
-  Value GetNodeProperty(NodeId id, KeyId key) const override {
-    return nodes_[id].props.Get(key);
+  std::span<const PropertyMap::Entry> NodeProperties(
+      NodeId id) const override {
+    return nodes_[id].props.entries();
   }
-  Value GetEdgeProperty(EdgeId id, KeyId key) const override {
-    return edges_[id].props.Get(key);
-  }
-  const PropertyMap& NodeProperties(NodeId id) const override {
-    return nodes_[id].props;
-  }
-  const PropertyMap& EdgeProperties(EdgeId id) const override {
-    return edges_[id].props;
+  std::span<const PropertyMap::Entry> EdgeProperties(
+      EdgeId id) const override {
+    return edges_[id].props.entries();
   }
 
   void ForEachEdge(NodeId id, Direction dir,
@@ -162,15 +158,6 @@ class GraphStore final : public GraphView {
   // Bumped by every Add*/Remove* above: a plain counter, not a lock, since
   // mutation already needs exclusive access.
   uint64_t TopologyVersion() const override { return topology_version_; }
-
-  // Direct adjacency access for hot traversal paths (store-only; views go
-  // through ForEachEdge).
-  const std::vector<EdgeId>& OutEdgeIds(NodeId id) const {
-    return nodes_[id].out;
-  }
-  const std::vector<EdgeId>& InEdgeIds(NodeId id) const {
-    return nodes_[id].in;
-  }
 
   // Approximate resident bytes by section, used for Table 4 accounting.
   struct MemoryBreakdown {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "graph/ids.h"
@@ -35,6 +36,11 @@ class CsrView;
 // contain holes after deletions; callers must check NodeExists(). Same for
 // edges.
 //
+// Property contract: a record's properties are one span of entries sorted
+// by key (NodeProperties/EdgeProperties), valid until the view is next
+// mutated. Get*Property looks a key up in that span, so every view answers
+// a property read the same way and implements only the span accessors.
+//
 // Every view owns one lazily built packed adjacency (Packed()), the CSR
 // the analytics kernels, the analysis API and the executor's fast paths
 // all read. A copy or a move starts with an empty cache; assignment
@@ -62,10 +68,18 @@ class GraphView {
   // Requires NodeExists(id) / EdgeExists(id).
   virtual TypeId NodeType(NodeId id) const = 0;
   virtual Edge GetEdge(EdgeId id) const = 0;
-  virtual Value GetNodeProperty(NodeId id, KeyId key) const = 0;
-  virtual Value GetEdgeProperty(EdgeId id, KeyId key) const = 0;
-  virtual const PropertyMap& NodeProperties(NodeId id) const = 0;
-  virtual const PropertyMap& EdgeProperties(EdgeId id) const = 0;
+  virtual std::span<const PropertyMap::Entry> NodeProperties(
+      NodeId id) const = 0;
+  virtual std::span<const PropertyMap::Entry> EdgeProperties(
+      EdgeId id) const = 0;
+
+  // Null when the record lacks `key`.
+  Value GetNodeProperty(NodeId id, KeyId key) const {
+    return PropertyMap::Find(NodeProperties(id), key);
+  }
+  Value GetEdgeProperty(EdgeId id, KeyId key) const {
+    return PropertyMap::Find(EdgeProperties(id), key);
+  }
 
   // Invokes `fn(edge_id, neighbor)` for each incident edge in the given
   // direction; stops early if `fn` returns false. With kBoth, a self-loop

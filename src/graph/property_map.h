@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/ids.h"
@@ -14,6 +15,9 @@ namespace frappe::graph {
 // Nodes and edges typically carry 2-12 properties (paper Table 2), so a
 // sorted vector beats any node-per-entry container in both memory and
 // lookup cost.
+//
+// This is the mutable builder. Readers get a record's entries as a span
+// (GraphView::NodeProperties/EdgeProperties) and look keys up with Find.
 class PropertyMap {
  public:
   // Packed entry: key + value tag share one 8-byte word with padding, the
@@ -24,14 +28,28 @@ class PropertyMap {
     uint64_t payload;
 
     Value value() const { return Value::FromRaw(type, payload); }
+    bool operator==(const Entry&) const = default;
   };
 
   PropertyMap() = default;
+  // Copies entries already sorted by key, e.g. another record's span.
+  explicit PropertyMap(std::span<const Entry> entries)
+      : entries_(entries.begin(), entries.end()) {}
+
+  // The value for `key` in `entries` (sorted by key), or a null Value when
+  // absent. The one lookup behind Get and GraphView::Get*Property.
+  static Value Find(std::span<const Entry> entries, KeyId key) {
+    size_t i = LowerBound(entries, key);
+    if (i < entries.size() && entries[i].key == key) {
+      return entries[i].value();
+    }
+    return Value::Null();
+  }
 
   // Sets `key` to `value`, replacing any existing entry. Setting a null
   // value removes the key (Cypher property semantics: null means absent).
   void Set(KeyId key, Value value) {
-    auto it = LowerBound(key);
+    auto it = entries_.begin() + LowerBound(entries_, key);
     if (value.is_null()) {
       if (it != entries_.end() && it->key == key) entries_.erase(it);
       return;
@@ -45,23 +63,17 @@ class PropertyMap {
   }
 
   // Returns the value for `key`, or a null Value when absent.
-  Value Get(KeyId key) const {
-    auto it = LowerBound(key);
-    if (it != entries_.end() && it->key == key) return it->value();
-    return Value::Null();
-  }
+  Value Get(KeyId key) const { return Find(entries_, key); }
 
-  bool Has(KeyId key) const {
-    auto it = LowerBound(key);
-    return it != entries_.end() && it->key == key;
-  }
+  // Stored values are never null: Set with a null erases.
+  bool Has(KeyId key) const { return !Get(key).is_null(); }
 
   void Erase(KeyId key) { Set(key, Value::Null()); }
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  std::span<const Entry> entries() const { return entries_; }
 
   // Approximate in-memory footprint of the payload (for Table 4 storage
   // accounting). Interned string payloads are accounted by the StringPool.
@@ -79,15 +91,12 @@ class PropertyMap {
   }
 
  private:
-  std::vector<Entry>::const_iterator LowerBound(KeyId key) const {
+  // Index of the first entry whose key is not below `key`.
+  static size_t LowerBound(std::span<const Entry> entries, KeyId key) {
     return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const Entry& e, KeyId k) { return e.key < k; });
-  }
-  std::vector<Entry>::iterator LowerBound(KeyId key) {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const Entry& e, KeyId k) { return e.key < k; });
+               entries.begin(), entries.end(), key,
+               [](const Entry& e, KeyId k) { return e.key < k; }) -
+           entries.begin();
   }
 
   std::vector<Entry> entries_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 #include "common/crc32c.h"
 #include "common/file_io.h"
@@ -132,9 +133,9 @@ void WriteRegistry(Writer* w, const NameRegistry& reg) {
   for (uint16_t i = 0; i < reg.size(); ++i) w->Str(reg.Name(i));
 }
 
-void WriteProps(Writer* w, const PropertyMap& props) {
+void WriteProps(Writer* w, std::span<const PropertyMap::Entry> props) {
   w->U32(static_cast<uint32_t>(props.size()));
-  for (const PropertyMap::Entry& e : props.entries()) {
+  for (const PropertyMap::Entry& e : props) {
     w->U16(e.key);
     w->U8(static_cast<uint8_t>(e.type));
     w->U64(e.payload);

@@ -132,74 +132,6 @@ std::optional<Path> ShortestPath(const GraphView& view, NodeId from,
   return path;
 }
 
-namespace {
-
-void EnumerateDfs(const GraphView& view, NodeId from, NodeId to,
-                  const EdgeFilter& filter, size_t max_depth, size_t limit,
-                  Path* stack, std::unordered_set<NodeId>* on_path,
-                  std::vector<Path>* out) {
-  // Explicit DFS stack: path depth is bounded only by the node count (think
-  // a 100k-node chain), far beyond what the call stack can hold.
-  struct Frame {
-    EdgeId in_edge;  // edge appended to the path to enter this frame
-    std::vector<std::pair<EdgeId, NodeId>> edges;
-    size_t next = 0;
-  };
-  auto make_frame = [&](NodeId node, EdgeId in_edge) {
-    Frame frame;
-    frame.in_edge = in_edge;
-    if (stack->edges.size() < max_depth) {
-      Expand(view, node, filter, [&](EdgeId e, NodeId n) {
-        frame.edges.emplace_back(e, n);
-        return true;
-      });
-    }
-    return frame;
-  };
-  std::vector<Frame> frames;
-  frames.push_back(make_frame(from, kInvalidEdge));
-  while (!frames.empty()) {
-    Frame& top = frames.back();
-    if (out->size() >= limit || top.next >= top.edges.size()) {
-      if (top.in_edge != kInvalidEdge) {
-        on_path->erase(stack->nodes.back());
-        stack->nodes.pop_back();
-        stack->edges.pop_back();
-      }
-      frames.pop_back();
-      continue;
-    }
-    auto [edge, neighbor] = top.edges[top.next++];
-    if (neighbor == to) {
-      Path found = *stack;
-      found.nodes.push_back(neighbor);
-      found.edges.push_back(edge);
-      out->push_back(std::move(found));
-      continue;
-    }
-    if (on_path->count(neighbor)) continue;  // simple paths only
-    stack->nodes.push_back(neighbor);
-    stack->edges.push_back(edge);
-    on_path->insert(neighbor);
-    frames.push_back(make_frame(neighbor, edge));
-  }
-}
-
-}  // namespace
-
-std::vector<Path> EnumeratePaths(const GraphView& view, NodeId from,
-                                 NodeId to, const EdgeFilter& filter,
-                                 size_t max_depth, size_t limit) {
-  std::vector<Path> out;
-  if (!view.NodeExists(from) || !view.NodeExists(to)) return out;
-  Path stack;
-  stack.nodes.push_back(from);
-  std::unordered_set<NodeId> on_path{from};
-  EnumerateDfs(view, from, to, filter, max_depth, limit, &stack, &on_path,
-               &out);
-  return out;
-}
-
 bool IsReachable(const GraphView& view, NodeId from, NodeId to,
                  const EdgeFilter& filter, size_t max_depth) {
   if (!view.NodeExists(from) || !view.NodeExists(to)) return false;

@@ -69,13 +69,6 @@ std::vector<NodeId> TransitiveClosure(
 std::optional<Path> ShortestPath(const GraphView& view, NodeId from,
                                  NodeId to, const EdgeFilter& filter);
 
-// Enumerates up to `limit` simple paths (no repeated nodes) from `from` to
-// `to` of length <= max_depth. Used by the debugging use case to show how
-// execution can reach a point of interest.
-std::vector<Path> EnumeratePaths(const GraphView& view, NodeId from,
-                                 NodeId to, const EdgeFilter& filter,
-                                 size_t max_depth, size_t limit);
-
 // True if `to` is reachable from `from` within max_depth steps.
 bool IsReachable(const GraphView& view, NodeId from, NodeId to,
                  const EdgeFilter& filter,

@@ -143,28 +143,6 @@ Histogram& Registry::GetHistogram(std::string_view name) {
   return *it->second;
 }
 
-std::string Registry::DumpText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, counter] : counters_) {
-    out += "counter " + name + " " + std::to_string(counter->Value()) + "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out += "gauge " + name + " " + std::to_string(gauge->Value()) + "\n";
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    Histogram::Snapshot s = histogram->Snap();
-    out += "histogram " + name + " count=" + std::to_string(s.count) +
-           " sum=" + std::to_string(s.sum) + " mean=" + Num(s.Mean()) +
-           " p50=" + Num(s.Quantile(0.50)) +
-           " p95=" + Num(s.Quantile(0.95)) +
-           " p99=" + Num(s.Quantile(0.99)) +
-           " p50<=" + std::to_string(s.PercentileUpperBound(0.50)) +
-           " p99<=" + std::to_string(s.PercentileUpperBound(0.99)) + "\n";
-  }
-  return out;
-}
-
 std::string Registry::DumpJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\n  \"counters\": {";

@@ -170,10 +170,6 @@ class Registry {
   Gauge& GetGauge(std::string_view name);
   Histogram& GetHistogram(std::string_view name);
 
-  // One line per instrument, sorted by name:
-  //   counter query.count 42
-  //   histogram query.latency_us count=42 sum=1234 mean=29.4 p50<=32 p99<=128
-  std::string DumpText() const;
   // {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
   //  mean, p50, p95, p99, p50_le, p90_le, p99_le}}}
   std::string DumpJson() const;

@@ -128,14 +128,14 @@ Status Lex(std::string_view input, std::vector<Token>* tokens) {
             std::from_chars(text.data(), text.data() + text.size(), v);
         if (ec != std::errc()) {
           return Status::ParseError("double literal out of range: " +
-                                    std::string(text));
+                                    ErrorEcho(text));
         }
         push(TokenType::kDouble, start).double_value = v;
       } else {
         int64_t v = 0;
         if (!ParseInt64(text, &v)) {
           return Status::ParseError("integer literal out of range: " +
-                                    std::string(text));
+                                    ErrorEcho(text));
         }
         push(TokenType::kInt, start).int_value = v;
       }
@@ -262,18 +262,28 @@ NormalizedQuery NormalizeQuery(std::string_view input) {
   return NormalizeTokens(input, tokens);
 }
 
+std::string ErrorEcho(std::string_view text) {
+  if (text.size() <= kErrorEchoBytes) return std::string(text);
+  size_t cut = kErrorEchoBytes;
+  // Never split a multi-byte sequence: back off over continuation bytes.
+  while (cut > 0 && (static_cast<unsigned char>(text[cut]) & 0xC0) == 0x80) {
+    --cut;
+  }
+  return std::string(text.substr(0, cut)) + "\u2026";
+}
+
 std::string TokenDescription(const Token& token) {
   switch (token.type) {
     case TokenType::kEnd:
       return "end of query";
     case TokenType::kIdent:
-      return "'" + token.text + "'";
+      return "'" + ErrorEcho(token.text) + "'";
     case TokenType::kInt:
       return std::to_string(token.int_value);
     case TokenType::kDouble:
       return std::to_string(token.double_value);
     case TokenType::kString:
-      return "string '" + token.text + "'";
+      return "string '" + ErrorEcho(token.text) + "'";
     default:
       return "'" + std::string(Spelling(token.type)) + "'";
   }

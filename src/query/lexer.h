@@ -84,7 +84,15 @@ NormalizedQuery NormalizeTokens(std::string_view input,
 // Lex + NormalizeTokens.
 NormalizedQuery NormalizeQuery(std::string_view input);
 
-// Human-readable token description for error messages.
+// Query text as an error message quotes it: the first kErrorEchoBytes
+// bytes (cut back to a UTF-8 boundary), then "…" when there was more. Error
+// messages reach HTTP 400 bodies and the slow-query log, so a megabyte
+// literal must not make a megabyte message.
+inline constexpr size_t kErrorEchoBytes = 32;
+std::string ErrorEcho(std::string_view text);
+
+// Human-readable token description for error messages; its text goes
+// through ErrorEcho.
 std::string TokenDescription(const Token& token);
 
 }  // namespace frappe::query

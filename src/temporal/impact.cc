@@ -37,16 +37,13 @@ Result<ImpactReport> ChangeImpact(const VersionStore& store,
     graph::Edge edge = store.raw_store().GetEdge(e);
     consider(edge.src);
   }
-  // A removed function impacts its (still existing) callers too; seed the
-  // slice from its callers at `to`.
+  // A removed function impacts its (still existing) callers too: seed the
+  // slice from its callers at `from` that survive at `to`.
   std::vector<NodeId> seeds(changed.begin(), changed.end());
+  FRAPPE_ASSIGN_OR_RETURN(std::unique_ptr<VersionView> old_view,
+                          store.ViewAt(from));
   for (NodeId removed : diff.removed_nodes) {
     if (store.raw_store().NodeType(removed) != fn_type) continue;
-    view->ForEachEdge(removed, graph::Direction::kIn,
-                      [&](graph::EdgeId, NodeId) { return true; });
-    // Callers at `from` that survive at `to`:
-    FRAPPE_ASSIGN_OR_RETURN(std::unique_ptr<VersionView> old_view,
-                            store.ViewAt(from));
     old_view->ForEachEdge(
         removed, graph::Direction::kIn, [&](graph::EdgeId e, NodeId from_n) {
           if (schema.edge_kind(old_view->GetEdge(e).type) ==

@@ -42,9 +42,9 @@ void VersionStore::SnapshotPropsBeforeChange(uint32_t id, bool is_edge) {
   if (history.empty()) {
     Version birth = is_edge ? edge_intervals_[id].from
                             : node_intervals_[id].from;
-    const graph::PropertyMap& current =
-        is_edge ? store_.EdgeProperties(id) : store_.NodeProperties(id);
-    history.emplace_back(birth, current);
+    history.emplace_back(birth, graph::PropertyMap(
+                                    is_edge ? store_.EdgeProperties(id)
+                                            : store_.NodeProperties(id)));
   }
   if (history.back().first != committed_) {
     history.emplace_back(committed_, history.back().second);
@@ -145,7 +145,8 @@ Result<std::unique_ptr<graph::GraphStore>> VersionStore::MaterializeVersion(
       continue;
     }
     out->AddNode(src.NodeType(id));
-    out->SetNodeProperties(id, PropsAt(/*is_edge=*/false, id, version));
+    out->SetNodeProperties(
+        id, graph::PropertyMap(PropsAt(/*is_edge=*/false, id, version)));
   }
   for (EdgeId id = 0; id < edge_intervals_.size(); ++id) {
     if (!edge_intervals_[id].VisibleAt(version)) {
@@ -159,13 +160,14 @@ Result<std::unique_ptr<graph::GraphStore>> VersionStore::MaterializeVersion(
           " visible at version " + std::to_string(version) +
           " but an endpoint is not");
     }
-    out->SetEdgeProperties(id, PropsAt(/*is_edge=*/true, id, version));
+    out->SetEdgeProperties(
+        id, graph::PropertyMap(PropsAt(/*is_edge=*/true, id, version)));
   }
   return out;
 }
 
-const graph::PropertyMap& VersionStore::PropsAt(bool is_edge, uint32_t id,
-                                                Version version) const {
+std::span<const graph::PropertyMap::Entry> VersionStore::PropsAt(
+    bool is_edge, uint32_t id, Version version) const {
   const auto& histories = is_edge ? edge_prop_history_ : node_prop_history_;
   auto it = histories.find(id);
   if (it != histories.end() && !it->second.empty()) {
@@ -177,7 +179,7 @@ const graph::PropertyMap& VersionStore::PropsAt(bool is_edge, uint32_t id,
           return v < e.first;
         });
     if (entry != history.begin()) {
-      return std::prev(entry)->second;
+      return std::prev(entry)->second.entries();
     }
     // Version precedes the first snapshot — cannot happen for live
     // entities (first snapshot is taken at birth), fall through.

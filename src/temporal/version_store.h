@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -129,8 +130,9 @@ class VersionStore {
 
   void SnapshotPropsBeforeChange(graph::NodeId id, bool is_edge);
 
-  const graph::PropertyMap& PropsAt(bool is_edge, uint32_t id,
-                                    Version version) const;
+  std::span<const graph::PropertyMap::Entry> PropsAt(bool is_edge,
+                                                     uint32_t id,
+                                                     Version version) const;
 
   graph::GraphStore store_;  // latest state; liveness managed here
   std::vector<Interval> node_intervals_;
@@ -190,19 +192,11 @@ class VersionView final : public graph::GraphView {
   graph::Edge GetEdge(graph::EdgeId id) const override {
     return store_.store_.GetEdge(id);
   }
-  graph::Value GetNodeProperty(graph::NodeId id,
-                               graph::KeyId key) const override {
-    return NodeProperties(id).Get(key);
-  }
-  graph::Value GetEdgeProperty(graph::EdgeId id,
-                               graph::KeyId key) const override {
-    return EdgeProperties(id).Get(key);
-  }
-  const graph::PropertyMap& NodeProperties(
+  std::span<const graph::PropertyMap::Entry> NodeProperties(
       graph::NodeId id) const override {
     return store_.PropsAt(/*is_edge=*/false, id, version_);
   }
-  const graph::PropertyMap& EdgeProperties(
+  std::span<const graph::PropertyMap::Entry> EdgeProperties(
       graph::EdgeId id) const override {
     return store_.PropsAt(/*is_edge=*/true, id, version_);
   }

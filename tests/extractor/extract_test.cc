@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -352,9 +353,9 @@ TEST_F(ExtractTest, IncludesEdgeEmitted) {
 // ids, SourceLocs, macro provenance or include structure changes the CRC.
 
 std::string Properties(const graph::GraphView& view,
-                       const graph::PropertyMap& props) {
+                       std::span<const graph::PropertyMap::Entry> props) {
   std::vector<std::pair<std::string_view, std::string>> sorted;
-  for (const graph::PropertyMap::Entry& e : props.entries()) {
+  for (const graph::PropertyMap::Entry& e : props) {
     sorted.emplace_back(view.keys().Name(e.key),
                         e.value().ToString(view.strings()));
   }

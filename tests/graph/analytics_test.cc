@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -196,44 +195,6 @@ TEST_P(DeterminismTest, DepthLimitedClosureMatchesSequential) {
   }
 }
 
-TEST_P(DeterminismTest, BfsDepthsMatchSequentialBfs) {
-  RandomGraph g = MakeRandomGraph(GetParam() + 31, 250, 3);
-  CsrView csr = CsrView::Build(g.store);
-  EdgeFilter filter = EdgeFilter::Of({g.edge_a, g.edge_b});
-  std::vector<NodeId> seeds{g.nodes[1]};
-  std::map<NodeId, size_t> expected;
-  Bfs(g.store, seeds, filter, [&](NodeId id, size_t depth) {
-    expected[id] = depth;
-    return true;
-  });
-  auto got = ParallelBfsDepths(csr, seeds, filter);
-  ASSERT_TRUE(got.ok()) << got.status();
-  for (NodeId id = 0; id < got->size(); ++id) {
-    auto it = expected.find(id);
-    if (it == expected.end()) {
-      EXPECT_EQ((*got)[id], kUnreachedDepth) << "node " << id;
-    } else {
-      EXPECT_EQ((*got)[id], it->second) << "node " << id;
-    }
-  }
-}
-
-TEST_P(DeterminismTest, ReachableMatchesSequentialBfsSet) {
-  RandomGraph g = MakeRandomGraph(GetParam() + 77, 250, 3);
-  CsrView csr = CsrView::Build(g.store);
-  EdgeFilter filter = EdgeFilter::Of({g.edge_a});
-  std::vector<NodeId> seeds{g.nodes[2], g.nodes[3]};
-  std::vector<NodeId> expected;
-  Bfs(g.store, seeds, filter, [&](NodeId id, size_t) {
-    expected.push_back(id);
-    return true;
-  });
-  std::sort(expected.begin(), expected.end());
-  auto got = ParallelReachable(csr, seeds, filter);
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(*got, expected);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismTest,
                          ::testing::Values(11, 42, 1234, 98765));
 
@@ -253,27 +214,25 @@ uint64_t ScanDegreeSum(const CsrView& csr, const std::vector<NodeId>& nodes,
   return sum;
 }
 
-// Runs Reachable and BfsDepths from `seeds` under `filter` and checks both
-// report exactly the scan-direction degree sum of the nodes they reached.
+// Runs Closure from `seeds` under `filter` and checks it reports exactly
+// the scan-direction degree sum of the nodes it expanded: its members and
+// the live seeds.
 void ExpectStepsAreScanDegreeSum(const CsrView& csr,
                                  const std::vector<NodeId>& seeds,
                                  const EdgeFilter& filter) {
   FrontierEngine engine;
   Metrics metrics;
-  auto reached = engine.Reachable(csr, seeds, filter, {}, &metrics);
-  ASSERT_TRUE(reached.ok()) << reached.status();
-  EXPECT_EQ(metrics.steps, ScanDegreeSum(csr, *reached, filter.direction))
-      << "Reachable dir=" << static_cast<int>(filter.direction);
-
-  auto depths = engine.BfsDepths(csr, seeds, filter, {}, &metrics);
-  ASSERT_TRUE(depths.ok()) << depths.status();
-  std::vector<NodeId> visited;
-  for (NodeId id = 0; id < depths->size(); ++id) {
-    if ((*depths)[id] != kUnreachedDepth) visited.push_back(id);
+  auto members = engine.Closure(csr, seeds, filter, {}, &metrics);
+  ASSERT_TRUE(members.ok()) << members.status();
+  std::vector<NodeId> expanded = *members;
+  for (NodeId seed : seeds) {
+    if (csr.NodeExists(seed)) expanded.push_back(seed);
   }
-  EXPECT_EQ(visited, *reached);
-  EXPECT_EQ(metrics.steps, ScanDegreeSum(csr, visited, filter.direction))
-      << "BfsDepths dir=" << static_cast<int>(filter.direction);
+  std::sort(expanded.begin(), expanded.end());
+  expanded.erase(std::unique(expanded.begin(), expanded.end()),
+                 expanded.end());
+  EXPECT_EQ(metrics.steps, ScanDegreeSum(csr, expanded, filter.direction))
+      << "dir=" << static_cast<int>(filter.direction);
 }
 
 class ScanWorkTest : public ::testing::TestWithParam<uint64_t> {};

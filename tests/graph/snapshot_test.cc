@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -604,7 +605,8 @@ TEST_P(SnapshotRandomTest, RandomGraphRoundTrips) {
     ASSERT_EQ(restored.NodeExists(id), store.NodeExists(id));
     if (!store.NodeExists(id)) continue;
     EXPECT_EQ(restored.NodeType(id), store.NodeType(id));
-    EXPECT_TRUE(restored.NodeProperties(id) == store.NodeProperties(id));
+    EXPECT_TRUE(std::ranges::equal(restored.NodeProperties(id),
+                                   store.NodeProperties(id)));
   }
   for (EdgeId id = 0; id < store.EdgeIdUpperBound(); ++id) {
     ASSERT_EQ(restored.EdgeExists(id), store.EdgeExists(id));
@@ -613,7 +615,8 @@ TEST_P(SnapshotRandomTest, RandomGraphRoundTrips) {
     EXPECT_EQ(a.src, b.src);
     EXPECT_EQ(a.dst, b.dst);
     EXPECT_EQ(a.type, b.type);
-    EXPECT_TRUE(restored.EdgeProperties(id) == store.EdgeProperties(id));
+    EXPECT_TRUE(std::ranges::equal(restored.EdgeProperties(id),
+                                   store.EdgeProperties(id)));
   }
 }
 

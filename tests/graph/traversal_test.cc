@@ -162,55 +162,6 @@ TEST_F(TraversalTest, ShortestPathUnreachable) {
       ShortestPath(store_, n_[1], n_[0], EdgeFilter::Of({calls_})).has_value());
 }
 
-TEST_F(TraversalTest, EnumeratePathsFindsAllSimplePaths) {
-  auto paths = EnumeratePaths(store_, n_[0], n_[3], EdgeFilter::Of({calls_}),
-                              /*max_depth=*/5, /*limit=*/10);
-  // a->b->c->d and a->c->d.
-  ASSERT_EQ(paths.size(), 2u);
-  std::set<size_t> lengths{paths[0].Length(), paths[1].Length()};
-  EXPECT_EQ(lengths, (std::set<size_t>{2u, 3u}));
-}
-
-TEST_F(TraversalTest, EnumeratePathsHonorsLimitAndDepth) {
-  auto limited = EnumeratePaths(store_, n_[0], n_[3],
-                                EdgeFilter::Of({calls_}), 5, 1);
-  EXPECT_EQ(limited.size(), 1u);
-  auto shallow = EnumeratePaths(store_, n_[0], n_[3],
-                                EdgeFilter::Of({calls_}), 2, 10);
-  ASSERT_EQ(shallow.size(), 1u);
-  EXPECT_EQ(shallow[0].Length(), 2u);
-}
-
-TEST_F(TraversalTest, EnumeratePathsCycleBackToStart) {
-  auto cycles = EnumeratePaths(store_, n_[1], n_[1],
-                               EdgeFilter::Of({calls_}), 5, 10);
-  ASSERT_EQ(cycles.size(), 1u);  // b -> c -> d -> b
-  EXPECT_EQ(cycles[0].Length(), 3u);
-}
-
-TEST(EnumeratePathsDeepTest, HandlesHundredThousandNodeChain) {
-  // Regression: EnumeratePaths used to recurse once per path node, so a
-  // long chain overflowed the call stack. The explicit-stack DFS walks a
-  // 100k-node chain (one 100k-edge path) without issue.
-  GraphStore store;
-  TypeId nt = store.InternNodeType("n");
-  TypeId et = store.InternEdgeType("e");
-  const size_t kNodes = 100000;
-  std::vector<NodeId> chain;
-  chain.reserve(kNodes);
-  for (size_t i = 0; i < kNodes; ++i) chain.push_back(store.AddNode(nt));
-  for (size_t i = 0; i + 1 < kNodes; ++i) {
-    store.AddEdge(chain[i], chain[i + 1], et);
-  }
-  auto paths = EnumeratePaths(store, chain.front(), chain.back(),
-                              EdgeFilter::Of({et}),
-                              /*max_depth=*/kNodes, /*limit=*/10);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].Length(), kNodes - 1);
-  EXPECT_EQ(paths[0].nodes.front(), chain.front());
-  EXPECT_EQ(paths[0].nodes.back(), chain.back());
-}
-
 TEST_F(TraversalTest, IsReachable) {
   EXPECT_TRUE(IsReachable(store_, n_[0], n_[3], EdgeFilter::Of({calls_})));
   EXPECT_FALSE(IsReachable(store_, n_[3], n_[0], EdgeFilter::Of({calls_})));

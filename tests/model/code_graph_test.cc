@@ -42,7 +42,8 @@ TEST_F(CodeGraphTest, FlagsAndEnumValue) {
       store.GetNodeProperty(fn, cg_.key_id(PropKey::kVariadic)).AsBool());
   EXPECT_TRUE(
       store.GetNodeProperty(fn, cg_.key_id(PropKey::kInMacro)).AsBool());
-  EXPECT_FALSE(store.NodeProperties(fn).Has(cg_.key_id(PropKey::kVirtual)));
+  EXPECT_TRUE(
+      store.GetNodeProperty(fn, cg_.key_id(PropKey::kVirtual)).is_null());
   EXPECT_EQ(store.GetNodeProperty(en, cg_.key_id(PropKey::kValue)).AsInt(), 3);
 }
 

@@ -104,12 +104,8 @@ TEST_F(MetricsTest, QuantileOfZeroOnlyDistributionIsZero) {
   EXPECT_DOUBLE_EQ(h.Quantile(0.99), 0.0);  // bucket 0 is exactly {0}
 }
 
-TEST_F(MetricsTest, DumpsCarryInterpolatedPercentiles) {
+TEST_F(MetricsTest, DumpJsonCarriesInterpolatedPercentiles) {
   Registry::Global().GetHistogram("test.pct.hist").Record(10);
-  std::string text = Registry::Global().DumpText();
-  EXPECT_NE(text.find("p50="), std::string::npos) << text;
-  EXPECT_NE(text.find("p95="), std::string::npos) << text;
-  EXPECT_NE(text.find("p99="), std::string::npos) << text;
   std::string json = Registry::Global().DumpJson();
   EXPECT_NE(json.find("\"p50\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"p95\""), std::string::npos) << json;
@@ -157,17 +153,6 @@ TEST_F(MetricsTest, ConcurrentRecordingMergesExactly) {
   uint64_t bucket_total = 0;
   for (uint64_t b : s.buckets) bucket_total += b;
   EXPECT_EQ(bucket_total, kThreads * kPerThread);
-}
-
-TEST_F(MetricsTest, DumpTextListsInstruments) {
-  Registry::Global().GetCounter("test.dump.counter").Add(3);
-  Registry::Global().GetGauge("test.dump.gauge").Set(-7);
-  Registry::Global().GetHistogram("test.dump.hist").Record(16);
-  std::string text = Registry::Global().DumpText();
-  EXPECT_NE(text.find("test.dump.counter"), std::string::npos) << text;
-  EXPECT_NE(text.find("test.dump.gauge"), std::string::npos) << text;
-  EXPECT_NE(text.find("test.dump.hist"), std::string::npos) << text;
-  EXPECT_NE(text.find('3'), std::string::npos) << text;
 }
 
 TEST_F(MetricsTest, DumpJsonIsWellFormedEnough) {

@@ -143,6 +143,21 @@ TEST(LexerTest, OutOfRangeDoubleIsAParseError) {
   EXPECT_NE(result.status().message().find("double literal out of range"),
             std::string::npos)
       << result.status();
+  // The rejected literal is echoed cut short, not all 400 digits.
+  EXPECT_LE(result.status().message().size(), 80u) << result.status();
+}
+
+TEST(LexerTest, ErrorEchoKeepsAPrefixOnACharacterBoundary) {
+  EXPECT_EQ(ErrorEcho("short"), "short");
+  EXPECT_EQ(ErrorEcho(std::string(kErrorEchoBytes, 'x')),
+            std::string(kErrorEchoBytes, 'x'));
+  EXPECT_EQ(ErrorEcho(std::string(1000, 'x')),
+            std::string(kErrorEchoBytes, 'x') + "\u2026");
+  // "a" then two-byte characters: byte 32 is the second byte of one, so
+  // the cut backs off to byte 31 rather than split it.
+  std::string accented = "a";
+  for (int i = 0; i < 20; ++i) accented += "\u00e9";
+  EXPECT_EQ(ErrorEcho(accented), accented.substr(0, 31) + "\u2026");
 }
 
 TEST(LexerTest, ErrorKeepsTheTokensBeforeIt) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "query/lexer.h"
+
 namespace frappe::query {
 namespace {
 
@@ -263,6 +267,24 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(Parse("START n=node(1) WHERE RETURN n").ok());    // no expr
   EXPECT_FALSE(Parse("START n=node(1) RETURN n LIMIT x").ok());  // bad limit
   EXPECT_FALSE(Parse("ANALYZE").ok());                           // no command
+}
+
+TEST(ParserTest, ErrorsEchoLongTokensCutShort) {
+  // A megabyte token must not make a megabyte message: it reaches the HTTP
+  // 400 body and the slow-query log.
+  auto q = Parse("'" + std::string(1 << 20, 'x') + "'");
+  ASSERT_FALSE(q.ok());
+  const std::string& message = q.status().message();
+  EXPECT_NE(message.find("got string '" + std::string(kErrorEchoBytes, 'x') +
+                         "\u2026'"),
+            std::string::npos)
+      << message;
+  EXPECT_LE(message.size(), 120u) << message;
+
+  auto ident = Parse(std::string(1 << 20, 'a'));
+  ASSERT_FALSE(ident.ok());
+  EXPECT_LE(ident.status().message().size(), 120u)
+      << ident.status().message();
 }
 
 TEST(ParserTest, PaperFigure3Parses) {

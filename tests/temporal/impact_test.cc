@@ -74,17 +74,30 @@ TEST_F(ImpactTest, NoChangeNoImpact) {
   EXPECT_TRUE(report->impacted_functions.empty());
 }
 
+// Two removed functions, each with its own surviving caller: read_impl
+// (called by dispatch) and log_impl (called by logger). dispatch and logger
+// call each other, so each caller is also a transitive caller of the other
+// and both land in the impact set, beside main.
 TEST_F(ImpactTest, RemovedFunctionImplicatesSurvivingCallers) {
-  store_.RemoveNode(read_impl_);
+  graph::TypeId fn = schema_->node_type(NodeKind::kFunction);
+  graph::TypeId calls = schema_->edge_type(model::EdgeKind::kCalls);
+  NodeId log_impl = store_.AddNode(fn);
+  store_.AddEdge(logger_, log_impl, calls);
+  store_.AddEdge(logger_, dispatch_, calls);
+  store_.AddEdge(dispatch_, logger_, calls);
   store_.CommitVersion();  // v2
-  auto report = ChangeImpact(store_, *schema_, 1, 2);
-  ASSERT_TRUE(report.ok());
-  std::set<NodeId> changed(report->changed_functions.begin(),
-                           report->changed_functions.end());
-  EXPECT_TRUE(changed.count(dispatch_));  // its callee vanished
-  std::set<NodeId> impacted(report->impacted_functions.begin(),
-                            report->impacted_functions.end());
-  EXPECT_TRUE(impacted.count(main_));
+  store_.RemoveNode(read_impl_);
+  store_.RemoveNode(log_impl);
+  store_.CommitVersion();  // v3
+  auto report = ChangeImpact(store_, *schema_, 2, 3);
+  ASSERT_TRUE(report.ok()) << report.status();
+  // Each caller of a vanished callee is changed.
+  EXPECT_EQ(std::set<NodeId>(report->changed_functions.begin(),
+                             report->changed_functions.end()),
+            (std::set<NodeId>{dispatch_, logger_}));
+  EXPECT_EQ(std::set<NodeId>(report->impacted_functions.begin(),
+                             report->impacted_functions.end()),
+            (std::set<NodeId>{main_, dispatch_, logger_}));
 }
 
 // The `to` view lives for one call, so the impact slice is one kernel

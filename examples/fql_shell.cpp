@@ -39,7 +39,6 @@
 #include "obs/query_log.h"
 #include "obs/query_registry.h"
 #include "obs/stats_server.h"
-#include "query/explain.h"
 #include "query/parser.h"
 #include "query/session.h"
 
@@ -390,12 +389,6 @@ int main(int argc, char** argv) {
       RunProfiledQuery(shell, line.substr(12));
       continue;
     }
-    if (line.rfind("\\explain ", 0) == 0) {
-      auto plan = query::ExplainText(shell.database(), line.substr(9));
-      std::printf("%s", plan.ok() ? plan->c_str()
-                                  : (plan.status().ToString() + "\n").c_str());
-      continue;
-    }
     if (line.rfind("\\save ", 0) == 0) {
       std::string path = line.substr(6);
       // Crash-safe save with rotated generations (<path>.1, <path>.2).
@@ -410,6 +403,8 @@ int main(int argc, char** argv) {
       }
       continue;
     }
+
+    if (line.rfind("\\explain ", 0) == 0) line = "EXPLAIN " + line.substr(9);
 
     // RunQuery is the telemetry-instrumented entry point: EXPLAIN renders
     // the plan without executing, PROFILE annotates it, and every

@@ -31,6 +31,8 @@ Counter& WatchdogCancelCounter() {
 
 }  // namespace
 
+QueryRegistry::QueryRegistry() { ActiveGauge(); }
+
 QueryRegistry& QueryRegistry::Global() {
   static QueryRegistry* instance = new QueryRegistry();
   return *instance;

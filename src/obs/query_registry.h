@@ -106,6 +106,9 @@ class QueryRegistry {
     std::shared_ptr<Entry> entry_;
   };
 
+  // Registers the `query.active` gauge (frappe_query_active on /metrics).
+  QueryRegistry();
+
   static QueryRegistry& Global();
 
   // Registers an in-flight query. `external_token` is the caller's cancel

@@ -203,9 +203,6 @@ std::string StatsServer::MetricsText(std::string_view build_sha,
   out += "# TYPE frappe_query_fingerprints gauge\n"
          "frappe_query_fingerprints " +
          std::to_string(QueryStats::Global().size()) + "\n";
-  out += "# TYPE frappe_active_queries gauge\n"
-         "frappe_active_queries " +
-         std::to_string(QueryRegistry::Global().size()) + "\n";
   // Table 4 storage breakdown, re-queried per scrape so Prometheus sees
   // what /debug/storagez sees.
   bool have_storage = false;
@@ -298,6 +295,7 @@ std::string StatsServer::StatsJson(std::string_view build_sha,
 Result<std::unique_ptr<StatsServer>> StatsServer::Start(Options options) {
   // `new`: the constructor is private.
   std::unique_ptr<StatsServer> server(new StatsServer());
+  QueryRegistry::Global();  // registers the frappe_query_active gauge
   server->build_sha_ = ResolveBuildSha(options.build_sha);
   server->started_ = std::chrono::steady_clock::now();
 

@@ -231,6 +231,7 @@ struct BoundNodePattern {
   std::vector<TypeId> types;    // allowed types when !any_type
   bool impossible = false;      // unknown label / un-internable string prop
   std::vector<std::pair<KeyId, graph::Value>> props;
+  UnboundAnchor anchor;         // tier and index seek while unbound
 };
 
 struct BoundRelPattern {
@@ -259,14 +260,6 @@ struct BoundChain {
   bool shortest = false;
 };
 
-// One expansion step in the chosen matching order.
-struct MatchStep {
-  size_t from_node;  // index into BoundChain::nodes, already bound
-  size_t to_node;    // index to bind
-  size_t rel;        // index into BoundChain::rels
-  bool flipped;      // expansion runs against the pattern's direction
-};
-
 // A pattern predicate bound once per clause. For the reachability shape
 // (see CollectReachabilityPatterns) it also caches what answers it. An
 // unbounded directed pattern keeps its edge types' condensation when one
@@ -276,6 +269,8 @@ struct MatchStep {
 // anchor while memory stays O(nodes).
 struct PatternProbe {
   BoundChain chain;
+  // IsReachabilityPattern, over edge types the graph has.
+  bool reach = false;
   // Closures run from the pattern's target endpoint, against the arrow.
   bool reversed = false;
   // Per anchor, the sorted other endpoints its rows ask about: the
@@ -535,19 +530,15 @@ class Engine {
     }
     // CSR closure fast path: a lone deep variable-length hop whose path
     // multiplicity is collapsed downstream can be answered with the
-    // frontier kernel instead of enumerating every path. Only for a
-    // single-chain MATCH — multiple chains share edge-distinctness via
-    // `used`, which the closure does not model.
-    bool try_fast_path =
-        options_.use_csr_fast_path && db_.csr != nullptr &&
-        clause.chains.size() == 1 &&
-        ChainEligibleForCsrClosure(query_, clause_index, clause.chains[0])
-            .eligible;
+    // frontier kernel instead of enumerating every path.
+    const bool try_fast_path =
+        MatchTriesCsrClosure(db_, options_, query_, clause_index);
     std::vector<Row> next;
     for (Row& row : rows_) {
       if (try_fast_path) {
-        FRAPPE_ASSIGN_OR_RETURN(bool handled,
-                                TryCsrClosure(chains[0], &row, &next));
+        FRAPPE_ASSIGN_OR_RETURN(
+            bool handled,
+            TryCsrClosure(chains[0], clause.chains[0], &row, &next));
         if (handled) continue;
       }
       std::unordered_set<EdgeId> used;
@@ -561,46 +552,33 @@ class Engine {
     return Status::OK();
   }
 
-  // Attempts to answer an eligible variable-length chain for one row with
-  // the CSR closure kernel. Returns true when the row was handled
-  // (its result rows, possibly none, were appended to `out`); false falls
-  // back to path enumeration — used whenever the runtime binding shape is
-  // not the "exactly one endpoint bound, target unbound and named" form
-  // the kernel answers.
-  Result<bool> TryCsrClosure(const BoundChain& chain, Row* row,
+  // Answers an eligible variable-length chain (`pattern`, bound as
+  // `chain`) for one row on the CSR closure kernel, appending its result
+  // rows (possibly none) to `out` and returning true; false leaves the row
+  // to path enumeration (ClosureSeed finds no endpoint to seed from).
+  Result<bool> TryCsrClosure(const BoundChain& chain,
+                             const PatternChain& pattern, Row* row,
                              std::vector<Row>* out) {
-    const BoundNodePattern& a = chain.nodes[0];
-    const BoundNodePattern& b = chain.nodes[1];
-    const BoundRelPattern& rel = chain.rels[0];
-    if (rel.impossible || a.impossible || b.impossible) return false;
-
-    // -1 = unbound slot, kInvalidNode-as-weird handled via the bool.
-    auto slot_node = [&](const BoundNodePattern& p, bool* weird) -> NodeId {
-      if (p.slot < 0 || p.slot >= static_cast<int>(row->size())) {
-        return graph::kInvalidNode;
+    NodeId ends[2];
+    for (size_t i = 0; i < 2; ++i) {
+      const int slot = chain.nodes[i].slot;
+      ends[i] = BoundNodeOf(*row, slot);
+      // A non-node binding is left to the enumerator to report.
+      if (ends[i] == graph::kInvalidNode && slot >= 0 &&
+          !(*row)[slot].is_null()) {
+        return false;
       }
-      const ResultValue& v = (*row)[p.slot];
-      if (v.is_null()) return graph::kInvalidNode;
-      if (v.kind != ResultValue::Kind::kNode) *weird = true;
-      return v.node;
-    };
-    bool weird = false;
-    NodeId from = slot_node(a, &weird);
-    NodeId to = slot_node(b, &weird);
-    if (weird) return false;  // non-node binding: let the slow path decide
-
-    bool reversed;
-    if (from != graph::kInvalidNode && to == graph::kInvalidNode) {
-      reversed = false;
-    } else if (to != graph::kInvalidNode && from == graph::kInvalidNode) {
-      reversed = true;
-    } else {
-      return false;  // both or neither endpoint bound
     }
-    const BoundNodePattern& anchor = reversed ? b : a;
-    const BoundNodePattern& target = reversed ? a : b;
-    if (target.slot < 0) return false;  // anonymous target
-    NodeId seed = reversed ? to : from;
+    const std::optional<size_t> seed_end =
+        ClosureSeed(pattern, ends[0] != graph::kInvalidNode,
+                    ends[1] != graph::kInvalidNode);
+    if (!seed_end.has_value()) return false;
+    const bool reversed = *seed_end == 1;
+    const BoundNodePattern& anchor = chain.nodes[*seed_end];
+    const BoundNodePattern& target = chain.nodes[1 - *seed_end];
+    const BoundRelPattern& rel = chain.rels[0];
+    if (rel.impossible || anchor.impossible || target.impossible) return false;
+    const NodeId seed = ends[*seed_end];
 
     FRAPPE_RETURN_IF_ERROR(Tick());
     if (!NodeSatisfies(anchor, seed)) return true;  // handled: no rows
@@ -733,7 +711,7 @@ class Engine {
 
   // The view's condensation for a condensable `rel`, when one is built.
   const graph::Condensation* BuiltCondensation(const BoundRelPattern& rel) {
-    if (!UseReachKernel() || !Condensable(rel)) return nullptr;
+    if (!UseReachKernel(db_, options_) || !Condensable(rel)) return nullptr;
     return graph::analytics::FindCondensation(db_.csr->Get(*db_.view),
                                               TypesOf(rel));
   }
@@ -787,7 +765,7 @@ class Engine {
     // by anchor, so each anchor's closure runs once; rows keep their
     // order. A predicate without one skips the pre-scan entirely.
     std::vector<size_t> order;
-    if (UseReachKernel()) {
+    if (UseReachKernel(db_, options_)) {
       std::vector<const PatternChain*> patterns;
       CollectReachabilityPatterns(*clause.predicate, &patterns);
       if (!patterns.empty()) {
@@ -809,10 +787,6 @@ class Engine {
     return Status::OK();
   }
 
-  bool UseReachKernel() const {
-    return options_.use_csr_fast_path && db_.csr != nullptr;
-  }
-
   // The WHERE pre-scan. A condensable pattern with a row to probe runs
   // on its condensation, built here when the view has none (see
   // BuildCondensation), and needs nothing more. For each pattern left to
@@ -825,7 +799,7 @@ class Engine {
                          std::vector<size_t>* order) {
     for (const PatternChain* chain : patterns) {
       FRAPPE_ASSIGN_OR_RETURN(PatternProbe * probe, ProbeFor(*chain));
-      if (!IsReachKernelShape(probe->chain)) continue;
+      if (!probe->reach) continue;
       const int from_slot = probe->chain.nodes[0].slot;
       const int to_slot = probe->chain.nodes[1].slot;
       std::vector<std::pair<NodeId, NodeId>> pairs;  // (from, to) per row
@@ -1164,6 +1138,26 @@ class Engine {
     return graph::Value::Null();
   }
 
+  // Resolves a pattern's property map into `bound->props`; a key or a
+  // string the graph lacks makes the pattern impossible.
+  template <typename Bound>
+  Status BindProps(const std::vector<PropConstraint>& props, Bound* bound) {
+    for (const PropConstraint& prop : props) {
+      std::optional<KeyId> key = db_.resolve_property
+                                     ? db_.resolve_property(prop.key)
+                                     : std::nullopt;
+      bool impossible = !key.has_value();
+      FRAPPE_ASSIGN_OR_RETURN(graph::Value value,
+                              LiteralToValue(prop.value, &impossible));
+      if (impossible) {
+        bound->impossible = true;
+      } else {
+        bound->props.emplace_back(*key, value);
+      }
+    }
+    return Status::OK();
+  }
+
   Result<BoundNodePattern> BindNode(const NodePattern& pattern) {
     BoundNodePattern bound;
     if (!pattern.var.empty()) bound.slot = SlotOf(pattern.var);
@@ -1189,23 +1183,8 @@ class Engine {
       }
       if (bound.types.empty()) bound.impossible = true;
     }
-    for (const PropConstraint& prop : pattern.props) {
-      std::optional<KeyId> key = db_.resolve_property
-                                     ? db_.resolve_property(prop.key)
-                                     : std::nullopt;
-      if (!key.has_value()) {
-        bound.impossible = true;
-        continue;
-      }
-      bool impossible = false;
-      FRAPPE_ASSIGN_OR_RETURN(graph::Value value,
-                              LiteralToValue(prop.value, &impossible));
-      if (impossible) {
-        bound.impossible = true;
-        continue;
-      }
-      bound.props.emplace_back(*key, value);
-    }
+    FRAPPE_RETURN_IF_ERROR(BindProps(pattern.props, &bound));
+    bound.anchor = AnchorFor(db_, pattern);
     return bound;
   }
 
@@ -1226,23 +1205,7 @@ class Engine {
       }
       if (bound.types.empty()) bound.impossible = true;
     }
-    for (const PropConstraint& prop : pattern.props) {
-      std::optional<KeyId> key = db_.resolve_property
-                                     ? db_.resolve_property(prop.key)
-                                     : std::nullopt;
-      if (!key.has_value()) {
-        bound.impossible = true;
-        continue;
-      }
-      bool impossible = false;
-      FRAPPE_ASSIGN_OR_RETURN(graph::Value value,
-                              LiteralToValue(prop.value, &impossible));
-      if (impossible) {
-        bound.impossible = true;
-        continue;
-      }
-      bound.props.emplace_back(*key, value);
-    }
+    FRAPPE_RETURN_IF_ERROR(BindProps(pattern.props, &bound));
     return bound;
   }
 
@@ -1294,35 +1257,6 @@ class Engine {
     return true;
   }
 
-  // If one of the pattern's property constraints is backed by the auto
-  // name index (a string-valued indexed key), returns the exact candidate
-  // set instead of scanning — Neo4j 2.x's index-backed MATCH.
-  std::optional<std::vector<NodeId>> IndexCandidates(
-      const BoundNodePattern& pattern) const {
-    if (db_.name_index == nullptr || pattern.impossible) return std::nullopt;
-    for (const auto& [key, value] : pattern.props) {
-      if (value.type() != graph::ValueType::kString) continue;
-      for (const auto& spec : db_.name_index->fields()) {
-        if (!spec.is_type_field && spec.key == key) {
-          return db_.name_index->Lookup(
-              spec.name, db_.view->strings().Resolve(value.AsString()));
-        }
-      }
-    }
-    return std::nullopt;
-  }
-
-  bool HasIndexableProp(const BoundNodePattern& pattern) const {
-    if (db_.name_index == nullptr) return false;
-    for (const auto& [key, value] : pattern.props) {
-      if (value.type() != graph::ValueType::kString) continue;
-      for (const auto& spec : db_.name_index->fields()) {
-        if (!spec.is_type_field && spec.key == key) return true;
-      }
-    }
-    return false;
-  }
-
   using RowSink = std::function<Status(const Row&)>;
 
   Status MatchChainList(const std::vector<BoundChain>& chains, size_t index,
@@ -1341,33 +1275,13 @@ class Engine {
   Status MatchChain(const BoundChain& chain, Row* row,
                     std::unordered_set<EdgeId>* used, const ChainSink& sink) {
     if (chain.shortest) return MatchShortestPath(chain, row, sink);
-    // Pick the cheapest anchor node:
-    // bound var < index-backed property < labeled < full scan.
-    size_t pivot = 0;
-    int best_score = 100;
-    for (size_t i = 0; i < chain.nodes.size(); ++i) {
+    const size_t pivot = PickAnchor(chain.nodes.size(), [&](size_t i) {
       const BoundNodePattern& p = chain.nodes[i];
-      int score = 3;
-      if (p.slot >= 0 && !(*row)[p.slot].is_null()) {
-        score = 0;
-      } else if (HasIndexableProp(p)) {
-        score = 1;
-      } else if (!p.any_type) {
-        score = 2;
-      }
-      if (score < best_score) {
-        best_score = score;
-        pivot = i;
-      }
-    }
-    // Build the expansion order: rightward from the pivot, then leftward.
-    std::vector<MatchStep> steps;
-    for (size_t i = pivot; i + 1 < chain.nodes.size(); ++i) {
-      steps.push_back(MatchStep{i, i + 1, i, /*flipped=*/false});
-    }
-    for (size_t i = pivot; i > 0; --i) {
-      steps.push_back(MatchStep{i, i - 1, i - 1, /*flipped=*/true});
-    }
+      return p.slot >= 0 && !(*row)[p.slot].is_null() ? AnchorTier::kBound
+                                                       : p.anchor.tier;
+    });
+    const std::vector<ExpandStep> steps =
+        ExpansionOrder(chain.nodes.size(), pivot);
 
     std::vector<NodeId> binding(chain.nodes.size(), graph::kInvalidNode);
     const BoundNodePattern& anchor = chain.nodes[pivot];
@@ -1382,7 +1296,8 @@ class Engine {
       return BindAndStep(chain, steps, 0, pivot, v.node, &binding, row, used,
                          sink);
     }
-    // Enumerate candidates: label index when available, full scan otherwise.
+    // Enumerate candidates: the index seek, else the label index when
+    // available, else a full scan.
     Status status = Status::OK();
     auto try_candidate = [&](NodeId node) -> bool {
       status = Tick();
@@ -1392,8 +1307,9 @@ class Engine {
                            sink);
       return status.ok();
     };
-    if (std::optional<std::vector<NodeId>> seek = IndexCandidates(anchor)) {
-      for (NodeId node : *seek) {
+    if (anchor.anchor.field != nullptr && !anchor.impossible) {
+      for (NodeId node : db_.name_index->Lookup(anchor.anchor.field->name,
+                                                anchor.anchor.value)) {
         if (!try_candidate(node)) return status;
       }
     } else if (!anchor.any_type && db_.label_index != nullptr) {
@@ -1419,15 +1335,8 @@ class Engine {
     const BoundNodePattern& b = chain.nodes[1];
     const BoundRelPattern& rel = chain.rels[0];
     if (rel.impossible || a.impossible || b.impossible) return Status::OK();
-    auto bound_node = [&](const BoundNodePattern& p) -> NodeId {
-      if (p.slot >= 0 && p.slot < static_cast<int>(row->size()) &&
-          (*row)[p.slot].kind == ResultValue::Kind::kNode) {
-        return (*row)[p.slot].node;
-      }
-      return graph::kInvalidNode;
-    };
-    NodeId from = bound_node(a);
-    NodeId to = bound_node(b);
+    NodeId from = BoundNodeOf(*row, a.slot);
+    NodeId to = BoundNodeOf(*row, b.slot);
     if (from == graph::kInvalidNode || to == graph::kInvalidNode) {
       return Status::InvalidArgument(
           "shortestPath requires both endpoints to be bound");
@@ -1466,7 +1375,7 @@ class Engine {
   // Binds chain node `node_idx` to `node` (checking row consistency), then
   // runs match step `step_idx`.
   Status BindAndStep(const BoundChain& chain,
-                     const std::vector<MatchStep>& steps, size_t step_idx,
+                     const std::vector<ExpandStep>& steps, size_t step_idx,
                      size_t node_idx, NodeId node,
                      std::vector<NodeId>* binding, Row* row,
                      std::unordered_set<EdgeId>* used, const ChainSink& sink) {
@@ -1495,15 +1404,15 @@ class Engine {
     return status;
   }
 
-  Status RunStep(const BoundChain& chain, const std::vector<MatchStep>& steps,
+  Status RunStep(const BoundChain& chain, const std::vector<ExpandStep>& steps,
                  size_t step_idx, std::vector<NodeId>* binding, Row* row,
                  std::unordered_set<EdgeId>* used, const ChainSink& sink) {
     if (step_idx == steps.size()) return sink(row);
-    const MatchStep& step = steps[step_idx];
+    const ExpandStep& step = steps[step_idx];
     const BoundRelPattern& rel = chain.rels[step.rel];
     if (rel.impossible) return Status::OK();
     NodeId from = (*binding)[step.from_node];
-    Direction dir = step.flipped ? Flip(rel.direction) : rel.direction;
+    Direction dir = step.reversed ? Flip(rel.direction) : rel.direction;
 
     if (!rel.var_length) {
       Status status = Status::OK();
@@ -1638,23 +1547,12 @@ class Engine {
     if (it == pattern_probes_.end()) {
       FRAPPE_ASSIGN_OR_RETURN(BoundChain bound, BindChain(chain));
       it = pattern_probes_.emplace(&chain, PatternProbe{}).first;
-      if (IsReachKernelShape(bound)) {
-        it->second.condensation = BuiltCondensation(bound.rels[0]);
-      }
-      it->second.chain = std::move(bound);
+      PatternProbe& probe = it->second;
+      probe.reach = IsReachabilityPattern(chain) && !bound.rels[0].impossible;
+      if (probe.reach) probe.condensation = BuiltCondensation(bound.rels[0]);
+      probe.chain = std::move(bound);
     }
     return &it->second;
-  }
-
-  // Bound form of the CollectReachabilityPatterns shape: a pattern that
-  // asks only "is there a path" once both endpoints are bound. (Any BFS
-  // path is also edge-distinct, so reachability is sound under
-  // relationship-isomorphism semantics.)
-  static bool IsReachKernelShape(const BoundChain& chain) {
-    if (chain.rels.size() != 1) return false;
-    const BoundRelPattern& rel = chain.rels[0];
-    return rel.var_length && rel.slot < 0 && rel.props.empty() &&
-           !rel.impossible && rel.min_length <= 1;
   }
 
   static NodeId BoundNodeOf(const Row& row, int slot) {
@@ -1670,14 +1568,16 @@ class Engine {
     const BoundChain& bound = probe->chain;
     // Reachability short-circuit: answer `bound -[:t*]-> bound` without
     // path enumeration.
-    if (IsReachKernelShape(bound)) {
+    if (probe->reach) {
       const BoundNodePattern& a = bound.nodes[0];
       const BoundNodePattern& b = bound.nodes[1];
       NodeId from = BoundNodeOf(row, a.slot);
       NodeId to = BoundNodeOf(row, b.slot);
       if (from != graph::kInvalidNode && to != graph::kInvalidNode &&
           NodeSatisfies(a, from) && NodeSatisfies(b, to)) {
-        if (UseReachKernel()) return ProbeReach(probe, from, to);
+        if (UseReachKernel(db_, options_)) {
+          return ProbeReach(probe, from, to);
+        }
         return ProbeReachPerRow(bound.rels[0], from, to);
       }
     }

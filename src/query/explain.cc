@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "query/fast_path.h"
-#include "query/parser.h"
 
 namespace frappe::query {
 
@@ -104,27 +103,13 @@ std::string DescribeChain(const PatternChain& chain) {
 
 // Estimated start-candidate count for an unbound node pattern.
 std::string AnchorEstimate(const Database& db, const NodePattern& node) {
-  // Index-backed property seek wins over any scan (mirrors the executor).
-  if (db.name_index != nullptr) {
-    for (const PropConstraint& prop : node.props) {
-      if (prop.value.kind != Literal::Kind::kString) continue;
-      for (const auto& spec : db.name_index->fields()) {
-        if (spec.is_type_field) continue;
-        std::string lowered;
-        for (char c : prop.key) {
-          lowered += static_cast<char>(std::tolower(
-              static_cast<unsigned char>(c)));
-        }
-        if (spec.name == lowered) {
-          size_t hits =
-              db.name_index->Lookup(spec.name, prop.value.string_value)
-                  .size();
-          return "NodeIndexSeek(" + spec.name + " = '" +
-                 prop.value.string_value + "') (~" + std::to_string(hits) +
-                 " candidates)";
-        }
-      }
-    }
+  const UnboundAnchor anchor = AnchorFor(db, node);
+  if (anchor.tier == AnchorTier::kIndexed) {
+    size_t hits =
+        db.name_index->Lookup(anchor.field->name, anchor.value).size();
+    return "NodeIndexSeek(" + anchor.field->name + " = '" +
+           std::string(anchor.value) + "') (~" + std::to_string(hits) +
+           " candidates)";
   }
   if (node.labels.empty()) {
     return "AllNodesScan (~" + std::to_string(db.view->NodeCount()) +
@@ -185,7 +170,8 @@ std::string DescribeExpr(const Expr& expr) {
 }
 
 Result<std::vector<PlanStep>> BuildPlan(const Database& db,
-                                        const Query& query) {
+                                        const Query& query,
+                                        const ExecOptions& options) {
   if (db.view == nullptr) {
     return Status::InvalidArgument("database has no graph view");
   }
@@ -200,6 +186,9 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
     step.primary = first_in_clause;
     first_in_clause = false;
     out.push_back(std::move(step));
+  };
+  auto is_bound = [&](const NodePattern& node) {
+    return !node.var.empty() && bound.count(node.var) != 0;
   };
 
   for (size_t clause_index = 0; clause_index < query.clauses.size();
@@ -231,53 +220,31 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
           line("ShortestPath " + DescribeChain(chain) +
                " (bidirectional BFS between bound endpoints)");
         } else {
-          // Mirror the executor's anchor choice: bound < labeled < scan.
-          size_t pivot = 0;
-          int best = 100;
-          for (size_t i = 0; i < chain.nodes.size(); ++i) {
+          const size_t pivot = PickAnchor(chain.nodes.size(), [&](size_t i) {
             const NodePattern& node = chain.nodes[i];
-            int score = 2;
-            if (!node.var.empty() && bound.count(node.var)) {
-              score = 0;
-            } else if (!node.labels.empty()) {
-              score = 1;
-            }
-            if (score < best) {
-              best = score;
-              pivot = i;
-            }
-          }
-          std::string anchor_desc;
+            return is_bound(node) ? AnchorTier::kBound
+                                  : AnchorFor(db, node).tier;
+          });
           const NodePattern& anchor = chain.nodes[pivot];
-          if (best == 0) {
-            anchor_desc = "anchored on bound '" + anchor.var + "'";
-          } else {
-            anchor_desc = "anchored by " + AnchorEstimate(db, anchor);
-          }
-          // Mirror the executor's runtime dispatch: an eligible chain whose
-          // anchor is the one bound endpoint runs on the closure kernel
-          // instead of enumerating paths.
-          bool csr_fast_path =
-              match->chains.size() == 1 && chain.nodes.size() == 2 &&
-              best == 0 &&
-              !chain.nodes[1 - pivot].var.empty() &&
-              bound.count(chain.nodes[1 - pivot].var) == 0 &&
-              ChainEligibleForCsrClosure(query, clause_index, chain)
-                  .eligible;
+          const std::string anchor_desc =
+              is_bound(anchor) ? "anchored on bound '" + anchor.var + "'"
+                               : "anchored by " + AnchorEstimate(db, anchor);
+          const bool closure =
+              MatchTriesCsrClosure(db, options, query, clause_index) &&
+              ClosureSeed(chain, is_bound(chain.nodes[0]),
+                          is_bound(chain.nodes[1]))
+                  .has_value();
           std::string expansion;
-          const char* var_length_note =
-              csr_fast_path
-                  ? " [CSR closure fast path: frontier traversal]"
-                  : " [path enumeration]";
-          for (size_t i = pivot; i + 1 < chain.nodes.size(); ++i) {
-            expansion += " Expand" + DescribeRelPattern(chain.rels[i]);
-            if (chain.rels[i].var_length) expansion += var_length_note;
-          }
-          for (size_t i = pivot; i > 0; --i) {
-            expansion += " Expand(reversed)" +
-                         DescribeRelPattern(chain.rels[i - 1]);
-            if (chain.rels[i - 1].var_length) {
-              expansion += var_length_note;
+          for (const ExpandStep& step :
+               ExpansionOrder(chain.nodes.size(), pivot)) {
+            const RelPattern& rel = chain.rels[step.rel];
+            expansion += std::string(step.reversed ? " Expand(reversed)"
+                                                   : " Expand") +
+                         DescribeRelPattern(rel);
+            if (rel.var_length) {
+              expansion += closure
+                               ? " [CSR closure fast path: frontier traversal]"
+                               : " [path enumeration]";
             }
           }
           line("Match " + DescribeChain(chain) + " — " + anchor_desc +
@@ -291,13 +258,12 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
         }
       }
     } else if (const auto* where = std::get_if<WhereClause>(&clause)) {
-      // Mirror the executor: a reachability pattern over two bound
-      // endpoints runs on the closure kernel, one closure per anchor.
       std::vector<const PatternChain*> reach;
       CollectReachabilityPatterns(*where->predicate, &reach);
-      bool reach_kernel =
+      const bool reach_kernel =
+          UseReachKernel(db, options) &&
           std::any_of(reach.begin(), reach.end(), [&](const PatternChain* c) {
-            return bound.count(c->nodes[0].var) && bound.count(c->nodes[1].var);
+            return is_bound(c->nodes[0]) && is_bound(c->nodes[1]);
           });
       line("Filter " + DescribeExpr(*where->predicate) +
            (reach_kernel ? " [reachability kernel]" : ""));
@@ -405,20 +371,19 @@ std::string RenderPlan(const std::vector<PlanStep>& steps,
   return out;
 }
 
-Result<std::string> Explain(const Database& db, const Query& query) {
-  FRAPPE_ASSIGN_OR_RETURN(std::vector<PlanStep> steps, BuildPlan(db, query));
+Result<std::string> Explain(const Database& db, const Query& query,
+                            const ExecOptions& options) {
+  FRAPPE_ASSIGN_OR_RETURN(std::vector<PlanStep> steps,
+                          BuildPlan(db, query, options));
   return RenderPlan(steps, nullptr);
 }
 
 Result<std::string> ProfilePlan(const Database& db, const Query& query,
+                                const ExecOptions& options,
                                 const ExecStats& stats) {
-  FRAPPE_ASSIGN_OR_RETURN(std::vector<PlanStep> steps, BuildPlan(db, query));
+  FRAPPE_ASSIGN_OR_RETURN(std::vector<PlanStep> steps,
+                          BuildPlan(db, query, options));
   return RenderPlan(steps, &stats);
-}
-
-Result<std::string> ExplainText(const Database& db, std::string_view text) {
-  FRAPPE_ASSIGN_OR_RETURN(Query query, Parse(text));
-  return Explain(db, query);
 }
 
 }  // namespace frappe::query

@@ -23,9 +23,20 @@ struct PlanStep {
   bool primary = false;
 };
 
-// Builds the operator tree for `query` against `db`'s indexes.
+// Builds the operator tree for `query` as the executor runs it against
+// `db` under `options`.
+//
+// Contract: the plan shows what the executor does for rows whose bound
+// variables hold nodes. Every choice it prints (a chain's anchor and
+// expansion order, the index seek, whether a MATCH runs on the closure
+// kernel and a Filter on the reachability kernel) comes from the function
+// the executor calls for it (query/fast_path.h). "Bound" is static here:
+// the variables of the clauses before, reset by each WITH to its aliases.
+// At run time it is per row, so a row whose earlier binding is null (or
+// not a node) may anchor elsewhere than the plan says.
 Result<std::vector<PlanStep>> BuildPlan(const Database& db,
-                                        const Query& query);
+                                        const Query& query,
+                                        const ExecOptions& options);
 
 // Renders steps as numbered lines ("1. <operator>\n"). With `stats`
 // (PROFILE), each clause's primary step gains " // rows=... db_hits=...
@@ -37,24 +48,24 @@ Result<std::vector<PlanStep>> BuildPlan(const Database& db,
 std::string RenderPlan(const std::vector<PlanStep>& steps,
                        const ExecStats* stats);
 
-// Renders the execution plan the engine will follow for `query`: start
-// operators (index seek / id seek / all-nodes scan), the anchor and
-// expansion order chosen for each MATCH chain (with label/scan estimates
-// from the database's indexes), filter predicates, and the
-// projection/aggregation/ordering pipeline.
+// Renders the execution plan the engine will follow for `query` under
+// `options`: start operators (index seek / id seek / all-nodes scan), the
+// anchor and expansion order chosen for each MATCH chain (with index,
+// label and scan estimates from the database's indexes), filter
+// predicates, and the projection/aggregation/ordering pipeline.
 //
 // This is the EXPLAIN the paper wished for when diagnosing "suboptimal
 // graph explorations being chosen by the Cypher query language"
 // (Section 6.1): it makes the exploration order visible before paying for
 // it.
-Result<std::string> Explain(const Database& db, const Query& query);
+Result<std::string> Explain(const Database& db, const Query& query,
+                            const ExecOptions& options);
 
-// Parses and explains in one step.
-Result<std::string> ExplainText(const Database& db, std::string_view text);
-
-// PROFILE rendering: the EXPLAIN operator tree annotated with the stats a
-// real execution produced (QueryResult::stats with operators populated).
+// PROFILE rendering: the EXPLAIN operator tree under the same `options`,
+// annotated with the stats the execution produced (QueryResult::stats with
+// operators populated).
 Result<std::string> ProfilePlan(const Database& db, const Query& query,
+                                const ExecOptions& options,
                                 const ExecStats& stats);
 
 // Renders an expression back to FQL-ish text (used by Explain and handy

@@ -52,6 +52,8 @@ ProjectionKind ClassifyProjection(const std::vector<ProjectionItem>& items,
                              : ProjectionKind::kObserving;
 }
 
+}  // namespace
+
 bool IsReachabilityPattern(const PatternChain& chain) {
   if (chain.nodes.size() != 2 || chain.rels.size() != 1) return false;
   const RelPattern& rel = chain.rels[0];
@@ -60,7 +62,40 @@ bool IsReachabilityPattern(const PatternChain& chain) {
          !chain.nodes[1].var.empty();
 }
 
-}  // namespace
+UnboundAnchor AnchorFor(const Database& db, const NodePattern& node) {
+  UnboundAnchor out;
+  if (db.name_index != nullptr && db.resolve_property) {
+    for (const PropConstraint& prop : node.props) {
+      if (prop.value.kind != Literal::Kind::kString ||
+          !db.view->strings().Find(prop.value.string_value).has_value()) {
+        continue;
+      }
+      std::optional<graph::KeyId> key = db.resolve_property(prop.key);
+      if (!key.has_value()) continue;
+      for (const auto& spec : db.name_index->fields()) {
+        if (!spec.is_type_field && spec.key == *key) {
+          out.tier = AnchorTier::kIndexed;
+          out.field = &spec;
+          out.value = prop.value.string_value;
+          return out;
+        }
+      }
+    }
+  }
+  out.tier = node.labels.empty() ? AnchorTier::kScan : AnchorTier::kLabeled;
+  return out;
+}
+
+std::vector<ExpandStep> ExpansionOrder(size_t node_count, size_t anchor) {
+  std::vector<ExpandStep> steps;
+  for (size_t i = anchor; i + 1 < node_count; ++i) {
+    steps.push_back(ExpandStep{i, i + 1, i, /*reversed=*/false});
+  }
+  for (size_t i = anchor; i > 0; --i) {
+    steps.push_back(ExpandStep{i, i - 1, i - 1, /*reversed=*/true});
+  }
+  return steps;
+}
 
 FastPathDecision ChainEligibleForCsrClosure(const Query& query,
                                             size_t clause_index,
@@ -128,6 +163,22 @@ void CollectReachabilityPatterns(const Expr& predicate,
   } else if (const auto* negation = std::get_if<NotExpr>(&predicate.node)) {
     CollectReachabilityPatterns(*negation->inner, out);
   }
+}
+
+bool MatchTriesCsrClosure(const Database& db, const ExecOptions& options,
+                          const Query& query, size_t clause_index) {
+  const std::vector<PatternChain>& chains =
+      std::get<MatchClause>(query.clauses[clause_index]).chains;
+  return UseReachKernel(db, options) && chains.size() == 1 &&
+         ChainEligibleForCsrClosure(query, clause_index, chains[0]).eligible;
+}
+
+std::optional<size_t> ClosureSeed(const PatternChain& chain, bool bound0,
+                                  bool bound1) {
+  if (bound0 == bound1 || chain.nodes[bound0 ? 1 : 0].var.empty()) {
+    return std::nullopt;
+  }
+  return bound0 ? 0 : 1;
 }
 
 }  // namespace frappe::query

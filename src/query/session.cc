@@ -190,7 +190,8 @@ Result<QueryResult> Session::Run(std::string_view query_text,
 }
 
 Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
-                             const ExecOptions& options) {
+                             const ExecOptions& options,
+                             uint64_t* fingerprint) {
   FRAPPE_TRACE_SPAN("session.run");
   static obs::Counter& queries =
       obs::Registry::Global().GetCounter("session.queries");
@@ -229,6 +230,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
     std::vector<Token> tokens;
     const Status lexed = Lex(query_text, &tokens);
     normalized = NormalizeTokens(query_text, tokens);
+    if (fingerprint != nullptr) *fingerprint = normalized.fingerprint;
     // Active-query registry: this query is visible on /debug/queryz (and
     // cancellable) for the whole call; the RAII handle removes the entry
     // on every exit path — parse failure, EXPLAIN, success, or abort.
@@ -254,7 +256,7 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
     FRAPPE_TRACE_SPAN("session.plan");
     const uint64_t plan_start = obs::Trace::NowMicros();
     QueryResult result;
-    FRAPPE_ASSIGN_OR_RETURN(result.plan, Explain(db, query));
+    FRAPPE_ASSIGN_OR_RETURN(result.plan, Explain(db, query, options));
     timeline.plan_us = obs::Trace::NowMicros() - plan_start;
     result.stats.timeline = timeline;
     return result;
@@ -286,8 +288,8 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   if (result.ok() && query.mode == QueryMode::kProfile) {
     FRAPPE_TRACE_SPAN("session.plan");
     const uint64_t plan_start = obs::Trace::NowMicros();
-    FRAPPE_ASSIGN_OR_RETURN(result->plan,
-                            ProfilePlan(db, query, result->stats));
+    FRAPPE_ASSIGN_OR_RETURN(
+        result->plan, ProfilePlan(db, query, exec_options, result->stats));
     timeline.plan_us = obs::Trace::NowMicros() - plan_start;
   }
 
@@ -328,7 +330,8 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
                           normalized.text + "\n";
     if (result.ok() && !result->plan.empty()) {
       message += result->plan;
-    } else if (Result<std::string> plan = Explain(db, query); plan.ok()) {
+    } else if (Result<std::string> plan = Explain(db, query, exec_options);
+               plan.ok()) {
       message += *plan;
     }
     if (!result.ok()) {

@@ -20,9 +20,12 @@ namespace frappe::query {
 // Parses and executes `query_text` against a wired Database: EXPLAIN
 // returns the plan without executing, PROFILE annotates it with operator
 // stats, and the FRAPPE_SLOW_QUERY_MS slow-query log applies. Session and
-// SnapshotSession both run queries through this.
+// SnapshotSession both run queries through this. When `fingerprint` is
+// given it receives the query's workload fingerprint (the key of its
+// /stats row) on every path, parse and execution failures included.
 Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
-                             const ExecOptions& options = {});
+                             const ExecOptions& options = {},
+                             uint64_t* fingerprint = nullptr);
 
 // End-to-end query session over a Frappé code graph: owns the auto name
 // index and label index, wires schema-aware label/property resolution

@@ -459,9 +459,11 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
   // land in the per-request sink, and the session reads the trace id and
   // queue wait for its own telemetry (query log, /stats, slow-query ring).
   query::Timeline timeline;
+  uint64_t fingerprint = 0;
   Result<query::QueryResult> result = [&] {
     obs::TraceScope scope(item.trace, item.sink.get(), queue_wait_us);
-    return query::RunQuery(epoch->db, request.body, exec_options);
+    return query::RunQuery(epoch->db, request.body, exec_options,
+                           &fingerprint);
   }();
   if (result.ok()) {
     timeline = result->stats.timeline;
@@ -509,8 +511,7 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
     stored.reason = std::move(reason);
     stored.status =
         result.ok() ? "ok" : StatusCodeName(result.status().code());
-    stored.fingerprint = obs::FingerprintHex(
-        query::NormalizeQuery(request.body).fingerprint);
+    stored.fingerprint = obs::FingerprintHex(fingerprint);
     stored.ts_us = obs::Trace::UnixMicros();
     stored.latency_ms = latency_ms;
     stored.dropped_spans = item.sink->dropped();

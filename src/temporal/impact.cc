@@ -33,27 +33,11 @@ Result<ImpactReport> ChangeImpact(const VersionStore& store,
     graph::Edge edge = store.raw_store().GetEdge(e);
     consider(edge.src);
   }
+  // A removed function's incident edges end with it, so each of its
+  // callers is the source of a removed edge above.
   for (graph::EdgeId e : diff.removed_edges) {
     graph::Edge edge = store.raw_store().GetEdge(e);
     consider(edge.src);
-  }
-  // A removed function impacts its (still existing) callers too: seed the
-  // slice from its callers at `from` that survive at `to`.
-  std::vector<NodeId> seeds(changed.begin(), changed.end());
-  FRAPPE_ASSIGN_OR_RETURN(std::unique_ptr<VersionView> old_view,
-                          store.ViewAt(from));
-  for (NodeId removed : diff.removed_nodes) {
-    if (store.raw_store().NodeType(removed) != fn_type) continue;
-    old_view->ForEachEdge(
-        removed, graph::Direction::kIn, [&](graph::EdgeId e, NodeId from_n) {
-          if (schema.edge_kind(old_view->GetEdge(e).type) ==
-                  model::EdgeKind::kCalls &&
-              view->NodeExists(from_n)) {
-            seeds.push_back(from_n);
-            changed.insert(from_n);
-          }
-          return true;
-        });
   }
 
   ImpactReport report;
@@ -64,7 +48,7 @@ Result<ImpactReport> ChangeImpact(const VersionStore& store,
   // Forward slice at `to`: transitive callers of every changed function,
   // restricted to nodes that exist at `to`.
   std::vector<NodeId> live_seeds;
-  for (NodeId id : seeds) {
+  for (NodeId id : report.changed_functions) {
     if (view->NodeExists(id)) live_seeds.push_back(id);
   }
   // One kernel closure, not analysis::ImpactSet: `view` lives for this

@@ -182,6 +182,17 @@ TEST_F(StatsServerTest, MetricsServesPrometheusExposition) {
   std::fclose(f);
 }
 
+// The in-flight query count exports once, from the registry's gauge, and
+// before any query has run.
+TEST_F(StatsServerTest, ActiveQueriesExportAsTheRegistryGauge) {
+  std::string body = Body(HttpGet(server_->port(), "/metrics"));
+  EXPECT_NE(body.find("# TYPE frappe_query_active gauge\n"
+                      "frappe_query_active "),
+            std::string::npos)
+      << body;
+  EXPECT_EQ(body.find("frappe_active_queries"), std::string::npos) << body;
+}
+
 TEST_F(StatsServerTest, StatsServesFingerprintTableJson) {
   query::testing::PaperFixture fixture;
   query::Session session(fixture.graph);

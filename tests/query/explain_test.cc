@@ -16,9 +16,17 @@ class ExplainTest : public ::testing::Test {
   ExplainTest() : session_(fixture_.graph) {}
 
   std::string Plan(std::string_view text) {
-    auto result = ExplainText(session_.database(), text);
+    auto result = session_.Run("EXPLAIN " + std::string(text));
     EXPECT_TRUE(result.ok()) << result.status();
-    return result.ok() ? *result : std::string();
+    return result.ok() ? result->plan : std::string();
+  }
+
+  // The plan line that starts with `op` ("Match", "Filter", ...); "" when
+  // there is none.
+  static std::string Line(const std::string& plan, std::string_view op) {
+    size_t at = plan.find(". " + std::string(op) + " ");
+    if (at == std::string::npos) return "";
+    return plan.substr(at, plan.find('\n', at) - at);
   }
 
   PaperFixture fixture_;
@@ -119,7 +127,7 @@ TEST_F(ExplainTest, ReachabilityKernelNeedsAReachabilityPattern) {
 }
 
 TEST_F(ExplainTest, ParseErrorsPropagate) {
-  auto result = ExplainText(session_.database(), "MATCH (n RETURN n");
+  auto result = session_.Run("EXPLAIN MATCH (n RETURN n");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
@@ -131,6 +139,68 @@ TEST_F(ExplainTest, IndexBackedPropertySeek) {
   EXPECT_NE(plan.find("NodeIndexSeek(short_name = 'helper_a')"),
             std::string::npos);
   EXPECT_NE(plan.find("~1 candidates"), std::string::npos);
+}
+
+// The executor anchors a chain on an index-backed node before a labeled
+// one and expands from it against the arrow; the plan says so.
+TEST_F(ExplainTest, IndexBackedNodeAnchorsTheChain) {
+  for (const char* g : {"g", "g:function"}) {
+    const std::string query = "MATCH (f:function)-[:calls]->(" +
+                               std::string(g) +
+                               " {short_name: 'sr_do_ioctl'}) RETURN f";
+    SCOPED_TRACE(query);
+    const std::string match = Line(Plan(query), "Match");
+    EXPECT_NE(match.find("anchored by NodeIndexSeek(short_name = "
+                         "'sr_do_ioctl') (~1 candidates)"),
+              std::string::npos)
+        << match;
+    EXPECT_NE(match.find("; Expand(reversed)-[:calls]->"), std::string::npos)
+        << match;
+    EXPECT_EQ(match.find("NodeByLabelScan"), std::string::npos) << match;
+  }
+}
+
+// With the CSR fast paths off, or no CSR to run them on, Fig. 6's closure
+// enumerates paths and Fig. 5's Filter walks the store per row, in
+// EXPLAIN and PROFILE alike.
+TEST_F(ExplainTest, FastPathsOffPrintTheStoreWalks) {
+  const std::string fig6 =
+      "START n=node:node_auto_index('short_name: sr_media_change') "
+      "MATCH n -[:calls*]-> m RETURN distinct m";
+  const std::string fig5 = testing::Figure5Query();
+  Database no_csr = session_.database();
+  no_csr.csr = nullptr;
+  ExecOptions off;
+  off.use_csr_fast_path = false;
+  struct Lane {
+    const char* name;
+    const Database* db;
+    ExecOptions options;
+  };
+  for (const Lane& lane : {Lane{"fast_path=0", &session_.database(), off},
+                           Lane{"no csr", &no_csr, {}}}) {
+    for (const char* mode : {"EXPLAIN ", "PROFILE "}) {
+      SCOPED_TRACE(std::string(mode) + lane.name);
+      auto closure = RunQuery(*lane.db, mode + fig6, lane.options);
+      ASSERT_TRUE(closure.ok()) << closure.status();
+      const std::string match = Line(closure->plan, "Match");
+      EXPECT_NE(match.find("Expand-[:calls*]-> [path enumeration]"),
+                std::string::npos)
+          << closure->plan;
+      EXPECT_EQ(match.find("CSR closure"), std::string::npos) << match;
+      auto filter = RunQuery(*lane.db, mode + fig5, lane.options);
+      ASSERT_TRUE(filter.ok()) << filter.status();
+      const std::string line = Line(filter->plan, "Filter");
+      ASSERT_FALSE(line.empty()) << filter->plan;
+      EXPECT_EQ(line.find("[reachability kernel"), std::string::npos)
+          << line;
+    }
+  }
+  // The defaults keep both fast paths.
+  EXPECT_NE(Line(Plan(fig6), "Match").find("[CSR closure fast path"),
+            std::string::npos);
+  EXPECT_NE(Line(Plan(fig5), "Filter").find("[reachability kernel]"),
+            std::string::npos);
 }
 
 TEST(DescribeExprTest, RendersAllNodeKinds) {

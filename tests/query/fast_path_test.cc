@@ -8,7 +8,6 @@
 
 #include "graph/analytics.h"
 #include "query/executor.h"
-#include "query/explain.h"
 #include "query/parser.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
@@ -219,9 +218,10 @@ TEST_F(FastPathTest, EligibilityRules) {
 }
 
 TEST_F(FastPathTest, ExplainReportsFastPath) {
-  auto plan = ExplainText(session_.database(), kFigure6);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_NE(plan->find("CSR closure fast path"), std::string::npos) << *plan;
+  auto explained = session_.Run(std::string("EXPLAIN ") + kFigure6);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_NE(explained->plan.find("CSR closure fast path"), std::string::npos)
+      << explained->plan;
 }
 
 TEST_F(FastPathTest, StepBudgetSurfacesThroughFastPath) {

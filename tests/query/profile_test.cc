@@ -175,17 +175,27 @@ TEST_F(ProfileTest, StatsDeterministicAcrossRuns) {
   }
 }
 
-// The PROFILE tree is the EXPLAIN tree: stripping the " // ..." stats
-// columns must recover the same bare operator tree from both renderings.
+// The PROFILE tree is the EXPLAIN tree under the same options: stripping
+// the " // ..." stats columns must recover the same bare operator tree
+// from both renderings, with the fast paths on and off.
 TEST_F(ProfileTest, ProfilePlanMatchesExplainModuloStats) {
-  for (const std::string& query : PaperQueries(fixture_)) {
-    SCOPED_TRACE(query);
-    QueryResult explained = Run("EXPLAIN " + query);
-    QueryResult profiled = Run("PROFILE " + query);
-    EXPECT_EQ(StripStats(profiled.plan), StripStats(explained.plan));
-    // Only PROFILE adds the actual-row stats columns.
-    EXPECT_EQ(explained.plan.find(" db_hits="), std::string::npos)
-        << explained.plan;
+  std::vector<std::string> queries = PaperQueries(fixture_);
+  // A chain the executor anchors on its index-backed node.
+  queries.push_back(
+      "MATCH (f:function)-[:calls]->(g {short_name: 'sr_do_ioctl'}) "
+      "RETURN count(f)");
+  for (const std::string& query : queries) {
+    for (bool fast_path : {true, false}) {
+      SCOPED_TRACE(query + (fast_path ? " [fast path]" : " [enumerate]"));
+      ExecOptions options;
+      options.use_csr_fast_path = fast_path;
+      QueryResult explained = Run("EXPLAIN " + query, options);
+      QueryResult profiled = Run("PROFILE " + query, options);
+      EXPECT_EQ(StripStats(profiled.plan), StripStats(explained.plan));
+      // Only PROFILE adds the actual-row stats columns.
+      EXPECT_EQ(explained.plan.find(" db_hits="), std::string::npos)
+          << explained.plan;
+    }
   }
 }
 

@@ -462,6 +462,37 @@ TEST_F(QueryServerGoldenTest, Figure6FastPathAndEnumerationAgree) {
   EXPECT_EQ(ColumnsAndRows(query, "/query?fast_path=0"), expected);
 }
 
+// `?fast_path=0` reaches the plan as well as the executor: Fig. 6's
+// closure enumerates paths and Fig. 5's Filter walks the store, in EXPLAIN
+// and PROFILE alike.
+TEST_F(QueryServerGoldenTest, FastPathOffPlansWhatRuns) {
+  const std::string fig6 =
+      "START n=node:node_auto_index('short_name: sr_media_change') "
+      "MATCH n -[:calls*]-> m RETURN distinct m";
+  const std::string fig5 = query::testing::Figure5Query();
+  auto plan = [&](const std::string& path, const std::string& query) {
+    std::string response = HttpFetch(server_->port(), "POST", path, query);
+    EXPECT_EQ(HttpStatusOf(response), 200) << response;
+    return std::string(HttpBodyOf(response));
+  };
+  for (const std::string mode : {"EXPLAIN ", "PROFILE "}) {
+    SCOPED_TRACE(mode);
+    std::string closure = plan("/query?fast_path=0", mode + fig6);
+    EXPECT_NE(closure.find("[path enumeration]"), std::string::npos)
+        << closure;
+    EXPECT_EQ(closure.find("CSR closure"), std::string::npos) << closure;
+    std::string filter = plan("/query?fast_path=0", mode + fig5);
+    EXPECT_NE(filter.find(". Filter "), std::string::npos) << filter;
+    EXPECT_EQ(filter.find("[reachability kernel"), std::string::npos)
+        << filter;
+    // The default keeps both fast paths.
+    EXPECT_NE(plan("/query", mode + fig6).find("[CSR closure fast path"),
+              std::string::npos);
+    EXPECT_NE(plan("/query", mode + fig5).find("[reachability kernel"),
+              std::string::npos);
+  }
+}
+
 TEST_F(QueryServerGoldenTest, Table6) {
   const std::string expected = R"json({"columns": ["n"], "rows": [
   ["(#8:struct packet_command)"]

@@ -558,7 +558,7 @@ Result<LoadedSnapshot> DeserializeV2(std::string_view data) {
     size_t payload_off = r.pos();
     std::string_view payload = data.substr(payload_off, payload_len);
     r.Seek(payload_off + payload_len);
-    uint32_t stored_crc;
+    uint32_t stored_crc = 0;
     r.U32(&stored_crc);
 
     bool payload_verified = !checksummed;

@@ -193,47 +193,4 @@ void QueryStats::ResetForTesting() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// SlowQueryRing
-
-SlowQueryRing& SlowQueryRing::Global() {
-  static SlowQueryRing* ring = new SlowQueryRing();  // never destroyed
-  return *ring;
-}
-
-void SlowQueryRing::Push(Record record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.Push(std::move(record));
-}
-
-std::vector<SlowQueryRing::Record> SlowQueryRing::SnapshotAll() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.Snapshot();
-}
-
-std::string SlowQueryRing::DumpJson() const {
-  std::vector<Record> records = SnapshotAll();
-  std::string out = "[";
-  char num[32];
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    std::snprintf(num, sizeof(num), "%.3f", r.latency_ms);
-    out += std::string(i == 0 ? "" : ",") + "\n    {\"ts_us\": " +
-           std::to_string(r.ts_us) +
-           ", \"fp\": " + JsonQuote(FingerprintHex(r.fingerprint)) +
-           ", \"trace_id\": " + JsonQuote(r.trace_id) +
-           ", \"query\": " + JsonQuote(r.normalized) +
-           ", \"latency_ms\": " + num +
-           ", \"threshold_ms\": " + std::to_string(r.threshold_ms) +
-           ", \"status\": " + JsonQuote(r.status) + "}";
-  }
-  out += records.empty() ? "]" : "\n  ]";
-  return out;
-}
-
-void SlowQueryRing::ResetForTesting() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.Clear();
-}
-
 }  // namespace frappe::obs

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/ring.h"
 
 namespace frappe::obs {
 
@@ -132,41 +131,6 @@ class QueryStats {
     std::unordered_map<uint64_t, std::unique_ptr<Entry>> entries;
   };
   Shard shards_[kTableShards];
-};
-
-// Fixed-capacity ring of the most recent slow queries (the
-// FRAPPE_SLOW_QUERY_MS hits), served by /stats so an operator sees the
-// offenders without grepping stderr. Mutex-guarded: slow queries are rare
-// by definition.
-class SlowQueryRing {
- public:
-  static constexpr size_t kCapacity = 64;
-
-  struct Record {
-    int64_t ts_us = 0;  // unix epoch microseconds
-    uint64_t fingerprint = 0;
-    std::string trace_id;  // 32-hex trace id, links to /debug/tracez
-    std::string normalized;
-    double latency_ms = 0.0;
-    int64_t threshold_ms = 0;
-    std::string status;  // "ok" or the Status code name
-  };
-
-  static SlowQueryRing& Global();
-
-  void Push(Record record);
-  // Oldest-first copy of the buffered records.
-  std::vector<Record> SnapshotAll() const;
-  // JSON array, oldest first.
-  std::string DumpJson() const;
-
-  void ResetForTesting();
-
- private:
-  SlowQueryRing() = default;
-
-  mutable std::mutex mu_;
-  Ring<Record> ring_{kCapacity};
 };
 
 }  // namespace frappe::obs

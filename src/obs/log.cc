@@ -106,9 +106,9 @@ std::string FormatLogLine(const LogEntry& entry) {
   std::tm tm_utc = {};
   gmtime_r(&secs, &tm_utc);
   char ts[40];
-  std::snprintf(ts, sizeof(ts), "%04d-%02d-%02dT%02d:%02d:%02d.%06uZ",
-                tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday,
-                tm_utc.tm_hour, tm_utc.tm_min, tm_utc.tm_sec,
+  const size_t date_len =
+      std::strftime(ts, sizeof(ts), "%Y-%m-%dT%H:%M:%S", &tm_utc);
+  std::snprintf(ts + date_len, sizeof(ts) - date_len, ".%06uZ",
                 static_cast<unsigned>(entry.ts_us % 1000000));
   std::string line = "ts=";
   line += ts;

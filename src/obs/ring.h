@@ -10,8 +10,8 @@
 namespace frappe::obs {
 
 // Fixed-capacity retention buffer behind every "recent N" view the stats
-// server serves (the slow-query ring on /stats, the log tail on
-// /debug/logz, the retained traces on /debug/tracez): a push past capacity
+// server serves (the log tail on /debug/logz, the retained traces on
+// /debug/tracez and their slow subset on /stats): a push past capacity
 // evicts the oldest entry and counts it. Iteration and Snapshot run
 // oldest first.
 //

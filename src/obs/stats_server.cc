@@ -282,7 +282,7 @@ std::string StatsServer::StatsJson(std::string_view build_sha,
                     ",\n  \"fingerprints\": " +
                     QueryStats::Global().DumpJson(/*top_n=*/50) +
                     ",\n  \"slow_queries\": " +
-                    SlowQueryRing::Global().DumpJson() +
+                    TraceStore::Global().SlowJson() +
                     ",\n  \"query_log\": {\"written\": " +
                     std::to_string(qlog.written()) +
                     ", \"dropped\": " + std::to_string(qlog.dropped()) +

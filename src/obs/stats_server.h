@@ -24,8 +24,9 @@ namespace frappe::obs {
 //             query-log drop/write counters, and (when a storage provider
 //             is registered) frappe_storage_bytes{section=...} gauges
 //   /stats    JSON operator view: per-fingerprint query stats (top by
-//             cumulative latency), recent slow queries, build SHA, uptime,
-//             and the parsed runtime config (obs/config.h)
+//             cumulative latency), the slow queries TraceStore retains
+//             (TraceStore::SlowJson), build SHA, uptime, and the parsed
+//             runtime config (obs/config.h)
 //   /healthz  "ok" liveness probe
 //   /readyz   readiness probe: 200 ready/degraded, 503 overloaded/draining,
 //             JSON state + reason (obs::Readiness)

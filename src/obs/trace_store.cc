@@ -21,6 +21,13 @@ Counter& EvictedCounter() {
 
 }  // namespace
 
+const char* RetentionReason(StatusCode code, bool slow, bool requested) {
+  if (code == StatusCode::kCancelled) return "cancelled";
+  if (code != StatusCode::kOk) return "error";
+  if (slow) return "slow";
+  return requested ? "requested" : nullptr;
+}
+
 TraceStore& TraceStore::Global() {
   static TraceStore* store = new TraceStore();  // never destroyed
   return *store;
@@ -75,6 +82,27 @@ std::string TraceStore::IndexJson() const {
     first = false;
   }
   out += first ? "]}\n" : "\n]}\n";
+  return out;
+}
+
+std::string TraceStore::SlowJson() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string out = "[";
+  bool first = true;
+  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
+    const StoredTrace& t = *it;
+    if (!t.slow) continue;
+    char latency[32];
+    std::snprintf(latency, sizeof(latency), "%.3f", t.latency_ms);
+    out += std::string(first ? "" : ",") + "\n    {\"ts_us\": " +
+           std::to_string(t.ts_us) + ", \"fp\": " + JsonQuote(t.fingerprint) +
+           ", \"trace_id\": \"" + TraceIdHex(t.trace_hi, t.trace_lo) +
+           "\", \"query\": " + JsonQuote(t.query) +
+           ", \"latency_ms\": " + latency +
+           ", \"status\": " + JsonQuote(t.status) + "}";
+    first = false;
+  }
+  out += first ? "]" : "\n  ]";
   return out;
 }
 
@@ -134,7 +162,7 @@ uint64_t TraceStore::ApproxBytes() const {
   for (const StoredTrace& trace : ring_) {
     bytes += sizeof(StoredTrace);
     bytes += trace.reason.capacity() + trace.status.capacity() +
-             trace.fingerprint.capacity();
+             trace.fingerprint.capacity() + trace.query.capacity();
     bytes += trace.spans.capacity() * sizeof(CollectedSpan);
   }
   return bytes;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "obs/ring.h"
 #include "obs/trace.h"
 
@@ -14,8 +15,10 @@ namespace frappe::obs {
 // Bounded tail-sampled trace retention: every server request collects its
 // span tree into a SpanCollector; at completion the server decides whether
 // the tree is worth keeping (slow, errored, cancelled, shed, or explicitly
-// traced by the client) and hands it here. /debug/tracez?trace_id=... then
-// serves the retained tree without any blocking capture window.
+// traced by the client) and hands it here. A query with no server around
+// it is kept by the session when it is slow, as a one-span tree.
+// /debug/tracez?trace_id=... then serves the retained tree without any
+// blocking capture window, and /stats lists the slow records.
 //
 // A fixed-capacity Ring of full span trees under one mutex: retention is a
 // per-request cold path (at most one Retain per query, and only for the
@@ -24,15 +27,22 @@ namespace frappe::obs {
 struct StoredTrace {
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
-  std::string reason;       // "slow" | "error" | "cancelled" | "shed" |
-                            // "requested"
-  std::string status;       // status-code name ("OK", "DeadlineExceeded"...)
+  std::string reason;       // RetentionReason(): "error" | "cancelled" |
+                            // "slow" | "requested", or "shed"
+  std::string status;       // "ok" or the status-code name
   std::string fingerprint;  // 16-hex query fingerprint; empty when unknown
+  std::string query;        // normalized query text; empty when unknown
+  bool slow = false;        // the session's verdict (FRAPPE_SLOW_QUERY_MS)
   uint64_t ts_us = 0;       // unix micros at retention
   double latency_ms = 0;
   uint64_t dropped_spans = 0;
   std::vector<CollectedSpan> spans;
 };
+
+// Why a finished query's tree is kept, in precedence order: "cancelled"
+// or "error" when it failed, "slow" when the session judged it slow,
+// "requested" when the client traced it; nullptr when it is not kept.
+const char* RetentionReason(StatusCode code, bool slow, bool requested);
 
 class TraceStore {
  public:
@@ -51,6 +61,11 @@ class TraceStore {
   // {"retained": N, "evicted": M, "traces": [{trace_id, reason, status,
   //  fingerprint, ts_us, latency_ms, spans}, ...]} newest first.
   std::string IndexJson() const;
+
+  // The /stats slow-query list: the retained records with `slow` set,
+  // newest first, as [{"ts_us", "fp", "trace_id", "query", "latency_ms",
+  // "status"}, ...].
+  std::string SlowJson() const;
 
   // One span tree as Chrome trace-event JSON: {"traceEvents": [{"name",
   // "ph": "X", "pid", "tid", "ts", "dur", "args": {trace_id, span_id,

@@ -1296,6 +1296,8 @@ class Engine {
       return BindAndStep(chain, steps, 0, pivot, v.node, &binding, row, used,
                          sink);
     }
+    // An unbound anchor that can match nothing enumerates nothing.
+    if (anchor.impossible) return Status::OK();
     // Enumerate candidates: the index seek, else the label index when
     // available, else a full scan.
     Status status = Status::OK();
@@ -1307,7 +1309,7 @@ class Engine {
                            sink);
       return status.ok();
     };
-    if (anchor.anchor.field != nullptr && !anchor.impossible) {
+    if (anchor.anchor.field != nullptr) {
       for (NodeId node : db_.name_index->Lookup(anchor.anchor.field->name,
                                                 anchor.anchor.value)) {
         if (!try_candidate(node)) return status;
@@ -1318,7 +1320,7 @@ class Engine {
           if (!try_candidate(node)) return status;
         }
       }
-    } else if (!anchor.impossible) {
+    } else {
       for (NodeId node = 0; node < db_.view->NodeIdUpperBound(); ++node) {
         if (!db_.view->NodeExists(node)) continue;
         if (!try_candidate(node)) return status;

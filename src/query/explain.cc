@@ -48,17 +48,24 @@ const char* CompareOpName(CompareOp op) {
   return "?";
 }
 
+// Appends a pattern's property map, "{key: literal, ...}", after a space
+// unless it opens the pattern.
+void AppendPropMap(const std::vector<PropConstraint>& props,
+                   std::string* out) {
+  if (props.empty()) return;
+  if (!out->empty() && out->back() != '(') *out += ' ';
+  *out += '{';
+  for (size_t i = 0; i < props.size(); ++i) {
+    if (i > 0) *out += ", ";
+    *out += props[i].key + ": " + DescribeLiteral(props[i].value);
+  }
+  *out += '}';
+}
+
 std::string DescribeNodePattern(const NodePattern& node) {
   std::string out = "(" + node.var;
   for (const std::string& label : node.labels) out += ":" + label;
-  if (!node.props.empty()) {
-    out += " {";
-    for (size_t i = 0; i < node.props.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += node.props[i].key + ": " + DescribeLiteral(node.props[i].value);
-    }
-    out += "}";
-  }
+  AppendPropMap(node.props, &out);
   return out + ")";
 }
 
@@ -80,6 +87,7 @@ std::string DescribeRelPattern(const RelPattern& rel) {
       }
     }
   }
+  AppendPropMap(rel.props, &detail);
   std::string body = detail.empty() ? "" : "[" + detail + "]";
   switch (rel.direction) {
     case graph::Direction::kOut:

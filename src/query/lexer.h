@@ -60,7 +60,7 @@ Result<std::vector<Token>> Lex(std::string_view input);
 // Workload fingerprinting: the *shape* of a query (its literals removed,
 // case folded, whitespace and comments collapsed) and the stable 64-bit
 // FNV-1a hash of that text (obs::Fingerprint64). /stats, the query log,
-// the slow-query ring and retained traces all key on it.
+// the slow-query log and retained traces all key on it.
 struct NormalizedQuery {
   std::string text;
   uint64_t fingerprint = 0;

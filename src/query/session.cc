@@ -1,16 +1,17 @@
 #include "query/session.h"
 
 #include <chrono>
-#include <cstdio>
 
 #include "common/string_util.h"
 #include "obs/config.h"
 #include "obs/fingerprint.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/query_registry.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
+#include "obs/trace_store.h"
 #include "query/explain.h"
 #include "query/lexer.h"
 #include "query/parser.h"
@@ -18,20 +19,6 @@
 namespace frappe::query {
 
 namespace {
-
-std::function<void(const std::string&)>& SlowQuerySink() {
-  static std::function<void(const std::string&)>* sink =
-      new std::function<void(const std::string&)>();  // never destroyed
-  return *sink;
-}
-
-void EmitSlowQueryLog(const std::string& message) {
-  if (SlowQuerySink()) {
-    SlowQuerySink()(message);
-  } else {
-    std::fputs(message.c_str(), stderr);
-  }
-}
 
 // Workload telemetry for one finished (or parse-failed) execution: the
 // per-fingerprint stats table always, the structured query log when
@@ -98,11 +85,6 @@ void RecordWorkloadTelemetry(const NormalizedQuery& normalized,
 }
 
 }  // namespace
-
-void SetSlowQueryLogSinkForTesting(
-    std::function<void(const std::string&)> sink) {
-  SlowQuerySink() = std::move(sink);
-}
 
 Database MakeFrappeDatabase(const graph::GraphView& view,
                             const model::Schema& schema,
@@ -191,8 +173,9 @@ Result<QueryResult> Session::Run(std::string_view query_text,
 
 Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
                              const ExecOptions& options,
-                             uint64_t* fingerprint) {
+                             QueryVerdict* verdict) {
   FRAPPE_TRACE_SPAN("session.run");
+  const uint64_t run_start_us = obs::Trace::NowMicros();
   static obs::Counter& queries =
       obs::Registry::Global().GetCounter("session.queries");
   static obs::Counter& slow_queries =
@@ -210,11 +193,12 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
 
   // Trace identity: adopt the request context the query server installed
   // via TraceScope, or mint a fresh id for direct callers (shell, replay,
-  // tests) so the query log, /stats and the slow-query ring still carry a
-  // joinable trace id. Minting does NOT activate span collection — the
+  // tests) so the query log, /stats and a retained slow record still carry
+  // a joinable trace id. Minting does NOT activate span collection — the
   // disabled-span fast path stays one TLS load.
   obs::TraceContext trace = obs::Trace::CurrentContext();
-  if (!trace.valid()) trace = obs::GenerateTraceContext();
+  const bool minted = !trace.valid();
+  if (minted) trace = obs::GenerateTraceContext();
   Timeline timeline;
   timeline.queue_us = obs::Trace::CurrentQueueWaitUs();
 
@@ -230,7 +214,10 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
     std::vector<Token> tokens;
     const Status lexed = Lex(query_text, &tokens);
     normalized = NormalizeTokens(query_text, tokens);
-    if (fingerprint != nullptr) *fingerprint = normalized.fingerprint;
+    if (verdict != nullptr) {
+      verdict->fingerprint = normalized.fingerprint;
+      verdict->normalized = normalized.text;
+    }
     // Active-query registry: this query is visible on /debug/queryz (and
     // cancellable) for the whole call; the RAII handle removes the entry
     // on every exit path — parse failure, EXPLAIN, success, or abort.
@@ -314,17 +301,20 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
       result.ok() && result->stats.fast_path_taken, trace, timeline,
       resources);
 
-  // Slow-query log: fires for successes and budget breaches alike — the
+  // Slow-query verdict, for successes and budget breaches alike — the
   // aborted Figure 6 run is exactly the query an operator wants logged.
   // Identified by fingerprint + normalized text (not the raw query):
   // that's the key the /stats fingerprint table and the query log use, so
-  // the three views join on `fp` — and literals stay out of the log.
+  // the views join on `fp` — and literals stay out of the headline.
   const int64_t threshold_ms = config.slow_query_ms;
-  if (threshold_ms >= 0 && elapsed_ms >= static_cast<double>(threshold_ms)) {
+  const bool slow =
+      threshold_ms >= 0 && elapsed_ms >= static_cast<double>(threshold_ms);
+  if (verdict != nullptr) verdict->slow = slow;
+  if (slow) {
     slow_queries.Add();
-    std::string message = "[frappe] slow query (" +
-                          std::to_string(elapsed_ms) + " ms >= " +
-                          std::to_string(threshold_ms) + " ms) fp=" +
+    std::string message = "slow query (" + std::to_string(elapsed_ms) +
+                          " ms >= " + std::to_string(threshold_ms) +
+                          " ms) fp=" +
                           obs::FingerprintHex(normalized.fingerprint) +
                           " trace=" + obs::TraceIdHex(trace) + ": " +
                           normalized.text + "\n";
@@ -337,16 +327,29 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
     if (!result.ok()) {
       message += "status: " + result.status().ToString() + "\n";
     }
-    EmitSlowQueryLog(message);
-    obs::SlowQueryRing::Record slow;
-    slow.ts_us = obs::Trace::UnixMicros();
-    slow.fingerprint = normalized.fingerprint;
-    slow.trace_id = obs::TraceIdHex(trace);
-    slow.normalized = normalized.text;
-    slow.latency_ms = elapsed_ms;
-    slow.threshold_ms = threshold_ms;
-    slow.status = status_name;
-    obs::SlowQueryRing::Global().Push(std::move(slow));
+    obs::LogWarn("slowlog", message);
+    if (minted) {
+      // No server wraps this query to keep its record: retain a one-span
+      // tree so the /stats row's trace id resolves on /debug/tracez.
+      obs::StoredTrace stored;
+      stored.trace_hi = trace.trace_hi;
+      stored.trace_lo = trace.trace_lo;
+      stored.reason = obs::RetentionReason(result.status().code(), slow,
+                                           /*requested=*/false);
+      stored.status = status_name;
+      stored.fingerprint = obs::FingerprintHex(normalized.fingerprint);
+      stored.query = normalized.text;
+      stored.slow = true;
+      stored.ts_us = obs::Trace::UnixMicros();
+      stored.latency_ms = elapsed_ms;
+      obs::CollectedSpan span;
+      span.name = "session.run";
+      span.span_id = trace.span_id;
+      span.start_us = run_start_us;
+      span.dur_us = obs::Trace::NowMicros() - run_start_us;
+      stored.spans.push_back(span);
+      obs::TraceStore::Global().Retain(std::move(stored));
+    }
   }
   return result;
 }

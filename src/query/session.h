@@ -1,11 +1,9 @@
 #ifndef FRAPPE_QUERY_SESSION_H_
 #define FRAPPE_QUERY_SESSION_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-
 #include <vector>
 
 #include "common/status.h"
@@ -17,15 +15,29 @@
 
 namespace frappe::query {
 
+// What the session decided about one query, for a caller that keeps its
+// own record of it (the query server's retained trace).
+struct QueryVerdict {
+  uint64_t fingerprint = 0;  // workload fingerprint: the /stats row key
+  std::string normalized;    // the query's shape, literals stripped
+  bool slow = false;         // executed at or over FRAPPE_SLOW_QUERY_MS
+};
+
 // Parses and executes `query_text` against a wired Database: EXPLAIN
 // returns the plan without executing, PROFILE annotates it with operator
-// stats, and the FRAPPE_SLOW_QUERY_MS slow-query log applies. Session and
-// SnapshotSession both run queries through this. When `fingerprint` is
-// given it receives the query's workload fingerprint (the key of its
-// /stats row) on every path, parse and execution failures included.
+// stats. Session and SnapshotSession both run queries through this.
+//
+// A query that executes for FRAPPE_SLOW_QUERY_MS or longer (the latency
+// its query-log record and /stats row carry) is slow, whether it
+// succeeded or failed: it is logged as a `slowlog` warning with its plan
+// and counted in session.slow_queries. Under a server's trace scope the
+// server keeps its record; otherwise the session retains a one-span
+// session.run tree in obs::TraceStore, which /stats lists and
+// /debug/tracez serves. When `verdict` is given it is filled on every
+// path, parse and execution failures included.
 Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
                              const ExecOptions& options = {},
-                             uint64_t* fingerprint = nullptr);
+                             QueryVerdict* verdict = nullptr);
 
 // End-to-end query session over a Frappé code graph: owns the auto name
 // index and label index, wires schema-aware label/property resolution
@@ -39,12 +51,11 @@ class Session {
  public:
   explicit Session(const model::CodeGraph& code_graph);
 
-  // Parses and executes `query_text`. `EXPLAIN <query>` returns the plan
-  // in QueryResult::plan without executing; `PROFILE <query>` executes for
-  // real and returns rows plus the plan annotated with per-operator stats.
-  // When FRAPPE_SLOW_QUERY_MS is set (obs::Config().slow_query_ms), any
-  // execution at or over that many milliseconds is logged with its plan —
-  // to stderr, or to the sink installed below.
+  // Parses and executes `query_text` through RunQuery. `EXPLAIN <query>`
+  // returns the plan in QueryResult::plan without executing; `PROFILE
+  // <query>` executes for real and returns rows plus the plan annotated
+  // with per-operator stats. A slow query is logged and retained as
+  // RunQuery describes.
   Result<QueryResult> Run(std::string_view query_text,
                           const ExecOptions& options = {}) const;
 
@@ -115,12 +126,6 @@ Database MakeFrappeDatabase(const graph::GraphView& view,
                             const model::Schema& schema,
                             const graph::NameIndex* name_index,
                             const graph::LabelIndex* label_index);
-
-// Redirects the slow-query log (FRAPPE_SLOW_QUERY_MS) from stderr into
-// `sink`; pass nullptr to restore stderr. Not thread-safe with concurrent
-// Session::Run — install before running queries (test hook).
-void SetSlowQueryLogSinkForTesting(
-    std::function<void(const std::string&)> sink);
 
 }  // namespace frappe::query
 

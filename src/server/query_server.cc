@@ -9,7 +9,6 @@
 
 #include "common/fault_injector.h"
 #include "common/string_util.h"
-#include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -189,8 +188,10 @@ void RetainShedTrace(const AdmissionQueue::Item& item) {
   trace.trace_lo = item.trace.trace_lo;
   trace.reason = "shed";
   trace.status = "ResourceExhausted";
-  trace.fingerprint = obs::FingerprintHex(
-      query::NormalizeQuery(item.conn.request().body).fingerprint);
+  query::NormalizedQuery normalized =
+      query::NormalizeQuery(item.conn.request().body);
+  trace.fingerprint = obs::FingerprintHex(normalized.fingerprint);
+  trace.query = std::move(normalized.text);
   trace.ts_us = obs::Trace::UnixMicros();
   obs::CollectedSpan span;
   span.name = "server.shed";
@@ -457,13 +458,12 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
   // Everything from here to serialization runs under the request's trace
   // scope: session/executor/kernel spans parent under the root span and
   // land in the per-request sink, and the session reads the trace id and
-  // queue wait for its own telemetry (query log, /stats, slow-query ring).
+  // queue wait for its own telemetry (query log, /stats, slow-query log).
   query::Timeline timeline;
-  uint64_t fingerprint = 0;
+  query::QueryVerdict verdict;
   Result<query::QueryResult> result = [&] {
     obs::TraceScope scope(item.trace, item.sink.get(), queue_wait_us);
-    return query::RunQuery(epoch->db, request.body, exec_options,
-                           &fingerprint);
+    return query::RunQuery(epoch->db, request.body, exec_options, &verdict);
   }();
   if (result.ok()) {
     timeline = result->stats.timeline;
@@ -487,33 +487,22 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
   }
 
   // Tail-sampling decision: keep the span tree for anything that went
-  // wrong, anything slow, and anything the client explicitly traced.
-  const double latency_ms =
-      static_cast<double>(timeline.total_us) / 1000.0;
-  std::string reason;
-  if (!result.ok()) {
-    reason = result.status().code() == StatusCode::kCancelled ? "cancelled"
-                                                              : "error";
-  } else {
-    // The session's slow-query threshold doubles as the retention bar, so
-    // "it was logged slow" and "its trace was retained" agree.
-    const int64_t slow_ms = obs::Config().slow_query_ms;
-    if (slow_ms >= 0 && latency_ms >= static_cast<double>(slow_ms)) {
-      reason = "slow";
-    } else if (item.trace_requested) {
-      reason = "requested";
-    }
-  }
-  if (!reason.empty() && item.sink != nullptr) {
+  // wrong, anything the session judged slow, and anything the client
+  // explicitly traced. This is the query's one retained record.
+  const char* reason = obs::RetentionReason(
+      result.status().code(), verdict.slow, item.trace_requested);
+  if (reason != nullptr && item.sink != nullptr) {
     obs::StoredTrace stored;
     stored.trace_hi = item.trace.trace_hi;
     stored.trace_lo = item.trace.trace_lo;
-    stored.reason = std::move(reason);
+    stored.reason = reason;
     stored.status =
         result.ok() ? "ok" : StatusCodeName(result.status().code());
-    stored.fingerprint = obs::FingerprintHex(fingerprint);
+    stored.fingerprint = obs::FingerprintHex(verdict.fingerprint);
+    stored.query = std::move(verdict.normalized);
+    stored.slow = verdict.slow;
     stored.ts_us = obs::Trace::UnixMicros();
-    stored.latency_ms = latency_ms;
+    stored.latency_ms = static_cast<double>(timeline.total_us) / 1000.0;
     stored.dropped_spans = item.sink->dropped();
     stored.spans = item.sink->TakeSpans();
     // The root span covers enqueue through serialization; its parent is

@@ -34,9 +34,10 @@ namespace frappe::server {
 // response echoes the same trace id; the client's span id becomes the
 // server root span's parent) or a fresh trace id is minted — malformed
 // headers fall back to minting, never 4xx. Every worker-side response
-// carries a `traceparent` response header. Span trees for slow / errored /
-// cancelled / shed / explicitly-traced requests are retained in the
-// obs::TraceStore, served by /debug/tracez?trace_id=<id>.
+// carries a `traceparent` response header. Span trees for errored /
+// cancelled / slow (the session's verdict) / shed / explicitly-traced
+// requests are retained in the obs::TraceStore, served by
+// /debug/tracez?trace_id=<id>.
 //   GET  /healthz   liveness ("ok")
 //   GET  /readyz    readiness (obs::Readiness: draining/overloaded 503)
 //

@@ -121,27 +121,5 @@ TEST_F(QueryStatsTest, ConcurrentRecordsAreExactAfterQuiesce) {
   EXPECT_EQ(histogram_count, kTotal);
 }
 
-// ---------------------------------------------------------------------------
-// SlowQueryRing.
-
-TEST(SlowQueryRingTest, KeepsTheMostRecentRecords) {
-  SlowQueryRing::Global().ResetForTesting();
-  for (int i = 0; i < static_cast<int>(SlowQueryRing::kCapacity) + 10; ++i) {
-    SlowQueryRing::Record record;
-    record.ts_us = i;
-    record.fingerprint = static_cast<uint64_t>(i);
-    record.normalized = "q" + std::to_string(i);
-    record.latency_ms = 1.0;
-    SlowQueryRing::Global().Push(std::move(record));
-  }
-  auto all = SlowQueryRing::Global().SnapshotAll();
-  ASSERT_EQ(all.size(), SlowQueryRing::kCapacity);
-  // Oldest-first: the first 10 were overwritten.
-  EXPECT_EQ(all.front().ts_us, 10);
-  EXPECT_EQ(all.back().ts_us,
-            static_cast<int64_t>(SlowQueryRing::kCapacity) + 9);
-  SlowQueryRing::Global().ResetForTesting();
-}
-
 }  // namespace
 }  // namespace frappe::obs

@@ -49,7 +49,7 @@
 extern "C" FRAPPE_TEST_NOIPA uint64_t frappe_profiler_test_burn(
     uint64_t iters) {
   volatile uint64_t acc = 0;
-  for (uint64_t i = 0; i < iters; ++i) acc += i * 2654435761ull;
+  for (uint64_t i = 0; i < iters; ++i) acc = acc + i * 2654435761ull;
   return acc;
 }
 

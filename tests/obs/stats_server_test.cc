@@ -15,6 +15,7 @@
 #include "obs/config.h"
 #include "obs/fingerprint.h"
 #include "obs/readiness.h"
+#include "obs/trace_store.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
 
@@ -61,7 +62,7 @@ class StatsServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     QueryStats::Global().ResetForTesting();
-    SlowQueryRing::Global().ResetForTesting();
+    TraceStore::Global().Clear();
     // Port 0: the kernel picks a free ephemeral port — no collisions
     // across parallel ctest jobs.
     auto server = StatsServer::Start();
@@ -196,10 +197,15 @@ TEST_F(StatsServerTest, ActiveQueriesExportAsTheRegistryGauge) {
 TEST_F(StatsServerTest, StatsServesFingerprintTableJson) {
   query::testing::PaperFixture fixture;
   query::Session session(fixture.graph);
+  // Threshold 0: both queries are slow, so the export carries slow rows.
+  RuntimeConfig config;
+  config.slow_query_ms = 0;
+  SetConfigForTesting(config);
   ASSERT_TRUE(session.Run("MATCH (f:function) RETURN f").ok());
   ASSERT_TRUE(session.Run("MATCH (s:struct) RETURN s").ok());
 
   std::string response = HttpGet(server_->port(), "/stats");
+  SetConfigForTesting(RuntimeConfig());
   EXPECT_NE(response.find("application/json"), std::string::npos);
   std::string body = Body(response);
   EXPECT_NE(body.find("\"fingerprints\": ["), std::string::npos) << body;
@@ -217,11 +223,40 @@ TEST_F(StatsServerTest, StatsServesFingerprintTableJson) {
       << body;
 
   // Export the fixture tools/qlog_check.py --stats validates from ctest:
-  // it pins the fingerprint-row schema and its ordering.
+  // it pins the fingerprint-row schema and its ordering, and the slow rows
+  // against config.slow_query_ms.
   std::FILE* f = std::fopen("stats_export.json", "w");
   ASSERT_NE(f, nullptr);
   std::fwrite(body.data(), 1, body.size(), f);
   std::fclose(f);
+}
+
+// A query with no server around it is still one record: the session
+// retains its slow query, so the /stats row's trace id resolves.
+TEST_F(StatsServerTest, DirectCallersSlowRowResolvesOnTracez) {
+  query::testing::PaperFixture fixture;
+  query::Session session(fixture.graph);
+  RuntimeConfig config;
+  config.slow_query_ms = 0;
+  SetConfigForTesting(config);
+  auto result =
+      session.Run("MATCH (direct_probe:function) RETURN direct_probe");
+  SetConfigForTesting(RuntimeConfig());
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  std::string body = Body(HttpGet(server_->port(), "/stats"));
+  const size_t row =
+      body.find("direct_probe", body.find("\"slow_queries\""));
+  ASSERT_NE(row, std::string::npos) << body;
+  const size_t id = body.rfind("\"trace_id\": \"", row);
+  ASSERT_NE(id, std::string::npos) << body;
+  const std::string trace_id = body.substr(id + 13, 32);
+  std::string tree =
+      HttpGet(server_->port(), "/debug/tracez?trace_id=" + trace_id);
+  EXPECT_NE(tree.find("200 OK"), std::string::npos) << tree;
+  EXPECT_NE(Body(tree).find("\"name\": \"session.run\""),
+            std::string::npos)
+      << tree;
 }
 
 TEST_F(StatsServerTest, ServesSequentialRequests) {

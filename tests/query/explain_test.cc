@@ -203,6 +203,14 @@ TEST_F(ExplainTest, FastPathsOffPrintTheStoreWalks) {
             std::string::npos);
 }
 
+// A relationship's property map is part of its pattern, as a node's is.
+TEST_F(ExplainTest, RelationshipPropertyMapsShown) {
+  std::string plan = Plan(testing::Figure5Query());
+  EXPECT_NE(plan.find("-[r:calls {use_start_line: 236}]->"),
+            std::string::npos)
+      << plan;
+}
+
 TEST(DescribeExprTest, RendersAllNodeKinds) {
   auto parsed = Parse(
       "START n=node(1) WHERE (n.a = 1 AND NOT n.b <> 'x') OR "

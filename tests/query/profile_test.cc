@@ -13,6 +13,7 @@
 
 #include "graph/analytics.h"
 #include "obs/config.h"
+#include "obs/log.h"
 #include "query/executor.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
@@ -458,16 +459,30 @@ TEST_F(ProfileTest, ExecStatsAlwaysPopulated) {
   EXPECT_TRUE(r.stats.operators.empty());  // only PROFILE collects these
 }
 
+// An unbound anchor that can match nothing (here a key the graph lacks)
+// enumerates no candidates, even when it carries an index-backed property.
+TEST_F(ProfileTest, ImpossibleAnchorEnumeratesNothing) {
+  QueryResult impossible = Run(
+      "PROFILE MATCH (f:function {short_name: 'sr_do_ioctl', nosuchkey: "
+      "'a'}) RETURN f");
+  QueryResult unknown_label = Run("PROFILE MATCH (f:nosuchlabel) RETURN f");
+  EXPECT_TRUE(impossible.rows.empty());
+  EXPECT_TRUE(unknown_label.rows.empty());
+  EXPECT_EQ(impossible.stats.steps, unknown_label.stats.steps)
+      << impossible.plan;
+}
+
 TEST_F(ProfileTest, SlowQueryLogFiresAtThresholdZero) {
   obs::RuntimeConfig config;
   config.slow_query_ms = 0;
   obs::SetConfigForTesting(config);
   std::vector<std::string> logged;
-  SetSlowQueryLogSinkForTesting(
-      [&logged](const std::string& line) { logged.push_back(line); });
+  obs::Log::SetSinkForTesting([&logged](const obs::LogEntry& entry) {
+    if (entry.component == "slowlog") logged.push_back(entry.message);
+  });
   auto result = session_.Run(
       "START n=node:node_auto_index('short_name: cmd') RETURN n");
-  SetSlowQueryLogSinkForTesting(nullptr);
+  obs::Log::SetSinkForTesting(nullptr);
   obs::SetConfigForTesting(obs::RuntimeConfig());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(logged.size(), 1u);
@@ -489,11 +504,12 @@ TEST_F(ProfileTest, SlowQueryLogFiresAtThresholdZero) {
 TEST_F(ProfileTest, SlowQueryLogSilentWhenUnset) {
   obs::SetConfigForTesting(obs::RuntimeConfig());
   std::vector<std::string> logged;
-  SetSlowQueryLogSinkForTesting(
-      [&logged](const std::string& line) { logged.push_back(line); });
+  obs::Log::SetSinkForTesting([&logged](const obs::LogEntry& entry) {
+    if (entry.component == "slowlog") logged.push_back(entry.message);
+  });
   auto result = session_.Run(
       "START n=node:node_auto_index('short_name: cmd') RETURN n");
-  SetSlowQueryLogSinkForTesting(nullptr);
+  obs::Log::SetSinkForTesting(nullptr);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(logged.empty());
 }

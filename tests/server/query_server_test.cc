@@ -18,11 +18,13 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "extractor/synthetic.h"
 #include "model/code_graph.h"
 #include "obs/config.h"
 #include "obs/http_listener.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/readiness.h"
 #include "obs/stats_server.h"
@@ -705,6 +707,194 @@ TEST(QueryServerFingerprintTest, TracesCarryTheStatsRowFingerprint) {
   EXPECT_EQ(requested, ok_row);
   EXPECT_EQ(shed, ok_row);
   EXPECT_EQ(error, rejected_row);
+}
+
+// The `slow_queries` array of the current /stats document.
+std::string SlowRows() {
+  auto stats = obs::StatsServer::Start();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  if (!stats.ok()) return "";
+  std::string body(HttpBodyOf(HttpFetch((*stats)->port(), "GET", "/stats")));
+  (*stats)->Stop();
+  size_t at = body.find("\"slow_queries\": [");
+  size_t end = body.find("\"query_log\":", at);
+  if (at == std::string::npos || end == std::string::npos) return "";
+  return body.substr(at, end - at);
+}
+
+size_t CountOf(std::string_view haystack, std::string_view needle) {
+  size_t count = 0;
+  for (size_t at = haystack.find(needle); at != std::string_view::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// The 32-hex trace id a /query response body carries.
+std::string ResponseTraceId(const std::string& response) {
+  std::string_view body = HttpBodyOf(response);
+  size_t at = body.find("\"trace_id\": \"");
+  if (at == std::string_view::npos) return "";
+  return std::string(body.substr(at + 13, 32));
+}
+
+// Collects the `slowlog` entries written between construction and
+// destruction.
+class SlowLogCapture {
+ public:
+  SlowLogCapture() {
+    obs::Log::SetSinkForTesting([this](const obs::LogEntry& entry) {
+      if (entry.component == "slowlog") messages_.push_back(entry.message);
+    });
+  }
+  ~SlowLogCapture() { obs::Log::SetSinkForTesting(nullptr); }
+  // Stops capturing and returns what was captured.
+  std::vector<std::string> Take() {
+    obs::Log::SetSinkForTesting(nullptr);
+    return std::move(messages_);
+  }
+
+ private:
+  std::vector<std::string> messages_;
+};
+
+// FRAPPE_SLOW_QUERY_MS=0 makes every query slow. The session judges a
+// served query once: one slowlog entry, one count, and one retained
+// record, the server's whole tree, which /stats lists and /debug/tracez
+// serves.
+TEST_F(QueryServerTest, ServedSlowQueryKeepsOneRecord) {
+  obs::TraceStore::Global().Clear();
+  obs::RuntimeConfig config;
+  config.slow_query_ms = 0;
+  obs::SetConfigForTesting(config);
+  const obs::Counter& slow_count =
+      obs::Registry::Global().GetCounter("session.slow_queries");
+  const uint64_t slow_before = slow_count.Value();
+  SlowLogCapture capture;
+  std::string response = HttpFetch(
+      port_, "POST", "/query",
+      "MATCH (slow_probe:function) WHERE slow_probe.short_name = "
+      "'vfs_read' RETURN slow_probe");
+  std::vector<std::string> logged = capture.Take();
+  obs::SetConfigForTesting(obs::RuntimeConfig());
+  ASSERT_EQ(HttpStatusOf(response), 200) << response;
+  const std::string trace_id = ResponseTraceId(response);
+  ASSERT_EQ(trace_id.size(), 32u) << response;
+
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_NE(logged[0].find("trace=" + trace_id), std::string::npos)
+      << logged[0];
+  EXPECT_EQ(slow_count.Value(), slow_before + 1);
+  const std::string rows = SlowRows();
+  EXPECT_EQ(CountOf(rows, "\"trace_id\": "), 1u) << rows;
+  EXPECT_NE(rows.find("\"trace_id\": \"" + trace_id + "\""),
+            std::string::npos)
+      << rows;
+  const std::string fp = StatsRowFingerprint("slow_probe");
+  ASSERT_EQ(fp.size(), 16u);
+  EXPECT_NE(rows.find("\"fp\": \"" + fp + "\""), std::string::npos) << rows;
+  EXPECT_NE(rows.find("\"status\": \"ok\""), std::string::npos) << rows;
+
+  auto stats = obs::StatsServer::Start();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  std::string tree = HttpFetch((*stats)->port(), "GET",
+                               "/debug/tracez?trace_id=" + trace_id);
+  (*stats)->Stop();
+  EXPECT_EQ(HttpStatusOf(tree), 200) << tree;
+  EXPECT_NE(tree.find("\"name\": \"server.request\""), std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("\"name\": \"session.execute\""), std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("\"reason\": \"slow\""), std::string::npos) << tree;
+}
+
+// A slow query that fails is still slow: its one row names the failure.
+TEST_F(QueryServerTest, FailedSlowQueryKeepsOneRowWithItsStatus) {
+  obs::TraceStore::Global().Clear();
+  obs::RuntimeConfig config;
+  config.slow_query_ms = 0;
+  obs::SetConfigForTesting(config);
+  std::string response =
+      HttpFetch(port_, "POST", "/query?deadline_ms=30&fast_path=0",
+                SlowClosureQuery(), /*timeout_ms=*/15000);
+  obs::SetConfigForTesting(obs::RuntimeConfig());
+  ASSERT_EQ(HttpStatusOf(response), 408) << response;
+  const std::string rows = SlowRows();
+  EXPECT_EQ(CountOf(rows, "\"trace_id\": "), 1u) << rows;
+  EXPECT_NE(rows.find("\"status\": \"DeadlineExceeded\""), std::string::npos)
+      << rows;
+}
+
+// The verdict is the session's: a query that executes well under the
+// threshold is not slow, even when it waited in the queue for longer than
+// the threshold. It gets no log entry, no row and no retained trace, unless
+// the client asked for its trace.
+TEST(QueryServerSlowTest, QueueWaitAloneIsNotSlow) {
+  obs::Readiness::Global().ResetForTesting();
+  obs::TraceStore::Global().Clear();
+  QueryServer::Options options;
+  options.workers = 1;
+  auto server = QueryServer::Start(options, &Epochs());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const uint16_t port = (*server)->port();
+  const obs::Counter& admitted =
+      obs::Registry::Global().GetCounter("server.admitted");
+  const obs::Gauge& queue_depth =
+      obs::Registry::Global().GetGauge("server.queue_depth");
+  const uint64_t admitted_before = admitted.Value();
+
+  constexpr int64_t kThresholdMs = 200;
+  obs::RuntimeConfig config;
+  config.slow_query_ms = kThresholdMs;
+  obs::SetConfigForTesting(config);
+  SlowLogCapture capture;
+  // The hog holds the one worker until its deadline, so the probe queues
+  // behind it for longer than the threshold (and less than the 2 s queue
+  // deadline).
+  std::thread hog([&] {
+    HttpFetch(port, "POST", "/query?deadline_ms=1000&fast_path=0",
+              SlowClosureQuery(), 15000);
+  });
+  EXPECT_TRUE(PollUntil(
+      [&] {
+        return admitted.Value() >= admitted_before + 1 &&
+               queue_depth.Value() == 0;
+      },
+      std::chrono::milliseconds(2000)));
+  const std::string probe =
+      "MATCH (queued_probe:function) WHERE queued_probe.short_name = "
+      "'vfs_read' RETURN queued_probe";
+  std::string queued = HttpFetch(port, "POST", "/query", probe, 15000);
+  hog.join();
+  std::string requested =
+      HttpFetch(port, "POST", "/query", probe, 15000,
+                "traceparent: 00-5af7651916cd43dd8448eb211c80319c-"
+                "b7ad6b7169203331-01\r\n");
+  std::vector<std::string> logged = capture.Take();
+  obs::SetConfigForTesting(obs::RuntimeConfig());
+  (*server)->Stop();
+  obs::Readiness::Global().ResetForTesting();
+
+  ASSERT_EQ(HttpStatusOf(queued), 200) << queued;
+  ASSERT_EQ(HttpStatusOf(requested), 200) << requested;
+  EXPECT_GE(JsonInt(HttpBodyOf(queued), "queue_us"), kThresholdMs * 1000)
+      << "the probe did not wait behind the hog: " << queued;
+  for (const std::string& message : logged) {
+    EXPECT_EQ(message.find("queued_probe"), std::string::npos) << message;
+  }
+  const std::string rows = SlowRows();
+  EXPECT_EQ(rows.find("queued_probe"), std::string::npos) << rows;
+  uint64_t hi = 0, lo = 0;
+  ASSERT_TRUE(obs::ParseTraceIdHex(ResponseTraceId(queued), &hi, &lo));
+  obs::StoredTrace stored;
+  EXPECT_FALSE(obs::TraceStore::Global().Lookup(hi, lo, &stored))
+      << "retained as " << stored.reason;
+  ASSERT_TRUE(obs::ParseTraceIdHex("5af7651916cd43dd8448eb211c80319c", &hi,
+                                   &lo));
+  ASSERT_TRUE(obs::TraceStore::Global().Lookup(hi, lo, &stored));
+  EXPECT_EQ(stored.reason, "requested");
+  EXPECT_FALSE(stored.slow);
 }
 
 TEST(QueryServerLifecycleTest, StoppedServerRefusesConnections) {

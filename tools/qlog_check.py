@@ -25,7 +25,11 @@ Three checks, any subset per invocation:
       The /stats document's per-fingerprint rows: at least one row, each
       with exactly the row schema, a 16-hex-char fp that is the FNV-1a-64
       of the row's query, non-negative
-      timeline fields, in descending total_latency_us order.
+      timeline fields, in descending total_latency_us order. And its
+      slow_queries rows: each with exactly the slow-row schema, a 32-hex
+      trace_id, an fp that is the FNV-1a-64 of the row's query, and a
+      latency_ms of at least config.slow_query_ms; at least one row when
+      config.slow_query_ms is 0.
 
 Exit code 0 when valid, 1 with a diagnostic otherwise.
 
@@ -93,6 +97,16 @@ TIMELINE_SCHEMA = {
     "parse_us": int,
     "plan_us": int,
     "exec_us": int,
+}
+
+
+SLOW_ROW_SCHEMA = {
+    "ts_us": int,
+    "fp": str,
+    "trace_id": str,
+    "query": str,
+    "latency_ms": (int, float),
+    "status": str,
 }
 
 
@@ -312,7 +326,42 @@ def check_stats(path):
             return fail(f"{path}: {where} total_latency_us out of"
                         " descending order")
         previous_latency = latency
-    print(f"qlog_check: OK: {len(rows)} fingerprint rows in {path}")
+    rc = check_slow_rows(path, doc)
+    if rc:
+        return rc
+    print(f"qlog_check: OK: {len(rows)} fingerprint rows and"
+          f" {len(doc['slow_queries'])} slow rows in {path}")
+    return 0
+
+
+def check_slow_rows(path, doc):
+    rows = doc.get("slow_queries")
+    if not isinstance(rows, list):
+        return fail(f"{path}: slow_queries is missing or not an array")
+    config = doc.get("config")
+    threshold = config.get("slow_query_ms") if isinstance(config, dict) \
+        else None
+    if not isinstance(threshold, int) or isinstance(threshold, bool):
+        return fail(f"{path}: config.slow_query_ms is missing or not an int")
+    if threshold == 0 and not rows:
+        return fail(f"{path}: no slow_queries rows although"
+                    " config.slow_query_ms is 0")
+    for i, entry in enumerate(rows):
+        where = f"slow_queries[{i}]"
+        rc = check_object(path, entry, SLOW_ROW_SCHEMA, where)
+        if rc:
+            return rc
+        if entry["ts_us"] < 0:
+            return fail(f"{path}: {where}.ts_us is negative")
+        if not TRACE_ID_RE.match(entry["trace_id"]):
+            return fail(f"{path}: {where}.trace_id={entry['trace_id']!r} is"
+                        " not 32 lower-case hex chars")
+        if entry["fp"] != fnv1a64_hex(entry["query"]):
+            return fail(f"{path}: {where}.fp={entry['fp']!r} is not the"
+                        f" FNV-1a-64 of query {entry['query']!r}")
+        if threshold >= 0 and entry["latency_ms"] < threshold:
+            return fail(f"{path}: {where}.latency_ms={entry['latency_ms']}"
+                        f" is under config.slow_query_ms={threshold}")
     return 0
 
 
